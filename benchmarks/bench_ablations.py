@@ -14,7 +14,7 @@ import pytest
 import repro as bgls
 from repro import born
 from repro import circuits as cirq
-from repro.sampler import sample_trajectories_parallel
+from repro.sampler import PoolManager, ProcessPoolExecutor
 
 from conftest import make_sv_simulator, print_series, wall_time
 
@@ -23,13 +23,14 @@ REPS = 200
 _PAR_QUBITS = cirq.LineQubit.range(10)
 
 
-def _parallel_factory(seed):
-    """Module-level simulator factory (picklable for worker processes)."""
+def _parallel_simulator(seed, executor=None):
+    """A 10-qubit state-vector simulator (pool-safe components)."""
     return bgls.Simulator(
         bgls.StateVectorSimulationState(_PAR_QUBITS),
         bgls.act_on,
         born.compute_probability_state_vector,
         seed=seed,
+        executor=executor,
     )
 
 
@@ -142,19 +143,21 @@ def test_ablation_process_parallel_trajectories(benchmark):
     noisy.append(cirq.measure(*_PAR_QUBITS, key="z"))
     reps = 100
 
+    def pooled(workers, manager, seed=0):
+        executor = ProcessPoolExecutor(
+            num_workers=workers, start_method="fork", pool_manager=manager
+        )
+        return _parallel_simulator(seed, executor).sample_bitstrings(
+            noisy, repetitions=reps
+        )
+
     t_serial = wall_time(
-        lambda: _parallel_factory(0).sample_bitstrings(noisy, repetitions=reps)
+        lambda: _parallel_simulator(0).sample_bitstrings(noisy, repetitions=reps)
     )
-    t_par2 = wall_time(
-        lambda: sample_trajectories_parallel(
-            _parallel_factory, noisy, reps, num_workers=2, seed=0
-        )
-    )
-    t_par4 = wall_time(
-        lambda: sample_trajectories_parallel(
-            _parallel_factory, noisy, reps, num_workers=4, seed=0
-        )
-    )
+    with PoolManager() as two, PoolManager() as four:
+        t_par2 = wall_time(lambda: pooled(2, two))
+        t_par4 = wall_time(lambda: pooled(4, four))
+        benchmark(lambda: pooled(4, four, seed=1))
     print_series(
         f"Ablation - process-parallel trajectories ({reps} noisy reps)",
         ["variant", "seconds", "speedup_vs_serial"],
@@ -166,12 +169,6 @@ def test_ablation_process_parallel_trajectories(benchmark):
     )
     # Pool overhead must stay bounded even if it does not win at this size.
     assert t_par4 < t_serial * 3.0
-
-    benchmark(
-        lambda: sample_trajectories_parallel(
-            _parallel_factory, noisy, reps, num_workers=4, seed=1
-        )
-    )
 
 
 def test_ablation_skip_diagonal_updates(benchmark):

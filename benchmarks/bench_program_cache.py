@@ -8,11 +8,9 @@ Two claims, two series:
   full circuit per point (the pre-Program behavior, emulated by clearing
   the cache between points).
 * **Pooled startup** — the executor-layer process pool ships the compiled
-  plan and packed initial state once per *worker* and hands each task two
-  integers, versus the legacy factory API's per-task ``(factory,
-  circuit)`` pickle and in-worker rebuild.  The payload series is
-  deterministic (byte counts); the wall-time series respects
-  ``BGLS_RELAX_TIMING``.
+  plan and packed initial state once per *worker* and hands each task a
+  few scalars, versus a per-task ``(factory, circuit)`` pickle with an
+  in-worker rebuild.  The payload series is deterministic (byte counts).
 """
 
 import pickle
@@ -23,12 +21,7 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.circuits import channels
-from repro.sampler import (
-    ProcessPoolExecutor,
-    clear_program_cache,
-    program_cache_info,
-    sample_trajectories_parallel,
-)
+from repro.sampler import clear_program_cache, program_cache_info
 from repro.sampler.executors import _WorkerPayload
 from repro.states import StateVectorSimulationState
 
@@ -131,7 +124,7 @@ POOL_QUBITS = cirq.LineQubit.range(10)
 
 
 def pool_factory(seed):
-    """Module-level legacy factory (pickled per task by the old API)."""
+    """Module-level simulator factory (what a per-task pickle would ship)."""
     return sv_simulator(POOL_QUBITS, seed=seed)
 
 
@@ -141,10 +134,12 @@ def test_pooled_task_payload_is_constant(benchmark):
     for layers in (8, 16, 32):
         circuit = noisy_circuit(POOL_QUBITS, layers=layers)
         legacy_task = len(pickle.dumps((pool_factory, circuit, 4, 123)))
-        pooled_task = len(pickle.dumps((4, 123)))
+        # _run_task args of one chunk: (unit_index, resolver, size,
+        # seed, (base, point, rep_base)).
+        pooled_task = len(pickle.dumps((0, None, 4, 123, (123, 0, 0))))
         sim = sv_simulator(POOL_QUBITS, seed=0)
         plan = sim.compile(circuit).specialize(None)
-        once_per_worker = len(pickle.dumps(_WorkerPayload(sim, plan)))
+        once_per_worker = len(pickle.dumps(_WorkerPayload(sim, (plan,))))
         rows.append((layers, legacy_task, pooled_task, once_per_worker))
         # Acceptance: tasks are O(1); the circuit ships once per worker.
         assert pooled_task < 100
@@ -158,46 +153,4 @@ def test_pooled_task_payload_is_constant(benchmark):
     circuit = noisy_circuit(POOL_QUBITS, layers=8)
     sim = sv_simulator(POOL_QUBITS, seed=0)
     plan = sim.compile(circuit).specialize(None)
-    benchmark(lambda: pickle.dumps(_WorkerPayload(sim, plan)))
-
-
-def test_pooled_executor_vs_legacy_factory_wall_time(benchmark):
-    """Shared-plan pool vs per-task factory rebuild at equal work."""
-    circuit = noisy_circuit(POOL_QUBITS, layers=24)
-    reps, workers, chunks = 32, 2, 8
-
-    def legacy():
-        return sample_trajectories_parallel(
-            pool_factory,
-            circuit,
-            reps,
-            num_workers=workers,
-            chunks_per_worker=chunks,
-            seed=3,
-        )
-
-    def pooled():
-        sim = sv_simulator(
-            POOL_QUBITS,
-            seed=3,
-            executor=ProcessPoolExecutor(
-                num_workers=workers,
-                chunks_per_worker=chunks,
-                start_method="fork",
-            ),
-        )
-        return sim.sample_bitstrings(circuit, repetitions=reps)
-
-    t_legacy = wall_time(legacy, repeats=3)
-    t_pooled = wall_time(pooled, repeats=3)
-    print_series(
-        f"Shared-plan pool vs legacy factory pool "
-        f"({reps} trajectories, {workers} workers, {workers * chunks} tasks)",
-        ["variant", "seconds", "speedup"],
-        [
-            ("shared_plan_pool", t_pooled, 1.0),
-            ("legacy_factory_pool", t_legacy, t_legacy / t_pooled),
-        ],
-    )
-    assert_timing_win(t_pooled, t_legacy, "shared-plan pooled startup")
-    benchmark(pooled)
+    benchmark(lambda: pickle.dumps(_WorkerPayload(sim, (plan,))))

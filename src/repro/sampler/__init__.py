@@ -1,5 +1,5 @@
 """The BGLS sampler: gate-by-gate sampling, baselines, sum-over-Cliffords,
-cached Programs, pluggable executors, process-parallel trajectories."""
+cached Programs, pluggable serial and process-pooled executors."""
 
 from .baseline import ExactDistributionSampler, QubitByQubitSimulator
 from .calibration import (
@@ -36,7 +36,6 @@ from .near_clifford import (
     stabilizer_extent_circuit,
     stabilizer_extent_rz,
 )
-from .parallel import run_parallel, sample_trajectories_parallel
 from .plan import ExecutionPlan, OpRecord, compile_plan
 from .result_planes import (
     PointPlanes,
@@ -104,8 +103,6 @@ __all__ = [
     "stabilizer_extent_rz",
     "stabilizer_extent_circuit",
     "count_non_clifford_gates",
-    "run_parallel",
-    "sample_trajectories_parallel",
     "act_on_with_pauli_noise",
     "act_on_near_clifford_with_pauli_noise",
 ]

@@ -7,44 +7,36 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
 
 * :class:`SerialExecutor` — in-process.  With ``chunks > 1`` the
   repetitions split into deterministic chunks whose RNGs derive from
-  ``SeedSequence([base_seed, chunk_index])`` (the PR-2 worker-seed
-  scheme), which makes its output bit-for-bit identical to a pooled run
-  with the same chunk count — the executor-parity contract the test suite
-  pins.
-* :class:`ProcessPoolExecutor` — the same chunk geometry fanned out over
-  a process pool.  The compiled plan (or, for point/batch scope, the
-  whole **program table** — every distinct compiled Program of a
-  heterogeneous batch), a packed snapshot of the initial state, and the
-  simulator configuration ship to each worker exactly once through the
-  pool *initializer*; each repetition-chunk task then carries only
-  ``(chunk_size, chunk_seed)`` — two integers — and each scheduled batch
-  task only ``(program_index, point_index, resolver, reps, chunk info,
-  base)``.  By default (``reuse_pool=True``) the pool itself is
-  **warm**: a :class:`~repro.sampler.service.PoolManager` keeps the
-  workers alive across ``execute``/``run_sweep``/``run_batch`` calls and
-  re-initializes them only when the execution key — compiled unit(s),
+  ``SeedSequence([base_seed, chunk_index])``, which makes its output
+  bit-for-bit identical to a pooled run with the same chunk count — the
+  executor-parity contract the test suite pins.
+* :class:`ProcessPoolExecutor` — every call becomes one deterministic
+  task list drained through a :class:`~repro.sampler.service.PoolManager`:
+  a repetition-scope ``execute`` is a one-point batch of seeded chunks,
+  a sweep or batch is whatever the configured scheduler
+  (:mod:`repro.sampler.schedule`) made of its points.  The compiled units
+  (one plan, or the **program table** of a heterogeneous batch), a packed
+  snapshot of the initial state, and the simulator configuration ship to
+  each worker exactly once through the pool *initializer*; each task then
+  carries only ``(unit_index, resolver, size, seed, ctx)`` plus an
+  optional result-plane slot.  By default (``reuse_pool=True``) the pool
+  is **warm**: the shared manager keeps the workers alive across calls
+  and re-initializes them only when the execution key — compiled units,
   initial-state payload, simulator config, pool geometry — changes.
-  ``reuse_pool=False`` restores the PR-3 cold behavior (one pool per
-  call).
+  ``reuse_pool=False`` uses a private manager closed when the call ends.
 
-Point/batch scope: ``ProcessPoolExecutor.execute_sweep`` and
-``execute_batch`` fan whole sweep/batch points (not repetition chunks)
-across the warm pool through the configured scheduler
-(:mod:`repro.sampler.schedule`).  Under the default FIFO scheduler each
-point is one stream seeded from ``SeedSequence([seed, index])``, making
-pooled output bit-for-bit identical to a serial
-``run_sweep``/``run_batch``; an
-:class:`~repro.sampler.schedule.AdaptiveScheduler` reorders the queue
-largest-first and splits oversized points into deterministic repetition
-sub-chunks.  The base :class:`Executor` ``execute_sweep`` preserves each
-executor's own repetition geometry per point, which is what ``run_sweep``
-used before point scope existed.
+Under the default FIFO scheduler each point is one stream seeded from
+``SeedSequence([seed, index])``, making pooled output bit-for-bit
+identical to a serial ``run_sweep``/``run_batch``; adaptive and
+work-stealing schedulers reorder and split points into deterministic
+repetition sub-chunks.  The base :class:`Executor` ``execute_sweep``
+preserves each executor's own repetition geometry per point, which is
+what ``run_sweep`` used before point scope existed.
 
 Chunk seeding is deterministic: with an integer simulator seed, chunk
 ``i`` always receives ``SeedSequence([seed, i])`` regardless of pool
-geometry or scheduling, so identically-seeded runs reproduce bit-for-bit
-(and repeated ``run`` calls on one simulator return identical samples —
-the same contract as :func:`repro.sampler.parallel.sample_trajectories_parallel`).
+geometry or scheduling, so identically seeded runs reproduce bit-for-bit
+(and repeated ``run`` calls on one simulator return identical samples).
 
 Pooled execution requires picklable components: a module-level
 ``apply_op`` and ``compute_probability`` (the shipped ``act_on`` and
@@ -59,17 +51,22 @@ import abc
 import multiprocessing
 import os
 import pickle
-import queue as _queue
 import time
-from concurrent import futures as _cf
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .requests import normalize_repetitions
 from .result_planes import PointPlanes, shm_available
-from .schedule import BatchEntry, FifoScheduler, Scheduler, estimate_cost
+from .schedule import (
+    BatchEntry,
+    FifoScheduler,
+    ScheduledTask,
+    Scheduler,
+    estimate_cost,
+)
 from .service import (
+    _POLL_SECONDS,
     PoolManager,
     RunParts,
     _WorkerPayload,
@@ -78,16 +75,8 @@ from .service import (
     _chunk_seeds_from_base,
     _chunk_sizes,
     _dispatch,
-    _init_pool_worker,
     _merge_parts,
-    _pool_context,
-    _run_pool_chunk,
-    _run_pool_chunk_shm,
-    _run_pool_task,
-    _run_pool_task_shm,
-    _steal_task_loop,
-    _task_rng,
-    _warm_worker,
+    _run_task,
     execution_key,
     shared_pool_manager,
 )
@@ -96,14 +85,13 @@ from .service import (
 class TaskTimeoutError(RuntimeError):
     """No pool task completed within the executor's ``task_timeout``.
 
-    Raised by the pooled batch/sweep paths when the completion *gap* —
-    the time since the last task finished (or since submission) —
-    exceeds ``ProcessPoolExecutor(task_timeout=...)``.  A wedged worker
-    cannot be cancelled (``Future.cancel`` only stops not-yet-started
-    tasks), so before raising, the executor **poisons the pool**: worker
-    processes are killed, the pool is torn down, and every in-flight
-    shared-memory result plane is released.  The next pooled call
-    rebuilds a fresh pool.
+    Raised by the pooled drain when the completion *gap* — the time since
+    the last task finished (or since submission) — exceeds
+    ``ProcessPoolExecutor(task_timeout=...)``.  A running task cannot be
+    cancelled, so before raising, the executor **poisons the pool**:
+    worker processes are killed, the pool is torn down, and every
+    in-flight shared-memory result plane is released.  The next pooled
+    call rebuilds a fresh pool.
     """
 
 
@@ -249,24 +237,10 @@ class SerialExecutor(Executor):
                 rng if rng is not None else simulator._rng,
                 ctx,
             )
-        sizes = _chunk_sizes(repetitions, self.chunks)
-        base = _base_seed(simulator.seed if rng is None else rng)
-        seeds = _chunk_seeds_from_base(base, len(sizes))
-        if ctx is None:
-            ctx = (base, 0, 0)
-        parts, offset = [], 0
-        for size, seed in zip(sizes, seeds):
-            parts.append(
-                _dispatch(
-                    simulator,
-                    plan,
-                    size,
-                    np.random.default_rng(seed),
-                    (ctx[0], ctx[1], ctx[2] + offset),
-                )
-            )
-            offset += size
-        return _merge_parts(parts)
+        _, argses = _chunk_tasks(simulator, repetitions, self.chunks, rng, ctx)
+        return _merge_parts(
+            [_run_task_in_process(simulator, (plan,), args) for args in argses]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -286,15 +260,16 @@ class ProcessPoolExecutor(Executor):
             sentinel ``"auto"`` resolves to ``forkserver`` where
             available and the platform default elsewhere (Windows has
             only ``spawn``), so default-configured executors work on
-            every platform.  With ``fork`` the shared plan and packed
+            every platform.  With ``fork`` the shared units and packed
             state are inherited copy-on-write; with
             ``forkserver``/``spawn`` they are pickled once per worker by
             the initializer.
         reuse_pool: True (default) keeps the pool **warm** through a
             :class:`~repro.sampler.service.PoolManager`: consecutive
             calls with an unchanged execution key submit straight to the
-            already-initialized workers.  False rebuilds a pool per call
-            (the PR-3 cold behavior) — same output, more startup cost.
+            already-initialized workers.  False runs each call on a
+            private manager closed when the call ends — same output,
+            more startup cost.
         pool_manager: The manager owning the warm pool.  None (default)
             uses the process-wide shared manager; pass a dedicated
             :class:`~repro.sampler.service.PoolManager` for scoped
@@ -306,21 +281,21 @@ class ProcessPoolExecutor(Executor):
             tasks largest-first by the static cost model and split
             oversized points into repetition sub-chunks (seeds
             ``SeedSequence([seed, point, chunk])``, merged in chunk
-            order) so mixed-depth batches keep every worker busy.  A
-            :class:`~repro.sampler.schedule.WorkStealingScheduler`
-            additionally dispatches those tasks through the pool's
-            shared work queue: idle workers *pull* the next chunk at
-            runtime, absorbing cost-model error and stragglers, while
-            the task list itself (geometry + seeds, and therefore the
-            output) is exactly what the scheduler produced.
+            order) so mixed-depth batches keep every worker busy, or a
+            :class:`~repro.sampler.schedule.WorkStealingScheduler` to
+            pre-split every point so idle workers can steal the tail of
+            a straggler.  Every scheduler's tasks are pulled from the
+            pool's shared queue by whichever worker is idle; the task
+            list itself (geometry + seeds, and therefore the output) is
+            exactly what the scheduler produced.
         task_timeout: Optional liveness bound (seconds) for pooled
-            batch/sweep execution: if no task completes for this long,
-            the executor assumes a wedged worker, kills the pool
-            (running tasks cannot be cancelled), releases all in-flight
-            result planes, and raises :class:`TaskTimeoutError`.  It is
-            a completion-*gap* bound, not a per-task or total bound —
-            set it above the longest expected single task.  ``None``
-            (default) waits indefinitely, the pre-timeout behavior.
+            execution: if no task completes for this long, the executor
+            assumes a wedged worker, kills the pool (running tasks
+            cannot be cancelled), releases all in-flight result planes,
+            and raises :class:`TaskTimeoutError`.  It is a
+            completion-*gap* bound, not a per-task or total bound — set
+            it above the longest expected single task.  ``None``
+            (default) waits indefinitely.
         result_transport: How worker results travel back to the parent.
             ``"shm"`` writes samples into pre-allocated
             :mod:`~repro.sampler.result_planes` shared-memory segments —
@@ -328,8 +303,7 @@ class ProcessPoolExecutor(Executor):
             are read-only zero-copy views over the filled planes.
             ``"pickle"`` is the documented fallback: each task returns
             its ``(records, bits)`` tuple through the pool's result
-            queue, exactly the pre-plane behavior.  ``"auto"``
-            (default) resolves to ``"shm"`` where
+            queue.  ``"auto"`` (default) resolves to ``"shm"`` where
             ``multiprocessing.shared_memory`` works, else ``"pickle"``;
             requesting ``"shm"`` explicitly on a platform without it
             raises.  The two transports are bit-for-bit identical —
@@ -400,76 +374,26 @@ class ProcessPoolExecutor(Executor):
             self._pool_manager = shared_pool_manager()
         return self._pool_manager
 
-    def _record_result_bytes(self, payloads) -> None:
-        """Accumulate the pickled size of result payloads (bench probe)."""
+    def _record_result_bytes(self, payload) -> None:
+        """Accumulate the pickled size of a result payload (bench probe)."""
         if self.measure_result_bytes:
-            self.last_result_bytes += sum(
-                len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
-                for p in payloads
+            self.last_result_bytes += len(
+                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             )
 
     def execute(self, simulator, plan, repetitions, rng=None, ctx=None):
+        """Run ``repetitions`` of ``plan`` as a one-point batch of
+        ``num_workers * chunks_per_worker`` seeded chunks."""
         normalize_repetitions(repetitions)
-        num_chunks = self.num_workers * self.chunks_per_worker
-        sizes = _chunk_sizes(repetitions, num_chunks)
-        base = _base_seed(simulator.seed if rng is None else rng)
-        seeds = _chunk_seeds_from_base(base, len(sizes))
-        if ctx is None:
-            ctx = (base, 0, 0)
-        # Each chunk's batched-engine anchor offsets rep_base by the
-        # chunk's global starting row, so batched output is a pure
-        # function of (base, point, global repetition index) — invariant
-        # under worker count and chunk geometry.
-        ctxs, offset = [], 0
-        for size in sizes:
-            ctxs.append((ctx[0], ctx[1], ctx[2] + offset))
-            offset += size
-        if self.num_workers == 1 or len(sizes) == 1:
-            # In-process fallback with identical chunk geometry/seeding.
-            parts = [
-                _dispatch(
-                    simulator, plan, size, np.random.default_rng(seed), c
-                )
-                for size, seed, c in zip(sizes, seeds, ctxs)
-            ]
-            return _merge_parts(parts)
-        workers = min(self.num_workers, len(sizes))
-
-        def run_pool(fn, argses, planes=()):
-            if self.reuse_pool:
-                return self.pool_manager.run(
-                    execution_key(simulator, plan=plan),
-                    workers,
-                    self.start_method,
-                    lambda: _WorkerPayload(simulator, plan=plan),
-                    fn,
-                    argses,
-                    planes=planes,
-                )
-            return self._run_cold(
-                _WorkerPayload(simulator, plan=plan), workers, fn, argses
-            )
-
-        if self.result_transport == "shm":
-            # Chunk row bands are prefix sums of the deterministic chunk
-            # sizes, so the whole plane is sized and sliced before any
-            # task runs; the views ARE the merged result — no
-            # concatenation, no copy.
-            planes = PointPlanes(plan.key_axes, plan.num_qubits, repetitions)
-            try:
-                argses, offset = [], 0
-                for size, seed, c in zip(sizes, seeds, ctxs):
-                    argses.append((size, seed, planes.slot(offset), c))
-                    offset += size
-                counts = run_pool(_run_pool_chunk_shm, argses, planes=(planes,))
-                self._record_result_bytes(counts)
-                return planes.views()
-            except BaseException:
-                planes.release()
-                raise
-        parts = run_pool(_run_pool_chunk, list(zip(sizes, seeds, ctxs)))
-        self._record_result_bytes(parts)
-        return _merge_parts(parts)
+        tasks, argses = _chunk_tasks(
+            simulator,
+            repetitions,
+            self.num_workers * self.chunks_per_worker,
+            rng,
+            ctx,
+        )
+        (parts,) = self._stream(simulator, (plan,), tasks, argses, repetitions)
+        return parts
 
     def execute_sweep_iter(self, simulator, program, resolvers, repetitions):
         """Fan whole sweep points across the (warm) pool, streaming.
@@ -480,15 +404,8 @@ class ProcessPoolExecutor(Executor):
         Program inside the worker (memoized, so optimizer loops
         revisiting a point skip the param-slot rebuild).  Consecutive
         sweeps over the same compiled Program and initial-state payload
-        reuse the warm workers with zero re-initializations.  An
-        :class:`~repro.sampler.schedule.AdaptiveScheduler` additionally
-        splits points across workers when the sweep has fewer points
-        than the pool has workers.
-
-        Results stream strictly in point order: point ``i`` is yielded
-        as soon as its last chunk lands *and* every earlier point has
-        been yielded, so ``list(...)`` equals the blocking sweep and a
-        lazy consumer sees early points while later ones still run.
+        reuse the warm workers with zero re-initializations.  Results
+        stream in point order (see :meth:`execute_batch_iter`).
         """
         resolvers = list(resolvers)
         return self.execute_batch_iter(
@@ -510,12 +427,11 @@ class ProcessPoolExecutor(Executor):
         adaptive scheduling reorders largest-first and splits oversized
         points into deterministic repetition sub-chunks.
 
-        Collection is **completion-ordered** (out-of-order completion
-        is safe — chunks merge by chunk index, never by arrival) and
-        the yields are **point-ordered**: each point's ``(records,
-        bits)`` is released once its last chunk lands and all earlier
-        points are out.  Validation and scheduling happen eagerly, at
-        call time; only the execution is lazy.
+        Collection is **completion-ordered** (chunks merge by chunk
+        index, never by arrival) and the yields are **point-ordered**:
+        each point's ``(records, bits)`` is released once its last chunk
+        lands and all earlier points are out.  Validation and scheduling
+        happen eagerly, at call time; only the execution is lazy.
         """
         resolvers = list(resolvers)
         programs = list(programs)
@@ -548,387 +464,197 @@ class ProcessPoolExecutor(Executor):
                 )
             )
         tasks = self.scheduler.schedule(entries, repetitions, self.num_workers)
-        if self.num_workers == 1 or len(tasks) <= 1:
-            return self._stream_in_process(
-                simulator, table, tasks, entries, repetitions, base
-            )
-        return self._stream_pooled(
-            simulator, table, tasks, entries, repetitions, base
+        argses = [_task_args(task, base, repetitions) for task in tasks]
+        return self._stream(
+            simulator, tuple(table), tasks, argses, repetitions, entries
         )
 
-    def execute_batch(self, simulator, programs, resolvers, repetitions):
-        """Eager :meth:`execute_batch_iter`: one ``RunParts`` per entry."""
-        return list(
-            self.execute_batch_iter(simulator, programs, resolvers, repetitions)
-        )
+    def _stream(self, simulator, units, tasks, argses, repetitions, entries=()):
+        """Run ``tasks`` and yield one ``(records, bits)`` per point.
 
-    def _stream_in_process(
-        self, simulator, table, tasks, entries, repetitions, base
-    ):
-        """Single-worker/single-task fallback, streamed lazily.
+        ``argses[j]`` is the :func:`~repro.sampler.service._run_task`
+        argument tuple of ``tasks[j]`` over the unit table ``units``.
+        With one worker (or one task) the tasks run in-process, in order,
+        with direct arrays.  Otherwise they go to the pool as one run:
+        idle workers pull the next task from the shared queue, and the
+        drain below collects results in completion order and releases
+        points in point order.  Shared-memory transport allocates one
+        :class:`~repro.sampler.result_planes.PointPlanes` per point (row
+        bands from the deterministic chunk geometry) and turns each
+        finished point into zero-copy views; pickle transport merges the
+        returned chunk tuples in chunk order.
 
-        Runs the exact scheduled-task recipe in the parent (same
-        specialization, same per-task seed streams — batch output must
-        not depend on worker count), in schedule order, releasing each
-        point through the same order-preserving collector as the pooled
-        path.  No pool, no result queue: shared-memory transport would
-        only add copies here, so results stay direct in-process arrays.
-        """
-        collector = _PointCollector(tasks)
-
-        def finalize(point, chunks):
-            return _merge_parts([part for _, part in sorted(chunks)])
-
-        def stream():
-            for task in tasks:
-                part = _run_task_in_process(
-                    simulator, table, _task_args(task, base, repetitions)
-                )
-                yield from collector.feed(task, part, finalize)
-
-        return stream()
-
-    def _stream_pooled(self, simulator, table, tasks, entries, repetitions, base):
-        """Pooled fan-out with completion-ordered collection.
-
-        Shared-memory transport allocates one
-        :class:`~repro.sampler.result_planes.PointPlanes` per point up
-        front (row bands from the scheduler's deterministic chunk
-        geometry) and turns each finished point into zero-copy views;
-        pickle transport accumulates chunk tuples and merges in chunk
-        order.  Either way the generator yields points in point order.
-
-        When the scheduler asks for a timing probe, every worker is
-        spawned and initialized *before* the timing window opens (no-op
-        warm tasks), then **all** tasks are submitted together — probe
-        (largest task) first — and the probe's completion callback
-        calibrates the scheduler's cost model.  The probe never blocks
-        the queue: the other workers chew through the remaining tasks
-        while it runs.  Neither the probe nor the transport changes task
-        geometry or seeds, so output is unaffected.
-
-        A ``work_stealing`` scheduler swaps future-per-task dispatch for
-        the pool's shared task queue: workers pull ``(task_id, use_shm,
-        args)`` items as they free up and report each result with a
-        worker-side duration, which feeds :meth:`Scheduler.calibrate`
-        (and, when attached, the persisted calibration table) for
-        *every* task instead of one probe.  Same task bodies, same
-        seeds, same output — only placement is dynamic.
-
-        Error paths: an abandoned iterator (``close()``) cancels what
-        it can and releases every unviewed plane; a task failure also
-        shuts the warm pool down (fail-safe against poisoned pools) —
-        and the manager's own shutdown backstop unlinks any plane it
-        adopted, so segments never outlive their pool.  A completion gap
-        exceeding ``task_timeout`` kills the (unresponsive) pool and
+        Each result's worker-side duration feeds
+        :meth:`Scheduler.calibrate` (and the attached calibration table,
+        flushed after a successful drain).  Error paths: an abandoned
+        iterator (``close()``) closes its run — workers skip the
+        leftovers, the warm pool stays — and releases every unviewed
+        plane; a task failure or dead worker also shuts the pool down,
+        and a completion gap exceeding ``task_timeout`` kills it and
         raises :class:`TaskTimeoutError`.
         """
-        transport = self.result_transport
-        workers = min(self.num_workers, len(tasks))
-        stealing = getattr(self.scheduler, "work_stealing", False)
-        probe = (
-            not stealing
-            and getattr(self.scheduler, "probe", False)
-            and len(tasks) > 1
-        )
         collector = _PointCollector(tasks)
+        if self.num_workers == 1 or len(tasks) <= 1:
+            for task, args in zip(tasks, argses):
+                part = _run_task_in_process(simulator, units, args)
+                yield from collector.feed(task, part, _merge_chunks)
+            return
         entry_by_point = {e.point_index: e for e in entries}
-
         planes: Dict[int, PointPlanes] = {}
-        if transport == "shm":
-            for e in entries:
-                program = table[e.program_index]
-                planes[e.point_index] = PointPlanes(
-                    program.key_axes, program.num_qubits, repetitions
-                )
-
-        def task_args(task):
-            args = _task_args(task, base, repetitions)
-            if transport == "shm":
-                # A split point's chunk c starts after chunks 0..c-1 of
-                # the same deterministic near-equal split — the same
-                # offset _task_args shipped as the task's rep_base.
-                args += (planes[task.point_index].slot(args[-1]),)
-            return args
-
-        fn = _run_pool_task_shm if transport == "shm" else _run_pool_task
-        argses = [task_args(t) for t in tasks]
-
-        def payload_factory():
-            return _WorkerPayload(simulator, programs=tuple(table))
+        manager = self.pool_manager if self.reuse_pool else PoolManager()
+        run = None
+        shm = self.result_transport == "shm"
 
         def finalize(point, chunks):
-            if transport == "shm":
+            if shm:
                 return planes.pop(point).views()
-            return _merge_parts([part for _, part in sorted(chunks)])
+            return _merge_chunks(point, chunks)
 
-        def calibrate_task(task, seconds):
-            entry = entry_by_point.get(task.point_index)
-            self.scheduler.calibrate(
-                task.cost,
-                seconds,
-                backend=getattr(entry, "backend", None),
-                num_qubits=getattr(entry, "num_qubits", None),
+        try:
+            if shm:
+                for task in tasks:
+                    if task.point_index not in planes:
+                        unit = units[task.program_index]
+                        planes[task.point_index] = PointPlanes(
+                            unit.key_axes, unit.num_qubits, repetitions
+                        )
+                argses = [
+                    args
+                    + (planes[task.point_index].slot(_row_offset(task, repetitions)),)
+                    for task, args in zip(tasks, argses)
+                ]
+            run = manager.submit(
+                execution_key(simulator, units),
+                min(self.num_workers, len(tasks)),
+                self.start_method,
+                lambda: _WorkerPayload(simulator, units),
+                argses,
+                planes=tuple(planes.values()),
             )
-
-        def flush_calibration():
+            received = 0
+            last_completion = time.monotonic()
+            while received < len(tasks):
+                # Raises when a worker died or the pool went away.
+                result = manager.receive(run, _POLL_SECONDS)
+                if result is None:
+                    gap = time.monotonic() - last_completion
+                    if self.task_timeout is not None and gap > self.task_timeout:
+                        raise TaskTimeoutError(
+                            "no pool task completed within task_timeout="
+                            f"{self.task_timeout}s ({len(tasks) - received} "
+                            f"of {len(tasks)} tasks outstanding); killing "
+                            "the worker pool"
+                        )
+                    continue
+                last_completion = time.monotonic()
+                task_id, seconds, error, payload = result
+                if error is not None:
+                    raise error
+                task = tasks[task_id]
+                entry = entry_by_point.get(task.point_index)
+                if entry is not None:
+                    self.scheduler.calibrate(
+                        task.cost,
+                        seconds,
+                        backend=entry.backend,
+                        num_qubits=entry.num_qubits,
+                    )
+                self._record_result_bytes(payload)
+                received += 1
+                yield from collector.feed(task, payload, finalize)
             calibration = getattr(self.scheduler, "calibration", None)
             if calibration is not None:
                 calibration.flush()
-
-        def teardown_failed_pool(exc, cold_pool):
-            """Poison-path cleanup: timeout kills, anything else joins."""
-            wedged = isinstance(exc, TaskTimeoutError)
-            if self.reuse_pool:
-                if wedged:
-                    self.pool_manager.terminate()
-                else:
-                    # Fail-safe parity with PoolManager.run: a task
-                    # failure poisons the pool; shut it down (which also
-                    # releases its adopted planes) before propagating.
-                    self.pool_manager.shutdown()
-            elif wedged and cold_pool is not None:
-                _kill_pool_processes(cold_pool)
-
-        def stream():
-            cold_pool = None
-            if self.reuse_pool:
-                key = execution_key(simulator, programs=tuple(table))
-                # The first submission hands the manager every plane of
-                # this batch to backstop; later ones re-adopt no-ops.
-                adopt = tuple(planes.values())
-
-                def submit(task_fn, batch):
-                    return self.pool_manager.submit(
-                        key,
-                        workers,
-                        self.start_method,
-                        payload_factory,
-                        task_fn,
-                        batch,
-                        planes=adopt,
-                    )
-
-            else:
-                cold_pool = _cf.ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=_pool_context(self.start_method),
-                    initializer=_init_pool_worker,
-                    initargs=(payload_factory(),),
-                )
-
-                def submit(task_fn, batch):
-                    return [cold_pool.submit(task_fn, *args) for args in batch]
-
-            pending: Dict[_cf.Future, object] = {}
-            try:
-                if probe:
-                    # Warm every worker before the timing window opens so
-                    # the probe measures the task, not pool startup.
-                    for future in submit(_warm_worker, [()] * workers):
-                        future.result()
-                start = time.perf_counter()
-                pending = dict(zip(submit(fn, argses), tasks))
-                if probe:
-                    # One submission covers the whole queue — the probe
-                    # (largest task, first in the queue) calibrates from
-                    # its completion callback while the other workers
-                    # are already busy with the remaining tasks.
-                    probe_task = tasks[0]
-
-                    def on_probe_done(future):
-                        if future.cancelled() or future.exception():
-                            return
-                        calibrate_task(
-                            probe_task, time.perf_counter() - start
-                        )
-
-                    next(iter(pending)).add_done_callback(on_probe_done)
-                while pending:
-                    done, _ = _cf.wait(
-                        list(pending),
-                        timeout=self.task_timeout,
-                        return_when=_cf.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        raise TaskTimeoutError(
-                            f"no pool task completed within task_timeout="
-                            f"{self.task_timeout}s ({len(pending)} of "
-                            f"{len(tasks)} tasks outstanding); killing the "
-                            "worker pool"
-                        )
-                    for future in done:
-                        payload = future.result()
-                        self._record_result_bytes([payload])
-                        yield from collector.feed(
-                            pending.pop(future), payload, finalize
-                        )
-                flush_calibration()
-            except GeneratorExit:
-                # Abandoned mid-iteration: drop what never started; the
-                # finally block unlinks the planes (in-flight writers
-                # keep their already-attached mappings, harmlessly).
-                for future in pending:
-                    future.cancel()
-                raise
-            except BaseException as exc:
-                for future in pending:
-                    future.cancel()
-                teardown_failed_pool(exc, cold_pool)
-                raise
-            finally:
-                if cold_pool is not None:
-                    cold_pool.shutdown(wait=True)
-                for plane in planes.values():
-                    plane.release()
-
-        def steal_stream():
-            items = [
-                (task_id, transport == "shm", args)
-                for task_id, args in enumerate(argses)
-            ]
-            cold_pool = None
-            cold_queues = None
-            pullers: List[_cf.Future] = []
-            try:
-                if self.reuse_pool:
-                    key = execution_key(simulator, programs=tuple(table))
-                    pullers, result_queue = self.pool_manager.steal(
-                        key,
-                        workers,
-                        self.start_method,
-                        payload_factory,
-                        items,
-                        planes=tuple(planes.values()),
-                    )
-                else:
-                    ctx = _pool_context(self.start_method)
-                    cold_queues = (ctx.Queue(), ctx.Queue())
-                    cold_pool = _cf.ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=ctx,
-                        initializer=_init_pool_worker,
-                        initargs=(payload_factory(), cold_queues),
-                    )
-                    task_queue, result_queue = cold_queues
-                    for item in items:
-                        task_queue.put(item)
-                    for _ in range(workers):
-                        task_queue.put(None)
-                    pullers = [
-                        cold_pool.submit(_steal_task_loop)
-                        for _ in range(workers)
-                    ]
-                received = 0
-                last_completion = time.monotonic()
-                while received < len(tasks):
-                    try:
-                        task_id, seconds, error, payload = result_queue.get(
-                            timeout=_STEAL_POLL_SECONDS
-                        )
-                    except _queue.Empty:
-                        # No result yet: distinguish "still computing"
-                        # from "a worker died" (queue would starve
-                        # silently) and from "wedged past the timeout".
-                        for puller in pullers:
-                            if puller.done() and puller.exception():
-                                puller.result()  # raises (BrokenPool &c)
-                        gap = time.monotonic() - last_completion
-                        if (
-                            self.task_timeout is not None
-                            and gap > self.task_timeout
-                        ):
-                            raise TaskTimeoutError(
-                                "no stolen task completed within "
-                                f"task_timeout={self.task_timeout}s "
-                                f"({len(tasks) - received} of {len(tasks)} "
-                                "tasks outstanding); killing the worker "
-                                "pool"
-                            )
-                        continue
-                    last_completion = time.monotonic()
-                    if error is not None:
-                        raise error
-                    task = tasks[task_id]
-                    calibrate_task(task, seconds)
-                    self._record_result_bytes([payload])
-                    yield from collector.feed(task, payload, finalize)
-                    received += 1
-                for puller in pullers:
-                    puller.result()
-                flush_calibration()
-            except GeneratorExit:
-                # Abandoned mid-drain: the shared queues still hold this
-                # run's items/sentinels, so the pool cannot be reused —
-                # retire it (workers finish what they already pulled).
-                if self.reuse_pool:
-                    self.pool_manager.shutdown()
-                raise
-            except BaseException as exc:
-                teardown_failed_pool(exc, cold_pool)
-                raise
-            finally:
-                if cold_pool is not None:
-                    cold_pool.shutdown(wait=True)
-                    for q in cold_queues:
-                        q.close()
-                        q.cancel_join_thread()
-                for plane in planes.values():
-                    plane.release()
-
-        return steal_stream() if stealing else stream()
-
-    def _run_cold(self, payload, workers, fn, argses):
-        """One fresh pool for this call only (the pre-warm cost model)."""
-        with _cf.ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_pool_context(self.start_method),
-            initializer=_init_pool_worker,
-            initargs=(payload,),
-        ) as pool:
-            pending = [pool.submit(fn, *args) for args in argses]
-            return [f.result() for f in pending]
+        except BaseException as exc:
+            # Closed first, so workers skip the run's leftovers.
+            if run is not None:
+                manager.close(run)
+            if isinstance(exc, TaskTimeoutError):
+                manager.terminate()
+            elif not isinstance(exc, GeneratorExit):
+                # A failed task may have poisoned the pool: shut it down
+                # (which also releases its adopted planes) before
+                # propagating.
+                manager.shutdown()
+            raise
+        finally:
+            if run is not None:
+                manager.close(run)
+            if not self.reuse_pool:
+                manager.shutdown()
+            for plane in planes.values():
+                plane.release()
 
 
-#: How often the stealing drain loop wakes to check for dead workers and
-#: the task_timeout gap while the result queue is empty.  Purely a
-#: liveness poll — results are picked up the moment they arrive.
-_STEAL_POLL_SECONDS = 0.05
+def _merge_chunks(point, chunks) -> RunParts:
+    """Merge one point's ``(chunk_index, (records, bits))`` pairs."""
+    return _merge_parts([part for _, part in sorted(chunks, key=lambda c: c[0])])
 
 
-def _kill_pool_processes(pool) -> None:
-    """Kill a cold pool's workers (timeout escalation; cannot cancel)."""
-    processes = dict(getattr(pool, "_processes", None) or {})
-    for proc in processes.values():
-        proc.kill()
-    for proc in processes.values():
-        proc.join()
+def _chunk_tasks(simulator, repetitions, num_chunks, rng, ctx):
+    """The one-point task list of a repetition-scope run.
+
+    ``repetitions`` split into at most ``num_chunks`` near-equal chunks;
+    chunk ``i`` draws from its chunk seed (``SeedSequence([seed, i])``)
+    and its batched-engine anchor offsets ``rep_base`` by the chunk's
+    starting row — so output is a pure function of (seed, chunk count),
+    invariant under worker count and placement.  Returns ``(tasks,
+    argses)`` over the one-unit table ``(plan,)``.
+    """
+    sizes = _chunk_sizes(repetitions, num_chunks)
+    base = _base_seed(simulator.seed if rng is None else rng)
+    if ctx is None:
+        ctx = (base, 0, 0)
+    tasks = [
+        ScheduledTask(0, 0, None, chunk, len(sizes), size, size)
+        for chunk, size in enumerate(sizes)
+    ]
+    argses = [
+        (
+            0,
+            None,
+            task.repetitions,
+            seed,
+            (ctx[0], ctx[1], ctx[2] + _row_offset(task, repetitions)),
+        )
+        for task, seed in zip(tasks, _chunk_seeds_from_base(base, len(sizes)))
+    ]
+    return tasks, argses
+
+
+def _row_offset(task, repetitions: int) -> int:
+    """A task's first repetition (row) within its point.
+
+    0 for unsplit points, else the prefix sum of the deterministic
+    near-equal chunk split.  It anchors the batched trajectory engine's
+    per-repetition seed streams (``rep_base``) and places the task's rows
+    in the point's result plane.
+    """
+    if task.num_chunks == 1:
+        return 0
+    return sum(_chunk_sizes(repetitions, task.num_chunks)[: task.chunk_index])
 
 
 def _task_args(task, base: int, repetitions: int) -> Tuple:
-    """The picklable args tuple of one scheduled task (sans transport).
+    """The :func:`~repro.sampler.service._run_task` args of a scheduled task.
 
-    The trailing ``rep_base`` is the task's global starting repetition
-    within its point — 0 for unsplit points, else the prefix sum of the
-    deterministic near-equal chunk split.  It anchors the batched
-    trajectory engine's per-repetition seed streams (and doubles as the
-    shm row offset), so split points produce the same batched output as
-    unsplit ones.
+    Whole points (``num_chunks == 1``) keep the serial ``run_sweep`` /
+    ``run_batch`` recipe — one stream off ``SeedSequence([base, point])``
+    — so unsplit scheduling is bit-for-bit identical to the serial path.
+    Chunks of a split point draw from ``SeedSequence([base, point,
+    chunk])``: a stable function of the indices alone, so the output
+    never depends on worker count, submission order, or timing.
     """
-    rep_base = (
-        0
-        if task.num_chunks == 1
-        else sum(_chunk_sizes(repetitions, task.num_chunks)[: task.chunk_index])
-    )
+    if task.num_chunks == 1:
+        seed = [base, task.point_index]
+    else:
+        seed = [base, task.point_index, task.chunk_index]
     return (
         task.program_index,
-        task.point_index,
         task.resolver,
         task.repetitions,
-        task.num_chunks,
-        task.chunk_index,
-        base,
-        rep_base,
+        seed,
+        (base, task.point_index, _row_offset(task, repetitions)),
     )
 
 
@@ -971,72 +697,14 @@ class _PointCollector:
         return out
 
 
-def _run_task_in_process(simulator, table, args) -> RunParts:
-    """The scheduled-task body run in the parent process (fallbacks).
+def _run_task_in_process(simulator, units, args) -> RunParts:
+    """Run one task's ``args`` in the parent (single-worker fallbacks).
 
-    Mirrors :func:`repro.sampler.service._run_pool_task` exactly — same
-    program selection, memoized specialization, and per-task seed stream
-    — so single-worker and single-task fallbacks are bit-for-bit
-    identical to the pooled fan-out.
+    The same :func:`~repro.sampler.service._run_task` body the workers
+    run — same unit selection, memoized specialization and seed stream —
+    so in-process fallbacks are bit-for-bit identical to the pool.
     """
-    (
-        program_index,
-        point_index,
-        resolver,
-        size,
-        num_chunks,
-        chunk_index,
-        base,
-        *rest,
-    ) = args
-    rep_base = rest[0] if rest else 0
-    plan = table[program_index].specialize(resolver)
-    rng = _task_rng(base, point_index, num_chunks, chunk_index)
-    return _dispatch(
-        simulator, plan, size, rng, (base, point_index, rep_base)
-    )
-
-
-# ----------------------------------------------------------------------
-# legacy factory-based fan-out (sampler/parallel.py compatibility)
-# ----------------------------------------------------------------------
-
-def run_factory_chunks(
-    factory: Callable,
-    circuit,
-    sizes: List[int],
-    seeds: List[int],
-    num_workers: int,
-    start_method: Optional[str] = None,
-) -> List[RunParts]:
-    """The pre-executor cost model: one (factory, circuit) pickle per task.
-
-    Each task rebuilds its simulator via ``factory(seed)`` and recompiles
-    the circuit in the worker.  Kept as the engine behind the legacy
-    :func:`repro.sampler.parallel.sample_trajectories_parallel` API (whose
-    factories may close over unpicklable pieces and rely on ``fork``);
-    new code should prefer :class:`ProcessPoolExecutor`, which ships the
-    compiled plan and packed state once per worker instead of per task.
-    """
-    if num_workers == 1 or len(sizes) == 1:
-        return [
-            _run_factory_chunk(factory, circuit, size, seed)
-            for size, seed in zip(sizes, seeds)
-        ]
-    with _cf.ProcessPoolExecutor(
-        max_workers=num_workers, mp_context=_pool_context(start_method)
-    ) as pool:
-        pending = [
-            pool.submit(_run_factory_chunk, factory, circuit, size, seed)
-            for size, seed in zip(sizes, seeds)
-        ]
-        return [f.result() for f in pending]
-
-
-def _run_factory_chunk(factory, circuit, repetitions: int, seed: int) -> RunParts:
-    """Worker body: build a simulator and run one chunk of repetitions."""
-    simulator = factory(seed)
-    return simulator._execute(circuit, repetitions, None)
+    return _run_task(simulator, units, *args)
 
 
 __all__ = [
@@ -1045,6 +713,5 @@ __all__ = [
     "ProcessPoolExecutor",
     "PoolManager",
     "TaskTimeoutError",
-    "run_factory_chunks",
     "shared_pool_manager",
 ]

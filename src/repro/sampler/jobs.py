@@ -432,7 +432,7 @@ class SamplingService:
                 "Circuit has no measurements; add measure(...) operations "
                 "before submitting a sampling job."
             )
-        exec_key = execution_key(simulator, programs=(program,))
+        exec_key = execution_key(simulator, (program,))
         cost = estimate_job_cost(program, len(resolved_params), repetitions)
         with self._cond:
             if self._shutdown:

@@ -183,6 +183,10 @@ class ExecutionPlan:
         self.fast_stab = fast_stab
         self.fast_unitary = fast_unitary
 
+    def specialize(self, param_resolver=None) -> "ExecutionPlan":
+        """A plan is already resolved: it is its own specialization."""
+        return self
+
     def apply(self, rec: OpRecord, state, apply_op) -> None:
         """Apply a record to ``state`` through the fastest sound path."""
         if type(rec) is FusedOpRecord:

@@ -28,26 +28,25 @@ This module is the scheduling seam between the executor and the pool:
   timing.  Unsplit points keep the exact FIFO/serial seed recipe, so a
   batch with no oversized point is bit-for-bit identical to the serial
   path.
-* An optional **first-task timing probe** (``probe=True``) measures the
-  largest task alone before the rest of the queue is submitted and
-  calibrates the cost model's scale (``seconds_per_cost``), turning the
-  static costs into wall-clock estimates (``estimated_seconds`` in
-  :attr:`AdaptiveScheduler.last_schedule`).  Calibration never changes
-  the chunk geometry — only the *reporting* — because geometry must stay
-  a deterministic function of the static model for reproducibility.
-
-* :class:`WorkStealingScheduler` keeps the adaptive geometry rules but
-  targets a **shared task queue**: every point is pre-split into a small
-  deterministic number of chunks (``granularity``) and idle workers pull
-  the next chunk at runtime, absorbing cost-model error and stragglers.
-  Placement becomes dynamic; geometry and seeds stay static, so output
-  is unchanged from running the same task list any other way.
-* A :class:`~repro.sampler.calibration.CalibrationTable` (``calibration=
+* :class:`WorkStealingScheduler` keeps the adaptive geometry rules and
+  additionally pre-splits every point into a small deterministic number
+  of chunks (``granularity``), so idle workers pulling from the pool's
+  shared task queue can steal the tail of a straggler, absorbing
+  cost-model error at runtime.
+* Every pooled task reports its worker-side duration to
+  :meth:`Scheduler.calibrate`, which anchors the cost model's scale
+  (``seconds_per_cost``, ``estimated_seconds`` in
+  :attr:`AdaptiveScheduler.last_schedule`) without touching geometry.  A
+  :class:`~repro.sampler.calibration.CalibrationTable` (``calibration=
   "auto"`` or an explicit table) persists measured ``seconds_per_cost``
   per backend x width bucket across processes, weighting split/order
-  decisions for mixed-backend batches and seeding ``estimated_seconds``
-  without an in-run probe.  Calibration is opt-in precisely because a
-  loaded table is an input to the (deterministic) geometry function.
+  decisions for mixed-backend batches.  Calibration is opt-in precisely
+  because a loaded table is an input to the (deterministic) geometry
+  function.
+
+Placement is always dynamic — whichever worker is idle pulls the next
+task — and never matters: geometry and seeds are static, so output is
+unchanged from running the same task list any other way.
 
 Determinism contract (pinned by ``tests/test_schedule.py``): for a fixed
 scheduler configuration, the task set (point, chunk, size, seed recipe)
@@ -82,8 +81,9 @@ def estimate_cost(program, repetitions: int) -> int:
     Trajectory-mode entries (``Program.needs_trajectories``) are weighted
     by :data:`TRAJECTORY_COST_MULTIPLIER`, since each repetition replays
     the whole circuit instead of resampling a single evolved state.
-    The unit is arbitrary; only ratios matter to the scheduler.  A timing
-    probe (:meth:`AdaptiveScheduler.calibrate`) can anchor it to seconds.
+    The unit is arbitrary; only ratios matter to the scheduler.  Measured
+    task timings (:meth:`AdaptiveScheduler.calibrate`) anchor it to
+    seconds.
     """
     ops = program.shared_record_count + program.param_slot_count
     cost = max(1, program.num_qubits) * max(1, ops) * max(1, int(repetitions))
@@ -194,12 +194,6 @@ class BatchEntry:
 class Scheduler:
     """Maps a costed batch to an ordered list of pool tasks."""
 
-    #: True for schedulers whose tasks should be dispatched through the
-    #: pool's shared work queue (idle workers pull the next task) instead
-    #: of one-future-per-task submission.  Placement-only: the task list
-    #: itself is identical either way.
-    work_stealing = False
-
     def schedule(
         self,
         entries: Sequence[BatchEntry],
@@ -277,12 +271,6 @@ class AdaptiveScheduler(Scheduler):
         min_chunk_repetitions: Never create chunks smaller than this many
             repetitions (default 4); a point also never splits unless it
             can yield at least two such chunks.
-        probe: When True, the executor times the first (largest) task
-            and calls :meth:`calibrate` on its completion — anchoring
-            the relative cost model to wall-clock seconds for the
-            ``estimated_seconds`` report (the remaining tasks are
-            submitted immediately; the probe no longer serializes the
-            pool).  Never affects the chunk geometry (determinism).
         calibration: ``None`` (default — geometry depends on static
             costs alone), ``"auto"`` (the process-wide persisted
             :func:`~repro.sampler.calibration.shared_calibration_table`),
@@ -309,7 +297,6 @@ class AdaptiveScheduler(Scheduler):
         self,
         oversubscribe: int = 4,
         min_chunk_repetitions: int = 4,
-        probe: bool = False,
         calibration=None,
     ):
         if oversubscribe < 1:
@@ -321,7 +308,6 @@ class AdaptiveScheduler(Scheduler):
             )
         self.oversubscribe = int(oversubscribe)
         self.min_chunk_repetitions = int(min_chunk_repetitions)
-        self.probe = bool(probe)
         self.calibration = resolve_calibration(calibration)
         self.seconds_per_cost: Optional[float] = None
         self.last_schedule: Dict[str, object] = {}
@@ -442,7 +428,7 @@ class AdaptiveScheduler(Scheduler):
         a measured ``seconds == 0`` (a task faster than the
         ``perf_counter`` resolution) is clamped to
         :data:`~repro.sampler.calibration.MIN_CALIBRATION_SECONDS` so a
-        sub-resolution probe can never zero out ``seconds_per_cost`` and
+        sub-resolution task can never zero out ``seconds_per_cost`` and
         report every ``estimated_seconds`` as 0.  When a calibration
         table is attached and the sample names its (backend, width), the
         rate is also recorded there for future processes.
@@ -467,48 +453,42 @@ class AdaptiveScheduler(Scheduler):
 
 
 class WorkStealingScheduler(AdaptiveScheduler):
-    """Adaptive geometry, dispatched through a shared pool work queue.
+    """Adaptive geometry, pre-split so idle workers can steal chunks.
 
     The task *list* follows the same deterministic rules as
     :class:`AdaptiveScheduler` — largest-first order, fair-share
     splitting, the ``SeedSequence([seed, point, chunk])`` recipe — with
     one addition: every point is pre-split into at least ``granularity``
     repetition chunks (where its repetitions allow), because fine,
-    uniform chunks are what lets an idle worker steal the tail of a
-    straggling point.  The ``work_stealing`` flag then routes dispatch
-    through the pool's shared queue: workers *pull* the next task when
-    they finish the last one, so placement adapts to measured reality
-    (cost-model error, co-tenant noise, one slow core) at runtime.
+    uniform chunks are what lets an idle worker pulling from the pool's
+    shared queue steal the tail of a straggling point, so placement
+    adapts to measured reality (cost-model error, co-tenant noise, one
+    slow core) at runtime.
 
     Placement-vs-geometry contract: which worker runs a chunk is decided
     at runtime and may differ between runs; *what* the chunks are and
     which seed each one uses never does.  Chunks merge in chunk order,
     so stealing output is bit-for-bit identical to running the identical
-    task list serially, in-process, or through future-per-task dispatch.
+    task list serially or in-process.
 
     Args:
         granularity: Minimum chunks per point (default 4), capped by
             ``repetitions // min_chunk_repetitions``.  ``granularity=1``
-            reproduces :class:`AdaptiveScheduler` geometry exactly —
-            only the dispatch mechanism differs.
-        oversubscribe / min_chunk_repetitions / probe / calibration:
+            reproduces :class:`AdaptiveScheduler` geometry exactly.
+        oversubscribe / min_chunk_repetitions / calibration:
             As for :class:`AdaptiveScheduler`.
     """
-
-    work_stealing = True
 
     def __init__(
         self,
         oversubscribe: int = 4,
         min_chunk_repetitions: int = 4,
-        probe: bool = False,
         calibration=None,
         granularity: int = 4,
     ):
         super().__init__(
             oversubscribe=oversubscribe,
             min_chunk_repetitions=min_chunk_repetitions,
-            probe=probe,
             calibration=calibration,
         )
         if granularity < 1:

@@ -1,41 +1,31 @@
 """Warm-pool execution service: persistent workers across sampling calls.
 
-PR 3's :class:`~repro.sampler.executors.ProcessPoolExecutor` already shipped
-the compiled plan and packed initial state to each worker exactly once —
-but once per *pool*, and it built a fresh pool (and re-initialized every
-worker) on every ``execute`` call.  A parameter sweep therefore paid the
-full worker-startup cost at every sweep point, which is exactly the
-overhead the paper's gate-by-gate scaling argument says should be paid
-once.
-
-This module is the missing lifecycle layer:
+Every pooled call — a repetition-scope ``execute``, a sweep, or a
+heterogeneous batch — is one contract: a deterministic task list that
+may run on any worker.  This module runs it:
 
 * :class:`PoolManager` owns one process pool and keeps it — workers,
-  shipped plan/Program, restored initial state and all — alive across
-  ``execute`` / ``run_sweep`` / ``run_batch`` calls.  Workers are
-  re-initialized **only when the execution key changes**: the key combines
-  the identity of the compiled unit (a specialized
-  :class:`~repro.sampler.plan.ExecutionPlan` or a parameterized
-  :class:`~repro.sampler.program.Program`), the initial-state payload (the
-  registry ``snapshot`` payload for backends that declare one, object
-  identity otherwise), the simulator configuration, and the pool geometry.
-  Because :meth:`Program.specialize` memoizes per resolved parameter tuple
-  and the Program cache is process-wide, repeated runs of the same circuit
-  reach the manager with the *same* unit object and reuse the warm pool
-  with zero re-initializations.
-* Module-level worker plumbing (:func:`_init_pool_worker`,
-  :func:`_run_pool_chunk`, :func:`_run_pool_task`) gives pooled tasks two
-  shapes: repetition *chunks* — two integers ``(size, seed)`` against the
-  worker's shared plan — and scheduled *batch tasks* —
-  ``(program_index, point_index, resolver, size, num_chunks, chunk_index,
-  base, rep_base)`` against the worker's shared **program table** (the compiled
-  Programs of a whole heterogeneous batch, shipped once by the
-  initializer).  Whole points rebuild their generator from
-  ``SeedSequence([base, point])`` so pooled point/batch output is
-  bit-for-bit identical to a serial ``run_sweep``/``run_batch``; chunks
-  of a point split by the adaptive scheduler use ``SeedSequence([base,
-  point, chunk])`` and merge back in chunk order
-  (:mod:`repro.sampler.schedule`).
+  shipped compiled units, restored initial state and all — alive across
+  calls.  Workers are re-initialized **only when the execution key
+  changes**: the key combines the identities of the compiled units (the
+  worker's *unit table*: Programs, or an already specialized
+  :class:`~repro.sampler.plan.ExecutionPlan`), the initial-state payload
+  (the registry ``snapshot`` payload for backends that declare one,
+  object identity otherwise), the simulator configuration, and the pool
+  geometry.  Because :meth:`Program.specialize` memoizes per resolved
+  parameter tuple and the Program cache is process-wide, repeated runs of
+  the same circuit reach the manager with the *same* unit objects and
+  reuse the warm pool with zero re-initializations.
+* :meth:`PoolManager.submit` is the one dispatch entry.  It puts ``(run_id,
+  task_id, args)`` items on the pool's shared task queue and hands each
+  worker a :func:`_pull_tasks` loop: idle workers pull the next task, run
+  the one task body :func:`_run_task`, and report ``(run_id, task_id,
+  seconds, error, payload)`` on the shared result queue.  Placement is
+  dynamic; the task list (geometry and seeds) is whatever the caller
+  built, so output never depends on which worker ran what.  Results are
+  routed by run id, so several runs (threads) can share one pool, and
+  closing an abandoned run (:meth:`PoolManager.close`) makes workers skip
+  its leftover items without tearing the warm pool down.
 * :func:`shared_pool_manager` is the default process-wide manager used by
   ``ProcessPoolExecutor(reuse_pool=True)``; it is shut down automatically
   at interpreter exit (``atexit``), and :class:`PoolManager` doubles as a
@@ -44,11 +34,12 @@ This module is the missing lifecycle layer:
 
 Determinism contracts (pinned by ``tests/test_pool_service.py``):
 
-* chunk ``i`` always receives ``SeedSequence([seed, i])`` — warm, cold,
-  and serial chunked runs of equal geometry are bit-for-bit identical;
-* sweep point ``i`` always receives ``SeedSequence([seed, i])`` and runs
-  as one stream — pooled point scope reproduces a serial ``run_sweep``
-  exactly, on every backend;
+* a task's generator is ``default_rng(seed)`` with the seed carried in the
+  task itself: chunk ``i`` of a repetition-scope run gets the first word
+  of ``SeedSequence([seed, i])``, a whole sweep/batch point ``[base,
+  point]`` and chunk ``c`` of a split point ``[base, point, chunk]`` — so
+  warm, cold, serial, pooled and in-process runs of equal geometry are
+  bit-for-bit identical;
 * batched trajectory mode (``trajectory_mode="batched"``) anchors
   trajectory ``r`` of point ``p`` to ``SeedSequence([base, p, rep_base +
   r])``, where ``rep_base`` is the task's global repetition offset (the
@@ -62,9 +53,11 @@ Determinism contracts (pinned by ``tests/test_pool_service.py``):
 from __future__ import annotations
 
 import atexit
+import collections
 import multiprocessing
 import os
 import pickle
+import queue as _queue
 import threading
 import time
 import weakref
@@ -74,7 +67,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..states.registry import capabilities_for
-from .result_planes import SlotDescriptor, write_chunk_to_slot
+from .result_planes import write_chunk_to_slot
 
 RunParts = Tuple[Dict[str, np.ndarray], np.ndarray]
 
@@ -223,7 +216,7 @@ def _pool_context(start_method: Optional[str]):
 
 
 # ----------------------------------------------------------------------
-# worker-side plumbing: payload shipped once, O(1) task bodies
+# worker-side plumbing: payload shipped once, one task body
 # ----------------------------------------------------------------------
 
 class _WorkerPayload:
@@ -235,17 +228,15 @@ class _WorkerPayload:
     descriptor falls back to object pickling so the worker state keeps
     the subclass type), else as the state object itself; either way it is
     pickled once per *worker* by the pool initializer — never per task.
-    ``plan`` fuels repetition-chunk tasks; ``programs`` is the worker's
-    *program table* — the compiled Programs of a whole (possibly
-    heterogeneous) batch, shipped once so tasks can select a program by
-    index in-worker.  A single-program sweep is just a one-entry table.
-    Tasks specialize per resolver inside the worker (memoized, so
-    revisited grid points skip even the param-slot rebuild).
+    ``units`` is the worker's *unit table*: the compiled Programs of a
+    whole (possibly heterogeneous) batch, or the one specialized plan of
+    a repetition-scope run.  Tasks select a unit by index and specialize
+    it per resolver inside the worker (memoized for Programs; a plan is
+    its own specialization).
     """
 
     __slots__ = (
-        "plan",
-        "programs",
+        "units",
         "state_payload",
         "restore",
         "apply_op",
@@ -257,7 +248,7 @@ class _WorkerPayload:
         "trajectory_tile",
     )
 
-    def __init__(self, simulator, plan=None, *, program=None, programs=None):
+    def __init__(self, simulator, units: Sequence):
         caps = capabilities_for(type(simulator.initial_state))
         if (
             caps.snapshot is not None
@@ -270,14 +261,7 @@ class _WorkerPayload:
         else:
             self.state_payload = simulator.initial_state
             self.restore = None
-        if program is not None and programs is not None:
-            raise ValueError("Pass either program or programs, not both")
-        self.plan = plan
-        self.programs = (
-            tuple(programs)
-            if programs is not None
-            else ((program,) if program is not None else None)
-        )
+        self.units = tuple(units)
         self.apply_op = simulator.apply_op
         self.compute_probability = simulator.compute_probability
         self.user_candidates = simulator.user_candidate_function
@@ -306,128 +290,58 @@ class _WorkerPayload:
         )
 
 
-_WORKER: Optional[Tuple[object, object, object]] = None
+# The worker's ``(simulator, units)``, built once by the pool initializer.
+_WORKER: Optional[Tuple[object, Tuple]] = None
 
-# The worker's end of the pool's shared work queues — ``(task_queue,
-# result_queue)`` — shipped by the initializer alongside the payload.
-# Queues ride the *process-creation* channel (Process args), which is the
-# one place multiprocessing.Queue is picklable, so this works identically
+# The worker's end of the pool's channels — ``(task_queue, result_queue,
+# cancelled)`` — shipped by the initializer alongside the payload.
+# Queues and shared arrays ride the *process-creation* channel (Process
+# args), the one place they are picklable, so this works identically
 # under fork, forkserver, and spawn.
-_WORKER_QUEUES: Optional[Tuple[object, object]] = None
+_WORKER_CHANNELS: Optional[Tuple[object, object, object]] = None
+
+#: Size of the shared ring of closed run ids (``cancelled[id % size] ==
+#: id`` marks run ``id`` closed).  Only leftovers of a closed run are
+#: skipped, so a slot reused by a much later run costs at most some
+#: wasted work whose results are dropped anyway.
+_RUN_SLOTS = 64
 
 
-def _init_pool_worker(payload: _WorkerPayload, queues=None) -> None:
-    """Pool initializer: build the worker-local simulator + shared unit."""
-    global _WORKER, _WORKER_QUEUES
-    _WORKER = (payload.build_simulator(), payload.plan, payload.programs)
-    _WORKER_QUEUES = queues
+def _init_pool_worker(payload: _WorkerPayload, channels) -> None:
+    """Pool initializer: build the worker-local simulator + unit table."""
+    global _WORKER, _WORKER_CHANNELS
+    _WORKER = (payload.build_simulator(), payload.units)
+    _WORKER_CHANNELS = channels
 
 
-def _run_pool_chunk(size: int, seed: int, ctx=None) -> RunParts:
-    """Worker task body: two integers in, one chunk of samples out.
+def _run_task(
+    simulator,
+    units: Sequence,
+    unit_index: int,
+    resolver,
+    size: int,
+    seed,
+    ctx: Tuple[int, int, int],
+    slot=None,
+):
+    """The one task body, pooled or in-process.
 
-    ``ctx`` is the batched engine's ``(base, point, rep_base)`` anchor —
-    ``None`` outside batched trajectory mode, so the classic contract
-    (two integers in) is unchanged where it applies.
+    Specializes ``units[unit_index]`` for ``resolver`` (memoized — revisited
+    grid points skip the rebuild) and runs ``size`` repetitions off
+    ``default_rng(seed)``: the seed is carried by the task itself (a chunk
+    seed, or ``[base, point(, chunk)]``).  ``ctx = (base, point,
+    rep_base)`` anchors the batched trajectory engine, ``rep_base`` being
+    the task's global repetition offset within its point.  Without a
+    ``slot`` the payload is the ``(records, bits)`` tuple itself; with a
+    shared-memory slot descriptor the samples land in the parent's result
+    plane at that row band and only the row count comes back.
     """
-    simulator, plan, _ = _WORKER
-    return _dispatch(simulator, plan, size, np.random.default_rng(seed), ctx)
-
-
-def _run_pool_chunk_shm(
-    size: int, seed: int, slot: SlotDescriptor, ctx=None
-) -> int:
-    """Shm-transport sibling of :func:`_run_pool_chunk`.
-
-    Identical simulation (same plan, same seed, same stream) — the only
-    difference is where the samples go: into the parent's shared-memory
-    result plane at this chunk's row band, with just the row count
-    returned through the queue.
-    """
-    simulator, plan, _ = _WORKER
+    plan = units[unit_index].specialize(resolver)
     records, bits = _dispatch(
         simulator, plan, size, np.random.default_rng(seed), ctx
     )
-    return write_chunk_to_slot(plan, slot, records, bits)
-
-
-def _warm_worker() -> bool:
-    """No-op task forcing worker spawn + initialization (timing probes)."""
-    return _WORKER is not None
-
-
-def _task_rng(
-    base: int, point_index: int, num_chunks: int, chunk_index: int
-) -> np.random.Generator:
-    """The deterministic generator of one scheduled task.
-
-    Whole points (``num_chunks == 1``) keep the serial ``run_sweep`` /
-    ``run_batch`` recipe — one stream off ``SeedSequence([base, point])``
-    — so unsplit scheduling is bit-for-bit identical to the serial path.
-    Chunks of a split point draw from ``SeedSequence([base, point,
-    chunk])``: a stable function of the indices alone, so the output
-    never depends on worker count, submission order, or timing.
-    """
-    if num_chunks == 1:
-        seq = np.random.SeedSequence([base, point_index])
-    else:
-        seq = np.random.SeedSequence([base, point_index, chunk_index])
-    return np.random.default_rng(seq)
-
-
-def _run_pool_task(
-    program_index: int,
-    point_index: int,
-    resolver,
-    size: int,
-    num_chunks: int,
-    chunk_index: int,
-    base: int,
-    rep_base: int = 0,
-) -> RunParts:
-    """Worker task body for one scheduled task of a (possibly
-    heterogeneous) batch: select the program from the worker's table,
-    specialize for the task's resolver (memoized — revisited grid points
-    skip the rebuild), and run this task's repetitions off the
-    deterministic :func:`_task_rng` stream.
-
-    ``rep_base`` is the task's global repetition offset within its point
-    (0 for unsplit points) — the batched trajectory engine seeds
-    repetition ``r`` from ``SeedSequence([base, point, rep_base + r])``,
-    which is what makes batched output independent of how the scheduler
-    split the point.
-    """
-    simulator, _, programs = _WORKER
-    plan = programs[program_index].specialize(resolver)
-    rng = _task_rng(base, point_index, num_chunks, chunk_index)
-    return _dispatch(
-        simulator, plan, size, rng, (base, point_index, rep_base)
-    )
-
-
-def _run_pool_task_shm(
-    program_index: int,
-    point_index: int,
-    resolver,
-    size: int,
-    num_chunks: int,
-    chunk_index: int,
-    base: int,
-    rep_base: int,
-    slot: SlotDescriptor,
-) -> int:
-    """Shm-transport sibling of :func:`_run_pool_task`.
-
-    Same program selection, specialization, and deterministic stream —
-    the samples land in the point's shared result plane instead of the
-    result queue, and only the row count travels back.
-    """
-    simulator, _, programs = _WORKER
-    plan = programs[program_index].specialize(resolver)
-    rng = _task_rng(base, point_index, num_chunks, chunk_index)
-    records, bits = _dispatch(
-        simulator, plan, size, rng, (base, point_index, rep_base)
-    )
+    if slot is None:
+        return records, bits
     return write_chunk_to_slot(plan, slot, records, bits)
 
 
@@ -443,45 +357,42 @@ def _picklable_error(exc: BaseException) -> BaseException:
         return exc
     except Exception:
         return RuntimeError(
-            f"work-stealing task failed with unpicklable "
+            f"pool task failed with unpicklable "
             f"{type(exc).__name__}: {exc!r}"
         )
 
 
-def _steal_task_loop() -> int:
-    """Worker body of the work-stealing mode: pull tasks until poisoned.
+def _pull_tasks() -> int:
+    """Worker loop: pull tasks off the shared queue until a sentinel.
 
-    Each pool worker runs exactly one of these.  It pulls ``(task_id,
-    use_shm, args)`` items off the shared task queue — *placement* is
-    whichever worker gets there first — runs the task body
-    (:func:`_run_pool_task` / :func:`_run_pool_task_shm`, so geometry,
-    seeds, and output are identical to future-per-task dispatch), and
-    reports ``(task_id, seconds, error, payload)`` on the result queue
-    with a worker-side ``perf_counter`` duration for calibration.  A
-    ``None`` sentinel (one per worker, enqueued after all tasks) ends the
-    loop; the return value is how many tasks this worker ran.  Task
-    errors are reported per-task, never raised — the parent decides
+    Each submission hands every worker one of these.  It pulls ``(run_id,
+    task_id, args)`` items — *placement* is whichever worker gets there
+    first — skips items of closed runs, runs :func:`_run_task`, and
+    reports ``(run_id, task_id, seconds, error, payload)`` on the result
+    queue with a worker-side ``perf_counter`` duration for calibration.
+    A ``None`` sentinel (one per puller, enqueued after the run's tasks)
+    ends the loop; the return value is how many tasks this worker ran.
+    Task errors are reported per task, never raised — the parent decides
     whether to abandon the run.
     """
-    task_queue, result_queue = _WORKER_QUEUES
+    task_queue, result_queue, cancelled = _WORKER_CHANNELS
     ran = 0
     while True:
         item = task_queue.get()
         if item is None:
             return ran
-        task_id, use_shm, args = item
+        run_id, task_id, args = item
+        if cancelled[run_id % _RUN_SLOTS] == run_id:
+            continue
         start = time.perf_counter()
         error = None
         payload = None
         try:
-            if use_shm:
-                payload = _run_pool_task_shm(*args)
-            else:
-                payload = _run_pool_task(*args)
+            payload = _run_task(*_WORKER, *args)
         except BaseException as exc:
             error = _picklable_error(exc)
         seconds = time.perf_counter() - start
-        result_queue.put((task_id, seconds, error, payload))
+        result_queue.put((run_id, task_id, seconds, error, payload))
         ran += 1
 
 
@@ -529,30 +440,19 @@ def _state_token(state) -> Tuple:
     return ("object", id(state))
 
 
-def execution_key(simulator, *, plan=None, program=None, programs=None) -> Tuple:
-    """The warm-pool reuse key for one simulator + compiled unit(s).
+def execution_key(simulator, units: Sequence) -> Tuple:
+    """The warm-pool reuse key for one simulator + unit table.
 
-    Combines the compiled unit's identity (the memoized ``specialize`` /
-    Program caches make repeated identical work arrive as the *same*
-    object), the initial-state payload token, and every simulator knob
-    the worker payload ships.  ``programs`` keys a whole *program table*
-    — the execution key of a heterogeneous batch covers every compiled
-    Program in it, so ``run_batch`` over N circuits is one key (one pool
-    init) and re-initializes only when the table's content changes.  Any
-    change re-initializes workers; equal keys reuse them untouched.
+    Combines the identities of the table's compiled units, in order (the
+    memoized ``specialize`` / Program caches make repeated identical work
+    arrive as the *same* objects), the initial-state payload token, and
+    every simulator knob the worker payload ships.  ``run_batch`` over N
+    circuits is therefore one key (one pool init) and re-initializes only
+    when the table's content changes.  Any change re-initializes workers;
+    equal keys reuse them untouched.
     """
-    units = [u for u in (plan, program, programs) if u is not None]
-    if len(units) != 1:
-        raise ValueError("Provide exactly one of plan, program, or programs")
-    if programs is not None:
-        kind = "batch"
-        identity: Union[int, Tuple[int, ...]] = tuple(id(p) for p in programs)
-    else:
-        kind = "chunks" if plan is not None else "points"
-        identity = id(units[0])
     return (
-        kind,
-        identity,
+        tuple(id(unit) for unit in units),
         _state_token(simulator.initial_state),
         simulator.apply_op,
         simulator.compute_probability,
@@ -567,6 +467,23 @@ def execution_key(simulator, *, plan=None, program=None, programs=None) -> Tuple
 # ----------------------------------------------------------------------
 # the warm pool itself
 # ----------------------------------------------------------------------
+
+class _Run:
+    """One submitted task list: its id, pullers, and routed results.
+
+    ``results`` is the pool's result queue (None once that pool is shut
+    down); ``inbox`` holds results another reader routed here.
+    """
+
+    __slots__ = ("id", "pullers", "results", "cancelled", "inbox")
+
+    def __init__(self, run_id: int, channels):
+        self.id = run_id
+        self.pullers: List[_cf.Future] = []
+        self.results = channels[1]
+        self.cancelled = channels[2]
+        self.inbox: collections.deque = collections.deque()
+
 
 class PoolManager:
     """Owns one process pool and reuses its initialized workers.
@@ -585,23 +502,27 @@ class PoolManager:
     :meth:`shutdown` explicitly, or rely on the shared manager's
     ``atexit`` hook.  ``shutdown`` joins every worker (no leaked
     processes) and is idempotent; the manager is reusable afterwards (the
-    next call simply builds a new pool).  Any task failure — including a
-    broken pool — shuts the pool down before the exception propagates, so
-    a poisoned pool is never reused.
+    next call simply builds a new pool).  The executor shuts the pool
+    down on any task failure, so a poisoned pool is never reused.
     """
 
     def __init__(self):
         self._pool: Optional[_cf.ProcessPoolExecutor] = None
         self._key: Optional[Tuple] = None
         self._payload: Optional[_WorkerPayload] = None
-        self._queues: Optional[Tuple] = None
+        self._channels: Optional[Tuple] = None
         self._last_pids: List[int] = []
-        # One batch at a time: without the lock, a second thread's key
-        # change could shut the pool down between another thread's
-        # _ensure and submit.  Concurrent different-key callers therefore
-        # serialize (and alternate keys still thrash pool rebuilds —
-        # give such threads their own managers).
+        # Ensure + enqueue are atomic: without the lock, a second
+        # thread's key change could shut the pool down between another
+        # thread's _ensure and its enqueue.  Concurrent different-key
+        # callers therefore alternate pool rebuilds — give such threads
+        # their own managers.
         self._lock = threading.RLock()
+        # One reader of the shared result queue at a time; results of
+        # other live runs are routed to their inboxes.
+        self._recv_lock = threading.Lock()
+        self._runs: Dict[int, _Run] = {}
+        self._next_run = 0
         # Shared-memory result planes currently in flight on this pool.
         # The manager is the lifecycle backstop the executor's own
         # try/finally cannot cover: a poisoned pool shuts down through
@@ -626,25 +547,37 @@ class PoolManager:
     def shutdown(self) -> None:
         """Join all workers and drop the pool; idempotent, reusable after.
 
-        Also the segment backstop: any adopted, still-live shared-memory
-        result plane is released once the workers are gone (after the
-        join, so no in-flight task writes to an already-unlinked name).
+        Workers finish every queued task of a live run (closed runs'
+        leftovers are skipped) while this thread keeps routing their
+        results — a full result pipe would otherwise block a worker's
+        exit.  Live runs keep those results in their inboxes.  Also the
+        segment backstop: any adopted, still-live shared-memory result
+        plane is released once the workers are gone (after the join, so
+        no in-flight task writes to an already-unlinked name).
         """
         with self._lock:
             pool, self._pool = self._pool, None
-            queues, self._queues = self._queues, None
+            channels, self._channels = self._channels, None
             self._key = None
             self._payload = None
             if pool is not None:
                 if getattr(pool, "_processes", None):
                     self._last_pids = sorted(pool._processes)
-                pool.shutdown(wait=True)
-            if queues is not None:
-                # After the join: no worker is left to read or write them.
-                # cancel_join_thread so undelivered items (an abandoned
-                # stealing run) cannot block interpreter exit on the
-                # feeder thread.
-                for q in queues:
+                closer = threading.Thread(target=pool.shutdown)
+                closer.start()
+                while closer.is_alive():
+                    if not self._route(channels[1]):
+                        closer.join(_POLL_SECONDS / 10)
+            if channels is not None:
+                while self._route(channels[1]):
+                    pass
+                with self._recv_lock:
+                    for run in self._runs.values():
+                        if run.results is channels[1]:
+                            run.results = None
+                # cancel_join_thread so undelivered items (a closed run's
+                # leftovers) cannot block interpreter exit on the feeder.
+                for q in channels[:2]:
                     q.close()
                     q.cancel_join_thread()
             planes, self._planes = list(self._planes), weakref.WeakSet()
@@ -658,8 +591,7 @@ class PoolManager:
         workers, which blocks forever behind a hung task, so the
         task-timeout path kills the worker processes first and then runs
         the normal teardown (queue close, plane release) against the
-        already-dead pool.  Pending futures surface
-        ``BrokenProcessPool``.
+        already-dead pool.
         """
         with self._lock:
             pool = self._pool
@@ -680,23 +612,26 @@ class PoolManager:
         self.shutdown()
 
     # -- execution ---------------------------------------------------------
-    def run(
+    def submit(
         self,
         key: Tuple,
         num_workers: int,
         start_method: Optional[str],
         payload_factory: Callable[[], _WorkerPayload],
-        fn: Callable,
         argses: Sequence[Tuple],
         planes: Sequence = (),
-    ) -> List:
-        """Run ``fn(*args)`` for every args tuple on the (warm) pool.
+    ) -> _Run:
+        """Queue one task list on the (warm) pool; return its run handle.
 
-        Results come back in submission order.  On any failure the pool
-        is shut down before the exception propagates (fail-safe against
-        broken/poisoned pools); the next call rebuilds it.
+        Every args tuple becomes a ``(run_id, task_id, args)`` item on the
+        pool's shared task queue, followed by one ``None`` sentinel per
+        worker, and every worker is handed one :func:`_pull_tasks` loop.
+        The caller drains ``len(argses)`` results with :meth:`receive`
+        and then passes the run to :meth:`close` — also when it abandons
+        the run early, which makes workers skip its leftover items.  A
+        submission failure shuts the pool down fail-safe.
 
-        ``planes`` are this call's shared-memory result planes: the
+        ``planes`` are this run's shared-memory result planes: the
         manager **adopts** them — becomes their lifecycle backstop — so
         that if this pool is ever shut down (poisoned pool, key change,
         explicit reset) before a plane is retired, :meth:`shutdown`
@@ -708,96 +643,85 @@ class PoolManager:
         with self._lock:
             pool = self._ensure(key, num_workers, start_method, payload_factory)
             self._planes.update(planes)
+            self._next_run += 1
+            run = _Run(self._next_run, self._channels)
+            # Registered before any item is queued: another reader must
+            # route (not drop) this run's first results.
+            with self._recv_lock:
+                self._runs[run.id] = run
             try:
-                pending = [pool.submit(fn, *args) for args in argses]
-                results = [f.result() for f in pending]
-            except BaseException:
-                self.shutdown()
-                raise
-            if getattr(pool, "_processes", None):
-                self._last_pids = sorted(pool._processes)
-            return results
-
-    def submit(
-        self,
-        key: Tuple,
-        num_workers: int,
-        start_method: Optional[str],
-        payload_factory: Callable[[], _WorkerPayload],
-        fn: Callable,
-        argses: Sequence[Tuple],
-        planes: Sequence = (),
-    ) -> List[_cf.Future]:
-        """Submit ``fn(*args)`` tasks to the (warm) pool, returning futures.
-
-        The completion-ordered sibling of :meth:`run`: the caller
-        collects with ``concurrent.futures.as_completed`` (streaming
-        results as they land) instead of blocking for submission order.
-        The lock covers only ensure + submit — collection happens outside
-        it, which is safe because a later key change's ``shutdown``
-        waits for every queued future before tearing the pool down.  A
-        submission failure still shuts the pool down fail-safe; result
-        failures are the caller's to handle (shut the manager down
-        before propagating, as :meth:`run` does).  ``planes`` are
-        adopted exactly as in :meth:`run`.
-        """
-        with self._lock:
-            pool = self._ensure(key, num_workers, start_method, payload_factory)
-            self._planes.update(planes)
-            try:
-                pending = [pool.submit(fn, *args) for args in argses]
-            except BaseException:
-                self.shutdown()
-                raise
-            if getattr(pool, "_processes", None):
-                self._last_pids = sorted(pool._processes)
-            return pending
-
-    def steal(
-        self,
-        key: Tuple,
-        num_workers: int,
-        start_method: Optional[str],
-        payload_factory: Callable[[], _WorkerPayload],
-        items: Sequence[Tuple],
-        planes: Sequence = (),
-    ) -> Tuple[List[_cf.Future], object]:
-        """Dispatch ``(task_id, use_shm, args)`` items work-stealing style.
-
-        All items are enqueued on the pool's shared task queue, followed
-        by one ``None`` sentinel per worker, and every worker is handed
-        one :func:`_steal_task_loop` future — workers then *pull* tasks
-        as they free up, so placement adapts to measured runtime while
-        the task list (geometry + seeds) stays exactly what the caller
-        scheduled.  Returns ``(puller_futures, result_queue)``: the
-        caller drains ``len(items)`` results — ``(task_id, seconds,
-        error, payload)`` — off the queue in completion order.
-
-        Queue-hygiene contract: a clean run consumes every item and
-        every sentinel, leaving both queues empty for warm reuse.  A
-        caller abandoning a run mid-drain MUST :meth:`shutdown` (or
-        :meth:`terminate`) this manager — stale items on a reused queue
-        would corrupt the next run.  The executor's stealing path does
-        exactly that on every failure.
-        """
-        with self._lock:
-            pool = self._ensure(key, num_workers, start_method, payload_factory)
-            self._planes.update(planes)
-            try:
-                task_queue, result_queue = self._queues
-                for item in items:
-                    task_queue.put(item)
+                task_queue = self._channels[0]
+                for task_id, args in enumerate(argses):
+                    task_queue.put((run.id, task_id, args))
                 for _ in range(num_workers):
                     task_queue.put(None)
-                pullers = [
-                    pool.submit(_steal_task_loop) for _ in range(num_workers)
+                run.pullers = [
+                    pool.submit(_pull_tasks) for _ in range(num_workers)
                 ]
             except BaseException:
+                self.close(run)
                 self.shutdown()
                 raise
             if getattr(pool, "_processes", None):
                 self._last_pids = sorted(pool._processes)
-            return pullers, result_queue
+            return run
+
+    def receive(self, run: _Run, timeout: float) -> Optional[Tuple]:
+        """The next ``(task_id, seconds, error, payload)`` of ``run``.
+
+        Waits at most ``timeout`` seconds; returns None when nothing for
+        this run arrived in that window (a result of another live run is
+        routed to that run's inbox, one of a closed run is dropped).
+        Raises once the run can no longer complete: the pool's own error
+        (``BrokenProcessPool`` when a worker died), or ``RuntimeError``
+        when the pool was shut down under it.
+        """
+        with self._recv_lock:
+            if run.inbox:
+                return run.inbox.popleft()
+            if run.results is not None:
+                try:
+                    item = run.results.get(timeout=timeout)
+                except _queue.Empty:
+                    item = None
+                if item is not None and item[0] == run.id:
+                    return item[1:]
+                if item is not None:
+                    self._deliver(item)
+            orphaned = run.results is None and not run.inbox
+        for puller in run.pullers:
+            if puller.done() and puller.exception():
+                puller.result()
+        if orphaned:
+            raise RuntimeError(
+                "the worker pool was shut down while this run was in flight"
+            )
+        return None
+
+    def close(self, run: _Run) -> None:
+        """Retire ``run``: workers skip its leftovers, late results drop.
+
+        Idempotent; called when a run completes, fails, or is abandoned.
+        """
+        run.cancelled[run.id % _RUN_SLOTS] = run.id
+        with self._recv_lock:
+            self._runs.pop(run.id, None)
+            run.inbox.clear()
+
+    def _route(self, results) -> bool:
+        """Move one waiting result to its run's inbox; False if none."""
+        with self._recv_lock:
+            try:
+                item = results.get_nowait()
+            except _queue.Empty:
+                return False
+            self._deliver(item)
+            return True
+
+    def _deliver(self, item: Tuple) -> None:
+        owner = self._runs.get(item[0])
+        if owner is not None:
+            owner.inbox.append(item[1:])
 
     def _ensure(
         self, key, num_workers, start_method, payload_factory
@@ -811,25 +735,28 @@ class PoolManager:
             self.shutdown()
         payload = payload_factory()
         ctx = _pool_context(start_method)
-        # Work queues are born with the pool (same mp context, shipped
-        # through the initializer — the one channel Queues may travel)
-        # so a warm pool can serve future-per-task and stealing dispatch
-        # interchangeably without a rebuild.  Unused queues cost two fd
-        # pairs; feeder threads start only on first put.
-        self._queues = (ctx.Queue(), ctx.Queue())
+        # The channels are born with the pool (same mp context, shipped
+        # through the initializer — the one channel they may travel).
+        self._channels = (ctx.Queue(), ctx.Queue(), ctx.RawArray("q", _RUN_SLOTS))
         self._pool = _cf.ProcessPoolExecutor(
             max_workers=num_workers,
             mp_context=ctx,
             initializer=_init_pool_worker,
-            initargs=(payload, self._queues),
+            initargs=(payload, self._channels),
         )
-        # The payload ref keeps every id()-keyed object (plan, every
-        # Program of the table, initial state) alive while the key is
-        # current, so ids in the key cannot alias recycled addresses.
+        # The payload ref keeps every id()-keyed object (every unit of
+        # the table, initial state) alive while the key is current, so
+        # ids in the key cannot alias recycled addresses.
         self._payload = payload
         self._key = full_key
         self.stats["inits"] += 1
         return self._pool
+
+
+#: How often a drain wakes to check for dead workers and the
+#: ``task_timeout`` gap while no result arrives.  Purely a liveness poll —
+#: results are picked up the moment they arrive.
+_POLL_SECONDS = 0.05
 
 
 _SHARED: Optional[PoolManager] = None

@@ -248,7 +248,8 @@ class Simulator:
         produce bit-for-bit identical sweeps, a point's stream does not
         depend on how many points precede it, and repeated ``run_sweep``
         calls on one integer-seeded simulator return identical results
-        (matching :func:`repro.sampler.parallel.sample_trajectories_parallel`).
+        (the same chunk-seed contract as
+        :meth:`~repro.sampler.executors.ProcessPoolExecutor.execute`).
         """
         return list(self.run_sweep_iter(circuit, params, repetitions, scope))
 

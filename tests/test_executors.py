@@ -185,21 +185,35 @@ class TestPooledExecutor:
         tv = 0.5 * np.abs(hist(pooled) - hist(bare)).sum()
         assert tv < 0.08
 
-    def test_task_payload_is_two_integers(self):
-        """The O(1)-startup contract: the per-task payload carries no
-        circuit, no plan, and no state — just (chunk_size, chunk_seed)
-        plus the batched engine's three-integer seeding anchor."""
-        from repro.sampler.executors import _run_pool_chunk
+    def test_task_body_signature(self):
+        """The O(1)-startup contract: one task body serves every pooled
+        call, and its per-task payload carries no circuit, no plan, and
+        no state — a unit index, the resolver, the repetition count, the
+        explicit seed, the batched engine's three-integer anchor, and an
+        optional result-plane slot."""
         import inspect
+        import pickle
 
-        params = list(inspect.signature(_run_pool_chunk).parameters)
-        assert params == ["size", "seed", "ctx"]
+        from repro.sampler.executors import _task_args
+        from repro.sampler.schedule import ScheduledTask
+        from repro.sampler.service import _run_task
+
+        params = list(inspect.signature(_run_task).parameters)
+        assert params == [
+            "simulator", "units", "unit_index", "resolver", "size", "seed",
+            "ctx", "slot",
+        ]
+        whole = _task_args(ScheduledTask(2, 5, None, 0, 1, 40, 1.0), 7, 40)
+        assert whole == (2, None, 40, [7, 5], (7, 5, 0))
+        chunk = _task_args(ScheduledTask(2, 5, None, 3, 4, 10, 1.0), 7, 40)
+        assert chunk == (2, None, 10, [7, 5, 3], (7, 5, 30))
+        assert len(pickle.dumps(chunk)) < 100
 
     def test_worker_payload_ships_plan_and_state_once(self):
         sim = make_sim(seed=31)
         plan = sim.compile(noisy_bell_circuit()).specialize(None)
-        payload = _WorkerPayload(sim, plan)
-        assert payload.plan is plan
+        payload = _WorkerPayload(sim, (plan,))
+        assert payload.units == (plan,)
         rebuilt = payload.build_simulator()
         assert type(rebuilt.initial_state) is StateVectorSimulationState
         # The rebuilt simulator runs the shared plan without recompiling.
@@ -300,68 +314,6 @@ class TestPoolContext:
             lambda: ["spawn"],
         )
         assert ProcessPoolExecutor(num_workers=2).start_method is None
-
-
-class TestProbeOverlap:
-    """Regression: the probe must overlap with the rest of the batch.
-
-    The old probe path submitted the probe task alone, blocked on its
-    result (idling every other worker), and only then submitted the
-    remaining tasks.  The fixed path makes ONE submission covering the
-    whole batch and calibrates from the probe future's completion
-    callback while the other workers are already busy.
-    """
-
-    def test_probe_submits_once_covering_all_tasks(self):
-        calls = []
-        with PoolManager() as manager:
-            original = manager.submit
-
-            def spying_submit(key, workers, sm, pf, fn, argses, planes=()):
-                calls.append((fn.__name__, len(argses)))
-                return original(key, workers, sm, pf, fn, argses, planes=planes)
-
-            manager.submit = spying_submit
-            scheduler = AdaptiveScheduler(probe=True)
-            sim = make_sim(
-                seed=37,
-                executor=ProcessPoolExecutor(
-                    num_workers=2,
-                    start_method="fork",
-                    pool_manager=manager,
-                    scheduler=scheduler,
-                ),
-            )
-            sim.run_batch([bell_circuit() for _ in range(3)], repetitions=8)
-        task_calls = [c for c in calls if c[0] != "_warm_worker"]
-        assert len(task_calls) == 1, calls
-        assert task_calls[0][1] == 3, calls
-        # The probe still calibrated, from its completion callback.
-        assert scheduler.seconds_per_cost is not None
-        assert scheduler.seconds_per_cost > 0
-
-    def test_probe_output_matches_probeless_run(self):
-        circuits = [bell_circuit() for _ in range(3)]
-
-        def run(scheduler, manager):
-            return make_sim(
-                seed=41,
-                executor=ProcessPoolExecutor(
-                    num_workers=2,
-                    start_method="fork",
-                    pool_manager=manager,
-                    scheduler=scheduler,
-                ),
-            ).run_batch(circuits, repetitions=12)
-
-        with PoolManager() as m1, PoolManager() as m2:
-            probed = run(AdaptiveScheduler(probe=True), m1)
-            plain = run(AdaptiveScheduler(probe=False), m2)
-        for ra, rb in zip(probed, plain):
-            for key in ra.measurements:
-                np.testing.assert_array_equal(
-                    ra.measurements[key], rb.measurements[key]
-                )
 
 
 class TestTaskTimeout:

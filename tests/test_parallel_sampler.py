@@ -1,4 +1,16 @@
-"""Tests for the process-parallel trajectory sampler."""
+"""Seed contract of process-parallel sampling, plus chunking and extent.
+
+Repetitions are independent draws, so a pooled run is a deterministic
+task list of seeded chunks: chunk ``i`` draws from ``SeedSequence([seed,
+i])`` whatever worker runs it.  These tests pin that contract on
+:class:`~repro.sampler.executors.ProcessPoolExecutor` and its in-process
+twin ``SerialExecutor(chunks=k)``.  The pooled start method comes from
+``BGLS_POOL_START_METHODS`` (default ``fork``), so CI runs the same tests
+under ``forkserver`` and ``spawn``.
+"""
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -8,15 +20,16 @@ from repro import circuits as cirq
 from repro.circuits import channels
 from repro.protocols import act_on
 from repro.sampler import (
+    PoolManager,
+    ProcessPoolExecutor,
+    SerialExecutor,
     Simulator,
     act_on_near_clifford,
     count_non_clifford_gates,
-    run_parallel,
-    sample_trajectories_parallel,
     stabilizer_extent_circuit,
     stabilizer_extent_rz,
 )
-from repro.sampler.parallel import _chunk_sizes
+from repro.sampler.executors import _chunk_seeds, _chunk_sizes
 from repro.states import (
     StabilizerChFormSimulationState,
     StateVectorSimulationState,
@@ -25,22 +38,49 @@ from repro.states import (
 QUBITS = cirq.LineQubit.range(2)
 
 
-def sv_factory(seed):
-    """Module-level factory (picklable for the process pool)."""
+def pool_start_method():
+    env = os.environ.get("BGLS_POOL_START_METHODS", "fork")
+    available = multiprocessing.get_all_start_methods()
+    methods = [m.strip() for m in env.split(",") if m.strip() in available]
+    return methods[0] if methods else available[0]
+
+
+START_METHOD = pool_start_method()
+
+
+@pytest.fixture(scope="module")
+def manager():
+    mgr = PoolManager()
+    yield mgr
+    mgr.shutdown()
+
+
+def sv_sim(seed, executor=None):
     return Simulator(
         initial_state=StateVectorSimulationState(QUBITS),
-        apply_op=lambda op, s: act_on(op, s),
+        apply_op=act_on,
         compute_probability=born.compute_probability_state_vector,
         seed=seed,
+        executor=executor,
     )
 
 
-def stabilizer_factory(seed):
+def stabilizer_sim(seed, executor=None):
     return Simulator(
         initial_state=StabilizerChFormSimulationState(QUBITS),
         apply_op=act_on_near_clifford,
         compute_probability=born.compute_probability_stabilizer_state,
         seed=seed,
+        executor=executor,
+    )
+
+
+def pooled(manager, num_workers=2, chunks_per_worker=1):
+    return ProcessPoolExecutor(
+        num_workers=num_workers,
+        chunks_per_worker=chunks_per_worker,
+        start_method=START_METHOD,
+        pool_manager=manager,
     )
 
 
@@ -48,6 +88,15 @@ def noisy_bell_circuit():
     return cirq.Circuit(
         cirq.H.on(QUBITS[0]),
         channels.depolarize(0.1).on(QUBITS[0]),
+        cirq.CNOT.on(QUBITS[0], QUBITS[1]),
+        cirq.measure(*QUBITS, key="z"),
+    )
+
+
+def t_bell_circuit():
+    return cirq.Circuit(
+        cirq.H.on(QUBITS[0]),
+        cirq.T.on(QUBITS[0]),
         cirq.CNOT.on(QUBITS[0], QUBITS[1]),
         cirq.measure(*QUBITS, key="z"),
     )
@@ -70,27 +119,24 @@ class TestChunking:
 
 
 class TestParallelSampling:
-    def test_repetition_count_and_keys(self):
-        records, bits = sample_trajectories_parallel(
-            sv_factory, noisy_bell_circuit(), 40, num_workers=2, seed=0
+    def test_repetition_count_and_keys(self, manager):
+        records, bits = sv_sim(0, pooled(manager))._execute(
+            noisy_bell_circuit(), 40, None
         )
         assert bits.shape == (40, 2)
         assert records["z"].shape == (40, 2)
 
     def test_single_worker_fallback(self):
-        records, bits = sample_trajectories_parallel(
-            sv_factory, noisy_bell_circuit(), 10, num_workers=1, seed=1
+        bits = sv_sim(1, ProcessPoolExecutor(num_workers=1)).sample_bitstrings(
+            noisy_bell_circuit(), repetitions=10
         )
         assert bits.shape == (10, 2)
 
-    def test_distribution_matches_serial(self):
+    def test_distribution_matches_serial(self, manager):
         circuit = noisy_bell_circuit()
         reps = 1200
-        _, par_bits = sample_trajectories_parallel(
-            sv_factory, circuit, reps, num_workers=2, seed=2
-        )
-        serial = sv_factory(3)
-        ser_bits = serial.sample_bitstrings(circuit, repetitions=reps)
+        par_bits = sv_sim(2, pooled(manager)).sample_bitstrings(circuit, reps)
+        ser_bits = sv_sim(3).sample_bitstrings(circuit, repetitions=reps)
 
         def hist(bits):
             h = np.zeros(4)
@@ -101,37 +147,25 @@ class TestParallelSampling:
         tv = 0.5 * np.abs(hist(par_bits) - hist(ser_bits)).sum()
         assert tv < 0.08
 
-    def test_near_clifford_trajectories_parallelize(self):
-        circuit = cirq.Circuit(
-            cirq.H.on(QUBITS[0]),
-            cirq.T.on(QUBITS[0]),
-            cirq.CNOT.on(QUBITS[0], QUBITS[1]),
-            cirq.measure(*QUBITS, key="z"),
-        )
-        result = run_parallel(
-            stabilizer_factory, circuit, 60, num_workers=2, seed=4
-        )
+    def test_near_clifford_trajectories_parallelize(self, manager):
+        result = stabilizer_sim(4, pooled(manager)).run(t_bell_circuit(), 60)
         assert result.measurements["z"].shape == (60, 2)
 
-    def test_run_parallel_requires_measurements(self):
+    def test_run_parallel_requires_measurements(self, manager):
         circuit = cirq.Circuit(cirq.H.on(QUBITS[0]))
         with pytest.raises(ValueError, match="no measurements"):
-            run_parallel(sv_factory, circuit, 8, num_workers=1)
+            sv_sim(0, pooled(manager)).run(circuit, 8)
 
-    def test_rejects_zero_repetitions(self):
+    def test_rejects_zero_repetitions(self, manager):
         with pytest.raises(ValueError, match="repetitions"):
-            sample_trajectories_parallel(
-                sv_factory, noisy_bell_circuit(), 0
+            sv_sim(0, pooled(manager)).sample_bitstrings(
+                noisy_bell_circuit(), 0
             )
 
-    def test_reproducible_for_fixed_configuration(self):
+    def test_reproducible_for_fixed_configuration(self, manager):
         circuit = noisy_bell_circuit()
-        _, a = sample_trajectories_parallel(
-            sv_factory, circuit, 30, num_workers=2, seed=7
-        )
-        _, b = sample_trajectories_parallel(
-            sv_factory, circuit, 30, num_workers=2, seed=7
-        )
+        a = sv_sim(7, pooled(manager)).sample_bitstrings(circuit, 30)
+        b = sv_sim(7, pooled(manager)).sample_bitstrings(circuit, 30)
         np.testing.assert_array_equal(a, b)
 
 
@@ -183,19 +217,20 @@ class TestDeterministicWorkerSeeding:
     """Regression: worker seeds are a pure function of the user seed.
 
     Chunk ``i`` is seeded from ``SeedSequence([user_seed, i])``, so two
-    identically seeded parallel runs must produce *identical* (not merely
-    statistically compatible) histograms, and a chunk's seed must not
-    depend on how many chunks follow it.
+    identically seeded pooled runs must produce *identical* (not merely
+    statistically compatible) histograms — equal to the in-process
+    ``SerialExecutor`` with the same chunk count — and a chunk's seed
+    must not depend on how many chunks follow it.
     """
 
-    def test_identically_seeded_runs_produce_identical_histograms(self):
-        from repro.sampler.parallel import _chunk_seeds
-
+    def test_identically_seeded_runs_produce_identical_histograms(
+        self, manager
+    ):
         circuit = noisy_bell_circuit()
         runs = []
         for _ in range(2):
-            records, bits = sample_trajectories_parallel(
-                sv_factory, circuit, 50, num_workers=2, seed=123
+            records, bits = sv_sim(123, pooled(manager))._execute(
+                circuit, 50, None
             )
             hist = np.zeros(4, dtype=np.int64)
             for row in bits:
@@ -204,38 +239,41 @@ class TestDeterministicWorkerSeeding:
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
         np.testing.assert_array_equal(runs[0][2], runs[1][2])
+        serial = sv_sim(123, SerialExecutor(chunks=2)).sample_bitstrings(
+            circuit, 50
+        )
+        np.testing.assert_array_equal(runs[0][2], serial)
         # The derivation itself is stable and chunk-count independent.
         assert _chunk_seeds(123, 3) == _chunk_seeds(123, 5)[:3]
 
-    def test_chunked_runs_are_reproducible_too(self):
+    def test_chunked_runs_are_reproducible_too(self, manager):
         circuit = noisy_bell_circuit()
-        _, a = sample_trajectories_parallel(
-            sv_factory, circuit, 30, num_workers=2, chunks_per_worker=3, seed=9
+        a = sv_sim(9, pooled(manager, chunks_per_worker=3)).sample_bitstrings(
+            circuit, 30
         )
-        _, b = sample_trajectories_parallel(
-            sv_factory, circuit, 30, num_workers=2, chunks_per_worker=3, seed=9
+        b = sv_sim(9, pooled(manager, chunks_per_worker=3)).sample_bitstrings(
+            circuit, 30
         )
         np.testing.assert_array_equal(a, b)
-
-    def test_near_clifford_stochastic_runs_are_reproducible(self):
-        circuit = cirq.Circuit(
-            cirq.H.on(QUBITS[0]),
-            cirq.T.on(QUBITS[0]),
-            cirq.CNOT.on(QUBITS[0], QUBITS[1]),
-            cirq.measure(*QUBITS, key="z"),
+        serial = sv_sim(9, SerialExecutor(chunks=6)).sample_bitstrings(
+            circuit, 30
         )
-        a = run_parallel(stabilizer_factory, circuit, 40, num_workers=2, seed=3)
-        b = run_parallel(stabilizer_factory, circuit, 40, num_workers=2, seed=3)
+        np.testing.assert_array_equal(a, serial)
+
+    def test_near_clifford_stochastic_runs_are_reproducible(self, manager):
+        circuit = t_bell_circuit()
+        a = stabilizer_sim(3, pooled(manager)).run(circuit, 40)
+        b = stabilizer_sim(3, pooled(manager)).run(circuit, 40)
         np.testing.assert_array_equal(
             a.measurements["z"], b.measurements["z"]
         )
 
     def test_different_seeds_differ(self):
         circuit = noisy_bell_circuit()
-        _, a = sample_trajectories_parallel(
-            sv_factory, circuit, 40, num_workers=1, seed=0
+        a = sv_sim(0, ProcessPoolExecutor(num_workers=1)).sample_bitstrings(
+            circuit, 40
         )
-        _, b = sample_trajectories_parallel(
-            sv_factory, circuit, 40, num_workers=1, seed=1
+        b = sv_sim(1, ProcessPoolExecutor(num_workers=1)).sample_bitstrings(
+            circuit, 40
         )
         assert not np.array_equal(a, b)

@@ -409,13 +409,6 @@ class TestWarmReuse:
             sim.run_sweep(circuit, PARAM_POINTS, repetitions=6, scope="points")
         assert manager.stats["inits"] == 2
 
-    def test_execution_key_requires_exactly_one_unit(self):
-        sim = sv_sim(0)
-        with pytest.raises(ValueError, match="exactly one"):
-            execution_key(sim)
-        with pytest.raises(ValueError, match="exactly one"):
-            execution_key(sim, plan=object(), program=object())
-
 
 def distinct_clifford_circuits(count):
     """``count`` structurally distinct Clifford circuits on QUBITS."""
@@ -495,19 +488,15 @@ class TestHeterogeneousBatch:
         assert manager.stats["key_changes"] == 1
 
     def test_batch_key_covers_table_order_and_content(self):
-        """execution_key(programs=...) keys the whole table, in order."""
+        """execution_key keys the whole unit table, in order."""
         sim = sv_sim(0)
         programs = [
             sim.compile(circuit) for circuit in distinct_clifford_circuits(3)
         ]
-        key_all = execution_key(sim, programs=tuple(programs))
-        assert key_all == execution_key(sim, programs=tuple(programs))
-        assert key_all != execution_key(sim, programs=tuple(programs[:2]))
-        assert key_all != execution_key(
-            sim, programs=tuple(reversed(programs))
-        )
-        with pytest.raises(ValueError, match="exactly one"):
-            execution_key(sim, plan=object(), programs=(object(),))
+        key_all = execution_key(sim, tuple(programs))
+        assert key_all == execution_key(sim, tuple(programs))
+        assert key_all != execution_key(sim, tuple(programs[:2]))
+        assert key_all != execution_key(sim, tuple(reversed(programs)))
 
     def test_batch_with_repeated_circuits_matches_serial(self, manager):
         """Duplicate circuits dedupe to one table entry (same Program

@@ -417,24 +417,20 @@ class TestSegmentLifecycle:
         assert live_segment_names() == []
 
     def test_manager_shutdown_is_segment_backstop(self, manager):
-        from repro.sampler.service import (
-            _WorkerPayload,
-            _warm_worker,
-            execution_key,
-        )
+        from repro.sampler.service import _WorkerPayload, execution_key
 
         plane = PointPlanes({"m": (0, 1, 2)}, N, 8)
         simulator = sv_sim(1)
         program = simulator.compile(parameterized_circuit())
-        manager.run(
-            execution_key(simulator, program=program),
+        run = manager.submit(
+            execution_key(simulator, (program,)),
             1,
             START_METHODS[0],
-            lambda: _WorkerPayload(simulator, program=program),
-            _warm_worker,
-            [()],
+            lambda: _WorkerPayload(simulator, (program,)),
+            [],
             planes=(plane,),
         )
+        manager.close(run)
         assert plane.name in live_segment_names()
         manager.shutdown()
         assert live_segment_names() == []

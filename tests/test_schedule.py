@@ -28,7 +28,7 @@ from repro.sampler import (
     ProcessPoolExecutor,
     estimate_cost,
 )
-from repro.sampler.executors import _run_task_in_process
+from repro.sampler.executors import _run_task_in_process, _task_args
 from repro.sampler.schedule import BatchEntry, Scheduler
 from repro.states import (
     CliffordTableauSimulationState,
@@ -364,15 +364,7 @@ class TestAdaptiveParity:
             _run_task_in_process(
                 replay_sim,
                 table,
-                (
-                    t.program_index,
-                    t.point_index,
-                    t.resolver,
-                    t.repetitions,
-                    t.num_chunks,
-                    t.chunk_index,
-                    base,
-                ),
+                _task_args(t, base, 24),
             )
             for t in tasks
         ]
@@ -383,27 +375,3 @@ class TestAdaptiveParity:
                 np.testing.assert_array_equal(
                     records[key], result.measurements[key]
                 )
-
-    def test_probe_calibrates_without_changing_output(self, manager):
-        circuits = [clifford_circuit(d) for d in (1, 8, 1, 1)]
-
-        def run(scheduler, mgr):
-            return make_sim(
-                lambda: StateVectorSimulationState(QUBITS),
-                born.compute_probability_state_vector,
-                seed=23,
-                executor=ProcessPoolExecutor(
-                    num_workers=2,
-                    start_method=START_METHODS[0],
-                    pool_manager=mgr,
-                    scheduler=scheduler,
-                ),
-            ).run_batch(circuits, repetitions=16)
-
-        probing = AdaptiveScheduler(probe=True)
-        with_probe = run(probing, manager)
-        assert probing.seconds_per_cost is not None
-        assert probing.last_schedule["estimated_seconds"] is not None
-        with PoolManager() as other:
-            without = run(AdaptiveScheduler(probe=False), other)
-        assert_results_equal(with_probe, without)

@@ -285,7 +285,7 @@ class TestMPSRoundTrip:
             bgls.act_on,
             born.compute_probability_mps,
         )
-        payload = _WorkerPayload(sim, plan=object())
+        payload = _WorkerPayload(sim, (object(),))
         assert payload.restore is None
         assert type(payload.state_payload) is TaggedMPSState
 
@@ -364,6 +364,6 @@ class TestRegistryHooks:
             bgls.act_on,
             born.compute_probability_tableau,
         )
-        payload = _WorkerPayload(sim, plan=object())
+        payload = _WorkerPayload(sim, (object(),))
         assert payload.restore is None
         assert type(payload.state_payload) is TaggedTableauState

@@ -7,9 +7,8 @@ and per-chunk ``SeedSequence([seed, point, chunk])`` streams — is a
 deterministic function of static inputs, so stealing output must be
 bit-for-bit identical to the serial path (unsplit schedules), to an
 in-process replay of the same schedule (split schedules), and to
-future-per-task :class:`~repro.sampler.schedule.AdaptiveScheduler`
-dispatch of the same geometry — on all five backends, both transports,
-every start method.
+:class:`~repro.sampler.schedule.AdaptiveScheduler` runs of the same
+geometry — on all five backends, both transports, every start method.
 """
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.sampler import (
     estimate_cost,
 )
 from repro.sampler.calibration import CalibrationTable
-from repro.sampler.executors import _run_task_in_process
+from repro.sampler.executors import _run_task_in_process, _task_args
 from repro.sampler.result_planes import live_segment_names
 from repro.sampler.schedule import BatchEntry
 from repro.sampler.service import _base_seed
@@ -147,8 +146,6 @@ def manager():
 
 class TestWorkStealingGeometry:
     def test_flags_and_validation(self):
-        assert WorkStealingScheduler().work_stealing is True
-        assert AdaptiveScheduler().work_stealing is False
         assert WorkStealingScheduler().granularity == 4
         with pytest.raises(ValueError, match="granularity"):
             WorkStealingScheduler(granularity=0)
@@ -272,15 +269,7 @@ class TestWorkStealingParity:
             _run_task_in_process(
                 replay_sim,
                 table,
-                (
-                    t.program_index,
-                    t.point_index,
-                    t.resolver,
-                    t.repetitions,
-                    t.num_chunks,
-                    t.chunk_index,
-                    base,
-                ),
+                _task_args(t, base, 24),
             )
             for t in tasks
         ]
@@ -296,9 +285,8 @@ class TestWorkStealingParity:
     def test_stealing_equals_adaptive_dispatch(
         self, manager, make_state, prob_fn
     ):
-        """Same geometry knobs, different dispatch (shared queue vs one
-        future per task): output must be identical — dispatch is pure
-        placement."""
+        """Same geometry knobs, different scheduler classes: output must
+        be identical — placement never matters."""
         circuits = [clifford_circuit(d) for d in (1, 1, 12, 1)]
 
         def run(scheduler, mgr):
@@ -429,9 +417,9 @@ class TestWorkStealingParity:
         assert_results_equal(serial, inproc)
 
     def test_streaming_early_close_cleans_up(self, manager):
-        """Abandoning a stealing iterator mid-drain retires the pool
-        (stale queue items must not leak into the next run) and unlinks
-        every result plane — then the next run rebuilds and matches."""
+        """Abandoning a stealing iterator mid-drain closes its run (stale
+        queue items must not leak into the next run) and unlinks every
+        result plane — then the next run matches."""
         circuits = [clifford_circuit(2) for _ in range(4)]
         sim = make_sim(
             lambda: StateVectorSimulationState(QUBITS),
