@@ -469,17 +469,19 @@ def execution_key(simulator, units: Sequence) -> Tuple:
 # ----------------------------------------------------------------------
 
 class _Run:
-    """One submitted task list: its id, pullers, and routed results.
+    """One submitted task list: its id, the pool's pullers, routed results.
 
-    ``results`` is the pool's result queue (None once that pool is shut
-    down); ``inbox`` holds results another reader routed here.
+    ``pullers`` is the pool-wide list of live :func:`_pull_tasks` futures
+    (shared by every run on that pool); ``results`` is the pool's result
+    queue (None once that pool is shut down); ``inbox`` holds results
+    another reader routed here.
     """
 
     __slots__ = ("id", "pullers", "results", "cancelled", "inbox")
 
-    def __init__(self, run_id: int, channels):
+    def __init__(self, run_id: int, channels, pullers: List[_cf.Future]):
         self.id = run_id
-        self.pullers: List[_cf.Future] = []
+        self.pullers = pullers
         self.results = channels[1]
         self.cancelled = channels[2]
         self.inbox: collections.deque = collections.deque()
@@ -511,6 +513,12 @@ class PoolManager:
         self._key: Optional[Tuple] = None
         self._payload: Optional[_WorkerPayload] = None
         self._channels: Optional[Tuple] = None
+        # Every not-yet-finished puller of the current pool.  A puller
+        # exits on whichever sentinel it takes, so one submitted for an
+        # abandoned run may go on to run a later run's tasks: a run's
+        # liveness signal is the whole list, not its own pullers (a dead
+        # worker fails every pending future of its pool).
+        self._pullers: List[_cf.Future] = []
         self._last_pids: List[int] = []
         # Ensure + enqueue are atomic: without the lock, a second
         # thread's key change could shut the pool down between another
@@ -644,7 +652,7 @@ class PoolManager:
             pool = self._ensure(key, num_workers, start_method, payload_factory)
             self._planes.update(planes)
             self._next_run += 1
-            run = _Run(self._next_run, self._channels)
+            run = _Run(self._next_run, self._channels, self._pullers)
             # Registered before any item is queued: another reader must
             # route (not drop) this run's first results.
             with self._recv_lock:
@@ -655,9 +663,15 @@ class PoolManager:
                     task_queue.put((run.id, task_id, args))
                 for _ in range(num_workers):
                     task_queue.put(None)
-                run.pullers = [
-                    pool.submit(_pull_tasks) for _ in range(num_workers)
+                # In place: live runs hold this list.  Failed pullers stay
+                # so that every run still waiting sees the failure.
+                self._pullers[:] = [
+                    p for p in self._pullers
+                    if not p.done() or p.exception() is not None
                 ]
+                self._pullers.extend(
+                    pool.submit(_pull_tasks) for _ in range(num_workers)
+                )
             except BaseException:
                 self.close(run)
                 self.shutdown()
@@ -673,8 +687,9 @@ class PoolManager:
         this run arrived in that window (a result of another live run is
         routed to that run's inbox, one of a closed run is dropped).
         Raises once the run can no longer complete: the pool's own error
-        (``BrokenProcessPool`` when a worker died), or ``RuntimeError``
-        when the pool was shut down under it.
+        (``BrokenProcessPool`` when a worker died, read off any of the
+        pool's pullers), or ``RuntimeError`` when the pool was shut down
+        under it.
         """
         with self._recv_lock:
             if run.inbox:
@@ -749,6 +764,7 @@ class PoolManager:
         # ids in the key cannot alias recycled addresses.
         self._payload = payload
         self._key = full_key
+        self._pullers = []
         self.stats["inits"] += 1
         return self._pool
 

@@ -60,6 +60,10 @@ THETA = cirq.Symbol("theta")
 
 #: The resolved Rz angle whose application kills the worker running it.
 MARKED_ANGLE = 0.4321
+#: Like MARKED_ANGLE, but the worker stalls 0.8 s before dying.
+LATE_MARKED_ANGLE = 0.5432
+#: Resolved Rz angles whose application stalls the worker (seconds).
+STALLS = {0.2468: 0.6, 0.3579: 0.9, LATE_MARKED_ANGLE: 0.8}
 
 SCHEDULERS = [
     pytest.param(FifoScheduler, id="fifo"),
@@ -70,13 +74,14 @@ TRANSPORTS = ["shm", "pickle"]
 
 
 def _exit_on_marked_gate(op, state):
-    """Module-level apply_op: a worker applying the marked Rz dies."""
+    """Module-level apply_op: a worker applying a marked Rz stalls or dies
+    (applied once per task, so each stall is one task's extra time)."""
     gate = op.gate
-    if (
-        isinstance(gate, ZPowGate)
-        and abs(float(gate.exponent) * math.pi - MARKED_ANGLE) < 1e-9
-    ):
-        os._exit(3)
+    if isinstance(gate, ZPowGate):
+        angle = round(float(gate.exponent) * math.pi, 9)
+        time.sleep(STALLS.get(angle, 0.0))
+        if angle in (MARKED_ANGLE, LATE_MARKED_ANGLE):
+            os._exit(3)
     bgls.act_on(op, state)
 
 
@@ -211,6 +216,50 @@ class TestWorkerDeath:
                 circuits, params=healthy, repetitions=16
             )
         assert_results_equal(again, reference)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_death_under_an_abandoned_runs_puller(self, manager, transport):
+        """A worker dies running a task of a run whose own pullers have
+        all exited — its task was pulled by a puller left over from an
+        abandoned run.  The drain still raises BrokenProcessPool when the
+        worker dies, not only at the task_timeout."""
+        circuits = [rz_circuit()] * 2
+        sim = bgls.Simulator(
+            StateVectorSimulationState(QUBITS),
+            _exit_on_marked_gate,
+            born.compute_probability_state_vector,
+            seed=5,
+            executor=ProcessPoolExecutor(
+                num_workers=2,
+                start_method=START_METHOD,
+                pool_manager=manager,
+                result_transport=transport,
+                task_timeout=10.0,
+            ),
+        )
+        sim.run_batch(
+            circuits, params=[{"theta": 0.1}, {"theta": 0.2}], repetitions=16
+        )
+        # Abandoned after point 0: one puller has exited, the other is
+        # still 0.6 s into point 1 and will go on pulling.
+        stream = sim.run_batch_iter(
+            circuits, params=[{"theta": 0.1}, {"theta": 0.2468}], repetitions=16
+        )
+        next(stream)
+        stream.close()
+        # The next run's first puller takes the abandoned run's last
+        # sentinel; its second stalls 0.9 s on point 0 and then exits on
+        # a sentinel, while the leftover puller runs point 1, which dies
+        # after 0.8 s — no puller of this run is pending by then.
+        start = time.monotonic()
+        with pytest.raises(BrokenProcessPool):
+            sim.run_batch(
+                circuits,
+                params=[{"theta": 0.3579}, {"theta": LATE_MARKED_ANGLE}],
+                repetitions=16,
+            )
+        assert time.monotonic() - start < 3.0
+        assert live_segment_names() == []
 
 
 class TestSharedPoolThreads:
