@@ -75,7 +75,7 @@ def test_full_pipeline_op_reduction(benchmark):
     pm = default_pipeline()
     optimized = transpile(circuit, pm)
 
-    rows = [(name, before, after) for name, before, after in pm.history]
+    rows = [(s.name, s.ops_before, s.ops_after) for s in pm.stats]
     print_series(
         "Ablation - default transpile pipeline op counts",
         ["pass", "ops_before", "ops_after"],

@@ -28,12 +28,8 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.circuits import channels
-from repro.sampler import (
-    AdaptiveScheduler,
-    FifoScheduler,
-    PoolManager,
-    ProcessPoolExecutor,
-)
+from repro.sampler import PoolManager, ProcessPoolExecutor, estimate_cost
+from repro.sampler.schedule import BatchEntry, schedule
 from repro.states import StateVectorSimulationState
 
 from conftest import assert_timing_win, print_series, wall_time
@@ -143,6 +139,15 @@ def test_multi_program_batch_vs_per_circuit_reinit():
     )
 
 
+def batch_tasks(sim, circuits, repetitions, num_workers, mode):
+    """The task list ``mode`` makes of a ``run_batch`` of ``circuits``."""
+    entries = [
+        BatchEntry(i, i, None, estimate_cost(sim.compile(c), repetitions))
+        for i, c in enumerate(circuits)
+    ]
+    return schedule(entries, repetitions, num_workers, mode)
+
+
 def list_schedule_makespan(durations, num_workers):
     """Earliest-free-worker makespan of tasks dispatched in list order.
 
@@ -204,11 +209,12 @@ def test_adaptive_vs_fifo_mixed_depth_sweep():
             assert manager.stats["inits"] == 1, manager.stats
         return first, seconds
 
-    fifo = FifoScheduler()
-    adaptive = AdaptiveScheduler()
-    fifo_results, fifo_wall = pooled(fifo)
-    _, adaptive_wall = pooled(adaptive)
-    assert adaptive.last_schedule["split_points"] >= 1
+    fifo_results, fifo_wall = pooled("fifo")
+    _, adaptive_wall = pooled("adaptive")
+    adaptive_tasks = batch_tasks(
+        serial_sim, circuits, reps, num_workers, "adaptive"
+    )
+    assert any(t.num_chunks > 1 for t in adaptive_tasks)
 
     # FIFO correctness: bit-for-bit identical to the serial run_batch.
     serial = make_sim().run_batch(circuits, repetitions=reps)
@@ -217,7 +223,6 @@ def test_adaptive_vs_fifo_mixed_depth_sweep():
 
     # The makespan each schedule achieves for the measured durations.
     fifo_makespan = list_schedule_makespan(point_seconds, num_workers)
-    adaptive_tasks = adaptive.last_schedule["_tasks"]
     adaptive_durations = [
         point_seconds[t.point_index] * t.repetitions / reps
         for t in adaptive_tasks

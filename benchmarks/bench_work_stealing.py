@@ -9,10 +9,9 @@ to hundreds of distinct bitstrings, while its 7 siblings open with an
 ``X`` layer and rotate only with diagonal ``Rz`` gates, keeping their
 front at a single bitstring.  Front entropy is invisible to the static
 cost model.  The
-:class:`~repro.sampler.schedule.AdaptiveScheduler` schedules 8 whole
-points and one worker grinds the straggler alone while the rest of the
-pool idles; the :class:`~repro.sampler.schedule.WorkStealingScheduler`
-pre-splits every point into repetition chunks and lets idle workers
+``"adaptive"`` mode schedules 8 whole points and one worker grinds the
+straggler alone while the rest of the pool idles; the ``"stealing"``
+mode pre-splits every point into repetition chunks and lets idle workers
 steal the straggler's tail.
 
 Gated on the measured-duration makespan (deterministic on a
@@ -32,16 +31,11 @@ import numpy as np
 import repro as bgls
 from repro import born
 from repro import circuits as cirq
-from repro.sampler import (
-    AdaptiveScheduler,
-    PoolManager,
-    ProcessPoolExecutor,
-    WorkStealingScheduler,
-    estimate_cost,
-)
+from repro.sampler import PoolManager, ProcessPoolExecutor, estimate_cost
+from repro.sampler.schedule import GRANULARITY
 from repro.states import StateVectorSimulationState
 
-from bench_scheduler import list_schedule_makespan
+from bench_scheduler import batch_tasks, list_schedule_makespan
 from conftest import assert_timing_win, print_series, wall_time
 
 WIDTH = 10
@@ -50,7 +44,6 @@ POINTS = 8
 REPS = 1024
 DEPTH = 60
 NUM_WORKERS = 2
-GRANULARITY = 4
 MIN_SPEEDUP = 1.3
 
 
@@ -139,31 +132,31 @@ def test_work_stealing_vs_adaptive_straggler():
             assert manager.stats["inits"] == 1, manager.stats
         return first, seconds
 
-    adaptive = AdaptiveScheduler()
-    stealing = WorkStealingScheduler(granularity=GRANULARITY)
-    adaptive_results, adaptive_wall = pooled(adaptive)
-    stealing_results, stealing_wall = pooled(stealing)
+    adaptive_results, adaptive_wall = pooled("adaptive")
+    stealing_results, stealing_wall = pooled("stealing")
+    adaptive = batch_tasks(probe_sim, circuits, REPS, NUM_WORKERS, "adaptive")
+    stealing = batch_tasks(probe_sim, circuits, REPS, NUM_WORKERS, "stealing")
 
     # Equal estimates leave the adaptive schedule whole — the straggler
     # is invisible to it — while stealing pre-split every point.
-    assert adaptive.last_schedule["split_points"] == 0
-    assert stealing.last_schedule["split_points"] == POINTS
+    assert all(t.num_chunks == 1 for t in adaptive)
+    assert all(t.num_chunks == GRANULARITY for t in stealing)
 
     # Correctness: the unsplit adaptive run uses serial seeds, so it is
     # bit-for-bit the serial batch; the stealing run is reproducible.
     serial = make_sim().run_batch(circuits, repetitions=REPS)
     for a, b in zip(serial, adaptive_results):
         np.testing.assert_array_equal(a.measurements["m"], b.measurements["m"])
-    rerun, _ = pooled(WorkStealingScheduler(granularity=GRANULARITY))
+    rerun, _ = pooled("stealing")
     for a, b in zip(stealing_results, rerun):
         np.testing.assert_array_equal(a.measurements["m"], b.measurements["m"])
 
     # The makespan each geometry achieves for the measured durations,
     # under the pull-next-task placement both dispatch modes share.
-    def task_durations(scheduler):
+    def task_durations(tasks):
         return [
             point_seconds[t.point_index] * t.repetitions / REPS
-            for t in scheduler.last_schedule["_tasks"]
+            for t in tasks
         ]
 
     adaptive_makespan = list_schedule_makespan(

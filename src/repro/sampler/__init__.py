@@ -2,11 +2,6 @@
 cached Programs, pluggable serial and process-pooled executors."""
 
 from .baseline import ExactDistributionSampler, QubitByQubitSimulator
-from .calibration import (
-    CalibrationTable,
-    shared_calibration_table,
-    width_bucket,
-)
 from .executors import (
     Executor,
     ProcessPoolExecutor,
@@ -20,11 +15,7 @@ from .jobs import (
     SamplingService,
 )
 from .schedule import (
-    AdaptiveScheduler,
-    FifoScheduler,
     ScheduledTask,
-    Scheduler,
-    WorkStealingScheduler,
     estimate_cost,
     estimate_job_cost,
 )
@@ -72,10 +63,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessPoolExecutor",
     "TaskTimeoutError",
-    "Scheduler",
-    "FifoScheduler",
-    "AdaptiveScheduler",
-    "WorkStealingScheduler",
     "ScheduledTask",
     "estimate_cost",
     "estimate_job_cost",
@@ -83,9 +70,6 @@ __all__ = [
     "JobHandle",
     "JobCancelled",
     "ResultExpired",
-    "CalibrationTable",
-    "shared_calibration_table",
-    "width_bucket",
     "PoolManager",
     "shared_pool_manager",
     "shutdown_shared_pool",

@@ -13,22 +13,22 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
 * :class:`ProcessPoolExecutor` — every call becomes one deterministic
   task list drained through a :class:`~repro.sampler.service.PoolManager`:
   a repetition-scope ``execute`` is a one-point batch of seeded chunks,
-  a sweep or batch is whatever the configured scheduler
-  (:mod:`repro.sampler.schedule`) made of its points.  The compiled units
-  (one plan, or the **program table** of a heterogeneous batch), a packed
-  snapshot of the initial state, and the simulator configuration ship to
-  each worker exactly once through the pool *initializer*; each task then
-  carries only ``(unit_index, resolver, size, seed, ctx)`` plus an
-  optional result-plane slot.  By default (``reuse_pool=True``) the pool
+  a sweep or batch is whatever the configured scheduling mode
+  (:func:`repro.sampler.schedule.schedule`) made of its points.  The
+  compiled units (one plan, or the **program table** of a heterogeneous
+  batch), a packed snapshot of the initial state, and the simulator
+  configuration ship to each worker exactly once through the pool
+  *initializer*; each task then carries only ``(unit_index, resolver,
+  size, seed, ctx)`` plus an optional result-plane slot.  By default (``reuse_pool=True``) the pool
   is **warm**: the shared manager keeps the workers alive across calls
   and re-initializes them only when the execution key — compiled units,
   initial-state payload, simulator config, pool geometry — changes.
   ``reuse_pool=False`` uses a private manager closed when the call ends.
 
-Under the default FIFO scheduler each point is one stream seeded from
+Under the default ``"fifo"`` mode each point is one stream seeded from
 ``SeedSequence([seed, index])``, making pooled output bit-for-bit
-identical to a serial ``run_sweep``/``run_batch``; adaptive and
-work-stealing schedulers reorder and split points into deterministic
+identical to a serial ``run_sweep``/``run_batch``; the ``"adaptive"``
+and ``"stealing"`` modes reorder and split points into deterministic
 repetition sub-chunks.  The base :class:`Executor` ``execute_sweep``
 preserves each executor's own repetition geometry per point, which is
 what ``run_sweep`` used before point scope existed.
@@ -60,10 +60,10 @@ from .requests import normalize_repetitions
 from .result_planes import PointPlanes, shm_available
 from .schedule import (
     BatchEntry,
-    FifoScheduler,
     ScheduledTask,
-    Scheduler,
+    check_mode,
     estimate_cost,
+    schedule,
 )
 from .service import (
     _POLL_SECONDS,
@@ -274,20 +274,19 @@ class ProcessPoolExecutor(Executor):
             uses the process-wide shared manager; pass a dedicated
             :class:`~repro.sampler.service.PoolManager` for scoped
             lifetimes or isolated init counters.
-        scheduler: How batch/sweep points map to pool tasks.  None
-            (default) is FIFO — one task per point, submission order,
-            bit-for-bit identical to the serial path.  Pass an
-            :class:`~repro.sampler.schedule.AdaptiveScheduler` to order
-            tasks largest-first by the static cost model and split
-            oversized points into repetition sub-chunks (seeds
-            ``SeedSequence([seed, point, chunk])``, merged in chunk
-            order) so mixed-depth batches keep every worker busy, or a
-            :class:`~repro.sampler.schedule.WorkStealingScheduler` to
-            pre-split every point so idle workers can steal the tail of
-            a straggler.  Every scheduler's tasks are pulled from the
-            pool's shared queue by whichever worker is idle; the task
-            list itself (geometry + seeds, and therefore the output) is
-            exactly what the scheduler produced.
+        scheduler: How batch/sweep points map to pool tasks (see
+            :func:`repro.sampler.schedule.schedule`).  ``"fifo"``
+            (default) is one task per point in point order, bit-for-bit
+            identical to the serial path.  ``"adaptive"`` orders tasks
+            largest-first by the static cost model and splits oversized
+            points into repetition chunks (seeds ``SeedSequence([seed,
+            point, chunk])``, merged in chunk order) so mixed-depth
+            batches keep every worker busy.  ``"stealing"`` also
+            pre-splits every point so idle workers can take the tail of
+            a straggler.  Any other value raises ``ValueError``.  Idle
+            workers pull tasks from the pool's shared queue; the task
+            list (geometry and seeds, hence the output) depends only on
+            the mode.
         task_timeout: Optional liveness bound (seconds) for pooled
             execution: if no task completes for this long, the executor
             assumes a wedged worker, kills the pool (running tasks
@@ -333,7 +332,7 @@ class ProcessPoolExecutor(Executor):
         start_method: Optional[str] = "auto",
         reuse_pool: bool = True,
         pool_manager: Optional[PoolManager] = None,
-        scheduler: Optional[Scheduler] = None,
+        scheduler: str = "fifo",
         result_transport: str = "auto",
         task_timeout: Optional[float] = None,
     ):
@@ -345,7 +344,7 @@ class ProcessPoolExecutor(Executor):
         self.start_method = start_method
         self.reuse_pool = reuse_pool
         self._pool_manager = pool_manager
-        self.scheduler = scheduler if scheduler is not None else FifoScheduler()
+        self.scheduler = check_mode(scheduler)
         if result_transport not in ("auto", "shm", "pickle"):
             raise ValueError(
                 "result_transport must be 'auto', 'shm', or 'pickle', got "
@@ -421,10 +420,10 @@ class ProcessPoolExecutor(Executor):
         different circuits performs **one** pool initialization instead
         of N, and repeated identical batches reuse the warm workers with
         zero re-initializations (the process-wide Program cache hands
-        the manager the same table objects).  The configured scheduler
-        maps entries to tasks: FIFO (default) is one task per point in
-        order, bit-for-bit identical to the serial ``run_batch``;
-        adaptive scheduling reorders largest-first and splits oversized
+        the manager the same table objects).  The ``scheduler`` mode
+        maps entries to tasks: ``"fifo"`` (default) is one task per point
+        in order, bit-for-bit identical to the serial ``run_batch``;
+        ``"adaptive"``/``"stealing"`` reorder largest-first and split
         points into deterministic repetition sub-chunks.
 
         Collection is **completion-ordered** (chunks merge by chunk
@@ -446,7 +445,6 @@ class ProcessPoolExecutor(Executor):
         table: List = []
         table_index = {}
         entries = []
-        backend = type(simulator.initial_state).__name__
         for point, (program, resolver) in enumerate(zip(programs, resolvers)):
             index = table_index.get(id(program))
             if index is None:
@@ -455,21 +453,14 @@ class ProcessPoolExecutor(Executor):
                 table_index[id(program)] = index
             entries.append(
                 BatchEntry(
-                    index,
-                    point,
-                    resolver,
-                    estimate_cost(program, repetitions),
-                    backend=backend,
-                    num_qubits=program.num_qubits,
+                    index, point, resolver, estimate_cost(program, repetitions)
                 )
             )
-        tasks = self.scheduler.schedule(entries, repetitions, self.num_workers)
+        tasks = schedule(entries, repetitions, self.num_workers, self.scheduler)
         argses = [_task_args(task, base, repetitions) for task in tasks]
-        return self._stream(
-            simulator, tuple(table), tasks, argses, repetitions, entries
-        )
+        return self._stream(simulator, tuple(table), tasks, argses, repetitions)
 
-    def _stream(self, simulator, units, tasks, argses, repetitions, entries=()):
+    def _stream(self, simulator, units, tasks, argses, repetitions):
         """Run ``tasks`` and yield one ``(records, bits)`` per point.
 
         ``argses[j]`` is the :func:`~repro.sampler.service._run_task`
@@ -484,14 +475,11 @@ class ProcessPoolExecutor(Executor):
         finished point into zero-copy views; pickle transport merges the
         returned chunk tuples in chunk order.
 
-        Each result's worker-side duration feeds
-        :meth:`Scheduler.calibrate` (and the attached calibration table,
-        flushed after a successful drain).  Error paths: an abandoned
-        iterator (``close()``) closes its run — workers skip the
-        leftovers, the warm pool stays — and releases every unviewed
-        plane; a task failure or dead worker also shuts the pool down,
-        and a completion gap exceeding ``task_timeout`` kills it and
-        raises :class:`TaskTimeoutError`.
+        Error paths: an abandoned iterator (``close()``) closes its run —
+        workers skip the leftovers, the warm pool stays — and releases
+        every unviewed plane; a task failure or dead worker also shuts the
+        pool down, and a completion gap exceeding ``task_timeout`` kills
+        it and raises :class:`TaskTimeoutError`.
         """
         collector = _PointCollector(tasks)
         if self.num_workers == 1 or len(tasks) <= 1:
@@ -499,7 +487,6 @@ class ProcessPoolExecutor(Executor):
                 part = _run_task_in_process(simulator, units, args)
                 yield from collector.feed(task, part, _merge_chunks)
             return
-        entry_by_point = {e.point_index: e for e in entries}
         planes: Dict[int, PointPlanes] = {}
         manager = self.pool_manager if self.reuse_pool else PoolManager()
         run = None
@@ -547,24 +534,12 @@ class ProcessPoolExecutor(Executor):
                         )
                     continue
                 last_completion = time.monotonic()
-                task_id, seconds, error, payload = result
+                task_id, error, payload = result
                 if error is not None:
                     raise error
-                task = tasks[task_id]
-                entry = entry_by_point.get(task.point_index)
-                if entry is not None:
-                    self.scheduler.calibrate(
-                        task.cost,
-                        seconds,
-                        backend=entry.backend,
-                        num_qubits=entry.num_qubits,
-                    )
                 self._record_result_bytes(payload)
                 received += 1
-                yield from collector.feed(task, payload, finalize)
-            calibration = getattr(self.scheduler, "calibration", None)
-            if calibration is not None:
-                calibration.flush()
+                yield from collector.feed(tasks[task_id], payload, finalize)
         except BaseException as exc:
             # Closed first, so workers skip the run's leftovers.
             if run is not None:
@@ -606,7 +581,7 @@ def _chunk_tasks(simulator, repetitions, num_chunks, rng, ctx):
     if ctx is None:
         ctx = (base, 0, 0)
     tasks = [
-        ScheduledTask(0, 0, None, chunk, len(sizes), size, size)
+        ScheduledTask(0, 0, None, chunk, len(sizes), size)
         for chunk, size in enumerate(sizes)
     ]
     argses = [

@@ -20,7 +20,7 @@ may run on any worker.  This module runs it:
   task_id, args)`` items on the pool's shared task queue and hands each
   worker a :func:`_pull_tasks` loop: idle workers pull the next task, run
   the one task body :func:`_run_task`, and report ``(run_id, task_id,
-  seconds, error, payload)`` on the shared result queue.  Placement is
+  error, payload)`` on the shared result queue.  Placement is
   dynamic; the task list (geometry and seeds) is whatever the caller
   built, so output never depends on which worker ran what.  Results are
   routed by run id, so several runs (threads) can share one pool, and
@@ -59,7 +59,6 @@ import os
 import pickle
 import queue as _queue
 import threading
-import time
 import weakref
 from concurrent import futures as _cf
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -368,8 +367,7 @@ def _pull_tasks() -> int:
     Each submission hands every worker one of these.  It pulls ``(run_id,
     task_id, args)`` items — *placement* is whichever worker gets there
     first — skips items of closed runs, runs :func:`_run_task`, and
-    reports ``(run_id, task_id, seconds, error, payload)`` on the result
-    queue with a worker-side ``perf_counter`` duration for calibration.
+    reports ``(run_id, task_id, error, payload)`` on the result queue.
     A ``None`` sentinel (one per puller, enqueued after the run's tasks)
     ends the loop; the return value is how many tasks this worker ran.
     Task errors are reported per task, never raised — the parent decides
@@ -384,15 +382,13 @@ def _pull_tasks() -> int:
         run_id, task_id, args = item
         if cancelled[run_id % _RUN_SLOTS] == run_id:
             continue
-        start = time.perf_counter()
         error = None
         payload = None
         try:
             payload = _run_task(*_WORKER, *args)
         except BaseException as exc:
             error = _picklable_error(exc)
-        seconds = time.perf_counter() - start
-        result_queue.put((run_id, task_id, seconds, error, payload))
+        result_queue.put((run_id, task_id, error, payload))
         ran += 1
 
 
@@ -681,7 +677,7 @@ class PoolManager:
             return run
 
     def receive(self, run: _Run, timeout: float) -> Optional[Tuple]:
-        """The next ``(task_id, seconds, error, payload)`` of ``run``.
+        """The next ``(task_id, error, payload)`` of ``run``.
 
         Waits at most ``timeout`` seconds; returns None when nothing for
         this run arrived in that window (a result of another live run is

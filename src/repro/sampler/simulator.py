@@ -376,15 +376,13 @@ class Simulator:
         Program ships to the warm pool's workers in a single program
         table, so N different circuits cost one worker initialization
         instead of N, tasks select their program in-worker, and the
-        executor's scheduler may reorder or split points
-        (:mod:`repro.sampler.schedule`).  With the default FIFO
-        scheduler the output is bit-for-bit identical to the serial
-        (executor-free) ``run_batch``; an
-        :class:`~repro.sampler.schedule.AdaptiveScheduler` or
-        :class:`~repro.sampler.schedule.WorkStealingScheduler` changes
-        only *where* (and for split points, in how many deterministic
-        chunks) each entry runs — the output stays a pure function of
-        (batch, seed, scheduler config), never of placement or timing.
+        executor's scheduling mode may reorder or split points
+        (:func:`repro.sampler.schedule.schedule`).  With the default
+        ``"fifo"`` mode the output is bit-for-bit identical to the serial
+        (executor-free) ``run_batch``; ``"adaptive"`` or ``"stealing"``
+        changes only *where* (and for split points, in how many
+        deterministic chunks) each entry runs — the output stays a pure
+        function of (batch, seed, mode), never of placement or timing.
         ``"repetitions"`` runs each circuit through the executor's own
         repetition geometry — the pre-multi-program behavior, one
         execution key per circuit.

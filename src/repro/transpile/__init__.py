@@ -32,7 +32,6 @@ from .passes import (
     LightConeReduction,
     MergeRotations,
     MergeSingleQubitGates,
-    PassManager,
     PassPipeline,
     PassStats,
     TranspilerPass,
@@ -72,7 +71,6 @@ __all__ = [
     "DecomposeMultiQubitGates",
     "PassStats",
     "PassPipeline",
-    "PassManager",
     "default_pipeline",
     "transpile",
 ]

@@ -1,7 +1,7 @@
-"""Composable circuit-rewriting passes and the :class:`PassManager`.
+"""Composable circuit-rewriting passes and the :class:`PassPipeline`.
 
 Each pass is a pure ``Circuit -> Circuit`` function object; a
-:class:`PassManager` chains them.  ``default_pipeline()`` reproduces
+:class:`PassPipeline` chains them.  ``default_pipeline()`` reproduces
 ``optimize_for_bgls`` (paper Sec. 3.2.2) plus the light-cone reduction.
 
 Every pass preserves the sampling distribution over measurement keys —
@@ -41,7 +41,7 @@ class TranspilerPass(abc.ABC):
 
     @property
     def name(self) -> str:
-        """Display name used in PassManager history."""
+        """Display name used in :class:`PassStats`."""
         return type(self).__name__
 
     def __repr__(self) -> str:
@@ -321,19 +321,12 @@ class PassPipeline(TranspilerPass):
 
     A pipeline is itself a :class:`TranspilerPass` (``pipeline(circuit)``
     runs every stage), so pipelines nest and compose with single passes.
-    After each run, :attr:`stats` holds one :class:`PassStats` per stage
-    and :attr:`history` exposes the legacy
-    ``(name, ops_before, ops_after)`` triples.
+    After each run, :attr:`stats` holds one :class:`PassStats` per stage.
     """
 
     def __init__(self, passes: Iterable[TranspilerPass]):
         self.passes: List[TranspilerPass] = list(passes)
         self.stats: List[PassStats] = []
-
-    @property
-    def history(self) -> List[tuple]:
-        """``(name, ops_before, ops_after)`` per stage of the last run."""
-        return [(s.name, s.ops_before, s.ops_after) for s in self.stats]
 
     def run(self, circuit: Circuit) -> Circuit:
         """Apply all passes in order, recording per-pass stats."""
@@ -361,15 +354,6 @@ class PassPipeline(TranspilerPass):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.passes!r})"
-
-
-class PassManager(PassPipeline):
-    """Backwards-compatible name for :class:`PassPipeline`.
-
-    Kept so pre-pipeline callers (and their pinned ``history`` triples)
-    keep working; new code should construct :class:`PassPipeline` or call
-    :func:`transpile`.
-    """
 
 
 def default_pipeline(*, light_cone: bool = True) -> PassPipeline:

@@ -30,20 +30,8 @@ The audit has two layers:
 
 import multiprocessing
 import os
-import tempfile
 
 import pytest
-
-# Hermetic calibration: the persisted seconds-per-cost table must never
-# read from or write to the developer's real cache (~/.cache/bgls) during
-# tests — stored rates would reweight scheduling geometry and make parity
-# tests depend on machine history.  Resolved lazily by
-# repro.sampler.calibration on first table construction, so setting it at
-# conftest import (before any test runs) is early enough.  Tests that
-# exercise persistence point BGLS_CALIBRATION_DIR at their own tmp_path.
-os.environ.setdefault(
-    "BGLS_CALIBRATION_DIR", tempfile.mkdtemp(prefix="bgls-test-calibration-")
-)
 
 
 @pytest.fixture(autouse=True)

@@ -11,7 +11,7 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.circuits import channels
-from repro.sampler import AdaptiveScheduler, PoolManager, WorkStealingScheduler
+from repro.sampler import PoolManager
 from repro.sampler.executors import (
     ProcessPoolExecutor,
     SerialExecutor,
@@ -203,9 +203,9 @@ class TestPooledExecutor:
             "simulator", "units", "unit_index", "resolver", "size", "seed",
             "ctx", "slot",
         ]
-        whole = _task_args(ScheduledTask(2, 5, None, 0, 1, 40, 1.0), 7, 40)
+        whole = _task_args(ScheduledTask(2, 5, None, 0, 1, 40), 7, 40)
         assert whole == (2, None, 40, [7, 5], (7, 5, 0))
-        chunk = _task_args(ScheduledTask(2, 5, None, 3, 4, 10, 1.0), 7, 40)
+        chunk = _task_args(ScheduledTask(2, 5, None, 3, 4, 10), 7, 40)
         assert chunk == (2, None, 10, [7, 5, 3], (7, 5, 30))
         assert len(pickle.dumps(chunk)) < 100
 
@@ -326,11 +326,11 @@ class TestTaskTimeout:
             ProcessPoolExecutor(num_workers=2, task_timeout=-1.5)
 
     @pytest.mark.parametrize(
-        "make_scheduler",
-        [AdaptiveScheduler, WorkStealingScheduler],
+        "mode",
+        ["adaptive", "stealing"],
         ids=["futures", "stealing"],
     )
-    def test_hung_worker_raises_and_kills_pool(self, make_scheduler):
+    def test_hung_worker_raises_and_kills_pool(self, mode):
         """Both dispatch modes: a worker stuck in a 600 s sleep trips the
         completion-gap bound promptly, the pool is *killed* (a wedged
         worker never joins), every result plane is released, and the
@@ -346,7 +346,7 @@ class TestTaskTimeout:
                     num_workers=2,
                     start_method="fork",
                     pool_manager=manager,
-                    scheduler=make_scheduler(),
+                    scheduler=mode,
                     task_timeout=0.5,
                 ),
             )
@@ -371,7 +371,7 @@ class TestTaskTimeout:
                     num_workers=2,
                     start_method="fork",
                     pool_manager=manager,
-                    scheduler=make_scheduler(),
+                    scheduler=mode,
                 ),
             ).run_batch([bell_circuit()], repetitions=8)
             assert len(healthy) == 1

@@ -115,10 +115,10 @@ class TestPipelineThenStabilizer:
             CancelAdjacentInverses,
             DropEmptyMoments,
             LightConeReduction,
-            PassManager,
+            PassPipeline,
         )
 
-        pm = PassManager(
+        pm = PassPipeline(
             [LightConeReduction(), CancelAdjacentInverses(), DropEmptyMoments()]
         )
         optimized = pm.run(circuit)

@@ -2,7 +2,7 @@
 
 Every pooled call drains a deterministic task list through the pool's
 shared queue.  Three behaviours of that loop are pinned here for every
-scheduler and both result transports:
+scheduling mode and both result transports:
 
 * **Abandonment** — closing a half-consumed stream only closes its run:
   workers skip the leftovers, the warm pool stays (no re-init), and the
@@ -34,13 +34,7 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.circuits.gates import ZPowGate
-from repro.sampler import (
-    AdaptiveScheduler,
-    FifoScheduler,
-    PoolManager,
-    ProcessPoolExecutor,
-    WorkStealingScheduler,
-)
+from repro.sampler import PoolManager, ProcessPoolExecutor
 from repro.sampler.result_planes import live_segment_names
 from repro.states import StateVectorSimulationState
 
@@ -66,9 +60,9 @@ LATE_MARKED_ANGLE = 0.5432
 STALLS = {0.2468: 0.6, 0.3579: 0.9, LATE_MARKED_ANGLE: 0.8}
 
 SCHEDULERS = [
-    pytest.param(FifoScheduler, id="fifo"),
-    pytest.param(AdaptiveScheduler, id="adaptive"),
-    pytest.param(WorkStealingScheduler, id="stealing"),
+    pytest.param("fifo", id="fifo"),
+    pytest.param("adaptive", id="adaptive"),
+    pytest.param("stealing", id="stealing"),
 ]
 TRANSPORTS = ["shm", "pickle"]
 
@@ -109,12 +103,12 @@ def rz_circuit():
     )
 
 
-def executor(manager, make_scheduler, transport="shm"):
+def executor(manager, mode, transport="shm"):
     return ProcessPoolExecutor(
         num_workers=2,
         start_method=START_METHOD,
         pool_manager=manager,
-        scheduler=make_scheduler(),
+        scheduler=mode,
         result_transport=transport,
     )
 
@@ -146,9 +140,9 @@ def manager():
 
 class TestAbandonedRun:
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("make_scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("mode", SCHEDULERS)
     def test_closed_stream_keeps_warm_pool(
-        self, manager, make_scheduler, transport
+        self, manager, mode, transport
     ):
         """Close a half-consumed run_batch_iter, then rerun on the same
         manager: still one pool init, and the rerun is bit-identical."""
@@ -158,7 +152,7 @@ class TestAbandonedRun:
             bgls.act_on,
             born.compute_probability_state_vector,
             seed=11,
-            executor=executor(manager, make_scheduler, transport),
+            executor=executor(manager, mode, transport),
         )
         first = sim.run_batch(circuits, repetitions=48)
         stream = sim.run_batch_iter(circuits, repetitions=48)
@@ -173,10 +167,10 @@ class TestAbandonedRun:
 class TestWorkerDeath:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize(
-        "make_scheduler", [SCHEDULERS[0], SCHEDULERS[2]]
+        "mode", [SCHEDULERS[0], SCHEDULERS[2]]
     )
     def test_dead_worker_raises_promptly_and_pool_recovers(
-        self, manager, make_scheduler, transport
+        self, manager, mode, transport
     ):
         """A worker calling os._exit mid-task: BrokenProcessPool within
         a few polls (no task_timeout involved), no leftover segment, and
@@ -192,7 +186,7 @@ class TestWorkerDeath:
                 _exit_on_marked_gate,
                 born.compute_probability_state_vector,
                 seed=5,
-                executor=executor(mgr, make_scheduler, transport),
+                executor=executor(mgr, mode, transport),
             )
 
         sim = make_sim(manager)
@@ -265,10 +259,10 @@ class TestWorkerDeath:
 class TestSharedPoolThreads:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize(
-        "make_scheduler", [SCHEDULERS[0], SCHEDULERS[2]]
+        "mode", [SCHEDULERS[0], SCHEDULERS[2]]
     )
     def test_two_threads_get_their_own_results(
-        self, manager, make_scheduler, transport
+        self, manager, mode, transport
     ):
         """Two threads, one manager, one execution key, different seeds:
         each thread's output equals its single-thread output."""
@@ -281,7 +275,7 @@ class TestSharedPoolThreads:
                 bgls.act_on,
                 born.compute_probability_state_vector,
                 seed=seed,
-                executor=executor(manager, make_scheduler, transport),
+                executor=executor(manager, mode, transport),
             )
 
         sims = [make_sim(21), make_sim(22)]

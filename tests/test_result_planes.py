@@ -31,12 +31,7 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import (
-    AdaptiveScheduler,
-    PoolManager,
-    ProcessPoolExecutor,
-    SerialExecutor,
-)
+from repro.sampler import PoolManager, ProcessPoolExecutor, SerialExecutor
 from repro.sampler import result_planes
 from repro.sampler.result_planes import (
     PointPlanes,
@@ -288,10 +283,9 @@ class TestTransportParity:
         assert live_segment_names() == []
 
     def test_adaptive_split_schedule_parity(self, manager):
-        # min_chunk_repetitions=4 forces point splits at these sizes; a
-        # split schedule exercises multi-slot planes (row bands) and
-        # must still match the in-process run of the same schedule and
-        # the pickled transport bit-for-bit.
+        # Adaptive mode through both transports must match the
+        # in-process run of the same schedule and the pickled transport
+        # bit-for-bit.
         circuit = parameterized_circuit()
 
         def run(executor):
@@ -300,22 +294,13 @@ class TestTransportParity:
             )
 
         shm = run(
-            pool_exec(
-                manager, "shm", scheduler=AdaptiveScheduler(min_chunk_repetitions=4)
-            )
+            pool_exec(manager, "shm", scheduler="adaptive")
         )
         pickled = run(
-            pool_exec(
-                manager,
-                "pickle",
-                scheduler=AdaptiveScheduler(min_chunk_repetitions=4),
-            )
+            pool_exec(manager, "pickle", scheduler="adaptive")
         )
         in_process = run(
-            ProcessPoolExecutor(
-                num_workers=1,
-                scheduler=AdaptiveScheduler(min_chunk_repetitions=4),
-            )
+            ProcessPoolExecutor(num_workers=1, scheduler="adaptive")
         )
         assert_sweeps_equal(shm, pickled)
         assert_sweeps_equal(shm, in_process)

@@ -1,10 +1,10 @@
-"""Adaptive scheduling: cost model, task geometry, and parity contracts.
+"""Scheduling: cost model, task geometry, and parity contracts.
 
 The scheduler's determinism contract is the load-bearing property: the
 task set (point, chunk, size, seed recipe) must be a function of the
-batch's static costs and the scheduler configuration alone — never of
-worker count at equal configuration, submission order, or timing.  The
-parity classes pin the two bit-for-bit guarantees:
+batch's static costs and the scheduling mode alone — never of
+submission order or timing.  The golden table pins the exact geometry of
+every mode; the parity classes pin the two bit-for-bit guarantees:
 
 * a batch with **no oversized point** schedules exactly like FIFO, so
   adaptive output equals the plain serial ``run_batch`` on all five
@@ -21,15 +21,18 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import (
-    AdaptiveScheduler,
-    FifoScheduler,
-    PoolManager,
-    ProcessPoolExecutor,
-    estimate_cost,
+from repro.sampler import PoolManager, ProcessPoolExecutor, estimate_cost
+from repro.sampler.executors import (
+    _merge_chunks,
+    _run_task_in_process,
+    _task_args,
 )
-from repro.sampler.executors import _run_task_in_process, _task_args
-from repro.sampler.schedule import BatchEntry, Scheduler
+from repro.sampler.schedule import (
+    MIN_CHUNK_REPETITIONS,
+    TRAJECTORY_COST_MULTIPLIER,
+    BatchEntry,
+    schedule,
+)
 from repro.states import (
     CliffordTableauSimulationState,
     DensityMatrixSimulationState,
@@ -114,6 +117,33 @@ def entries_from_costs(costs):
     return [BatchEntry(i, i, None, cost) for i, cost in enumerate(costs)]
 
 
+def merge_by_point(tasks, parts, num_points):
+    """Reassemble per-task ``parts`` into one result per point, merging
+    each split point's chunks in chunk order (as the pooled drain does)."""
+    by_point = {point: [] for point in range(num_points)}
+    for task, part in zip(tasks, parts):
+        by_point[task.point_index].append((task.chunk_index, part))
+    return [_merge_chunks(point, by_point[point]) for point in range(num_points)]
+
+
+def replay(sim, circuits, repetitions, seed, mode):
+    """Run ``mode``'s schedule of ``circuits`` in-process, task by task."""
+    from repro.sampler.service import _base_seed
+
+    table = [sim.compile(circuit) for circuit in circuits]
+    entries = [
+        BatchEntry(i, i, None, estimate_cost(table[i], repetitions))
+        for i in range(len(table))
+    ]
+    tasks = schedule(entries, repetitions, 2, mode)
+    base = _base_seed(seed)
+    parts = [
+        _run_task_in_process(sim, table, _task_args(t, base, repetitions))
+        for t in tasks
+    ]
+    return tasks, merge_by_point(tasks, parts, len(circuits))
+
+
 class TestCostModel:
     def test_cost_scales_with_depth_and_repetitions(self):
         sim = make_sim(
@@ -170,9 +200,132 @@ class TestCostModel:
         assert per_op_noisy == TRAJECTORY_COST_MULTIPLIER * per_op_unitary
 
 
+def _geometry(tasks):
+    return [
+        (t.point_index, t.chunk_index, t.num_chunks, t.repetitions)
+        for t in tasks
+    ]
+
+
+#: name -> (entry costs, repetitions, num_workers, {mode: exact task list}).
+#: Each task is ``(point, chunk, num_chunks, repetitions)`` in dispatch
+#: order.  The table pins the scheduler's geometry bit for bit: seeds are a
+#: function of (point, chunk, num_chunks) alone, so an unchanged table
+#: means unchanged samples.
+GOLDEN_GEOMETRY = {
+    "equal_costs": (
+        [4.0, 4.0, 4.0], 20, 2,
+        {
+            "fifo": [(0, 0, 1, 20), (1, 0, 1, 20), (2, 0, 1, 20)],
+            "adaptive": [(0, 0, 1, 20), (1, 0, 1, 20), (2, 0, 1, 20)],
+            "stealing": [
+                (0, 0, 4, 5), (0, 1, 4, 5), (0, 2, 4, 5), (0, 3, 4, 5),
+                (1, 0, 4, 5), (1, 1, 4, 5), (1, 2, 4, 5), (1, 3, 4, 5),
+                (2, 0, 4, 5), (2, 1, 4, 5), (2, 2, 4, 5), (2, 3, 4, 5),
+            ],
+        },
+    ),
+    "one_oversized": (
+        [100.0, 1.0, 1.0], 30, 2,
+        {
+            "fifo": [(0, 0, 1, 30), (1, 0, 1, 30), (2, 0, 1, 30)],
+            "adaptive": [
+                (0, 0, 7, 5), (0, 1, 7, 5), (0, 2, 7, 4), (0, 3, 7, 4),
+                (0, 4, 7, 4), (0, 5, 7, 4), (0, 6, 7, 4),
+                (1, 0, 1, 30), (2, 0, 1, 30),
+            ],
+            "stealing": [
+                (0, 0, 7, 5), (0, 1, 7, 5), (0, 2, 7, 4), (0, 3, 7, 4),
+                (0, 4, 7, 4), (0, 5, 7, 4), (0, 6, 7, 4),
+                (1, 0, 4, 8), (1, 1, 4, 8), (2, 0, 4, 8), (2, 1, 4, 8),
+                (1, 2, 4, 7), (1, 3, 4, 7), (2, 2, 4, 7), (2, 3, 4, 7),
+            ],
+        },
+    ),
+    "few_points_many_workers": (
+        [10.0, 10.0], 24, 8,
+        {
+            "fifo": [(0, 0, 1, 24), (1, 0, 1, 24)],
+            "adaptive": [
+                (0, 0, 6, 4), (0, 1, 6, 4), (0, 2, 6, 4),
+                (0, 3, 6, 4), (0, 4, 6, 4), (0, 5, 6, 4),
+                (1, 0, 6, 4), (1, 1, 6, 4), (1, 2, 6, 4),
+                (1, 3, 6, 4), (1, 4, 6, 4), (1, 5, 6, 4),
+            ],
+            "stealing": [
+                (0, 0, 6, 4), (0, 1, 6, 4), (0, 2, 6, 4),
+                (0, 3, 6, 4), (0, 4, 6, 4), (0, 5, 6, 4),
+                (1, 0, 6, 4), (1, 1, 6, 4), (1, 2, 6, 4),
+                (1, 3, 6, 4), (1, 4, 6, 4), (1, 5, 6, 4),
+            ],
+        },
+    ),
+    "reps_below_two_chunks": (
+        [100.0, 1.0], 7, 2,
+        {
+            "fifo": [(0, 0, 1, 7), (1, 0, 1, 7)],
+            "adaptive": [(0, 0, 1, 7), (1, 0, 1, 7)],
+            "stealing": [(0, 0, 1, 7), (1, 0, 1, 7)],
+        },
+    ),
+    "single_worker": (
+        [100.0, 1.0], 64, 1,
+        {
+            "fifo": [(0, 0, 1, 64), (1, 0, 1, 64)],
+            "adaptive": [(0, 0, 1, 64), (1, 0, 1, 64)],
+            "stealing": [(0, 0, 1, 64), (1, 0, 1, 64)],
+        },
+    ),
+    "trajectory_weighted": (
+        [3.0, 3.0 * TRAJECTORY_COST_MULTIPLIER, 3.0], 16, 2,
+        {
+            "fifo": [(0, 0, 1, 16), (1, 0, 1, 16), (2, 0, 1, 16)],
+            "adaptive": [
+                (1, 0, 4, 4), (1, 1, 4, 4), (1, 2, 4, 4), (1, 3, 4, 4),
+                (0, 0, 1, 16), (2, 0, 1, 16),
+            ],
+            "stealing": [
+                (1, 0, 4, 4), (1, 1, 4, 4), (1, 2, 4, 4), (1, 3, 4, 4),
+                (0, 0, 4, 4), (0, 1, 4, 4), (0, 2, 4, 4), (0, 3, 4, 4),
+                (2, 0, 4, 4), (2, 1, 4, 4), (2, 2, 4, 4), (2, 3, 4, 4),
+            ],
+        },
+    ),
+    "mixed_ties": (
+        [7.0, 2.0, 9.0, 9.0, 1.0], 24, 3,
+        {
+            "fifo": [
+                (0, 0, 1, 24), (1, 0, 1, 24), (2, 0, 1, 24),
+                (3, 0, 1, 24), (4, 0, 1, 24),
+            ],
+            "adaptive": [
+                (2, 0, 1, 24), (3, 0, 1, 24), (0, 0, 1, 24),
+                (1, 0, 1, 24), (4, 0, 1, 24),
+            ],
+            "stealing": [
+                (2, 0, 4, 6), (2, 1, 4, 6), (2, 2, 4, 6), (2, 3, 4, 6),
+                (3, 0, 4, 6), (3, 1, 4, 6), (3, 2, 4, 6), (3, 3, 4, 6),
+                (0, 0, 4, 6), (0, 1, 4, 6), (0, 2, 4, 6), (0, 3, 4, 6),
+                (1, 0, 4, 6), (1, 1, 4, 6), (1, 2, 4, 6), (1, 3, 4, 6),
+                (4, 0, 4, 6), (4, 1, 4, 6), (4, 2, 4, 6), (4, 3, 4, 6),
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["fifo", "adaptive", "stealing"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_GEOMETRY))
+def test_golden_geometry(case, mode):
+    """Exact task list and order for every mode on fixed batches."""
+    costs, repetitions, workers, expected = GOLDEN_GEOMETRY[case]
+    tasks = schedule(entries_from_costs(costs), repetitions, workers, mode)
+    assert _geometry(tasks) == expected[mode]
+
+
 class TestFifoScheduler:
     def test_one_task_per_point_in_order(self):
-        tasks = FifoScheduler().schedule(
+        tasks = schedule(
             entries_from_costs([5.0, 1.0, 3.0]), repetitions=10, num_workers=4
         )
         assert [(t.point_index, t.chunk_index, t.num_chunks) for t in tasks] == [
@@ -187,55 +340,41 @@ class TestAdaptiveScheduler:
     def test_equal_costs_schedule_like_fifo(self):
         """No oversized point: identical geometry and order to FIFO —
         the precondition for serial bit-for-bit parity."""
-        scheduler = AdaptiveScheduler()
-        tasks = scheduler.schedule(
-            entries_from_costs([4.0] * 6), repetitions=20, num_workers=2
-        )
+        tasks = schedule(entries_from_costs([4.0] * 6), 20, 2, "adaptive")
         assert [(t.point_index, t.chunk_index) for t in tasks] == [
             (i, 0) for i in range(6)
         ]
         assert all(t.num_chunks == 1 for t in tasks)
-        assert scheduler.last_schedule["split_points"] == 0
 
     def test_largest_first_ordering(self):
-        tasks = AdaptiveScheduler().schedule(
-            entries_from_costs([1.0, 8.0, 3.0]), repetitions=4, num_workers=2
-        )
+        tasks = schedule(entries_from_costs([1.0, 8.0, 3.0]), 4, 2, "adaptive")
         assert [t.point_index for t in tasks] == [1, 2, 0]
 
     def test_oversized_point_splits_into_repetition_chunks(self):
-        scheduler = AdaptiveScheduler(oversubscribe=2, min_chunk_repetitions=4)
-        tasks = scheduler.schedule(
-            entries_from_costs([100.0, 1.0, 1.0]), repetitions=32, num_workers=2
+        tasks = schedule(
+            entries_from_costs([100.0, 1.0, 1.0]), 32, 2, "adaptive"
         )
         split = [t for t in tasks if t.point_index == 0]
         assert len(split) > 1
         assert all(t.num_chunks == len(split) for t in split)
         assert sorted(t.chunk_index for t in split) == list(range(len(split)))
         assert sum(t.repetitions for t in split) == 32
-        assert all(t.repetitions >= 4 for t in split)
+        assert all(t.repetitions >= MIN_CHUNK_REPETITIONS for t in split)
         # Small points stay whole with the serial seed recipe.
         assert all(
             t.num_chunks == 1 for t in tasks if t.point_index != 0
         )
-        assert scheduler.last_schedule["split_points"] == 1
 
     def test_few_points_many_workers_splits_for_utilization(self):
         """A 2-point sweep on a 8-worker pool splits both points."""
-        tasks = AdaptiveScheduler(min_chunk_repetitions=1).schedule(
-            entries_from_costs([10.0, 10.0]), repetitions=64, num_workers=8
-        )
+        tasks = schedule(entries_from_costs([10.0, 10.0]), 64, 8, "adaptive")
         assert len(tasks) > 2
         assert all(t.num_chunks > 1 for t in tasks)
 
     def test_schedule_is_deterministic(self):
         costs = [7.0, 2.0, 9.0, 9.0, 1.0]
-        a = AdaptiveScheduler().schedule(
-            entries_from_costs(costs), repetitions=24, num_workers=3
-        )
-        b = AdaptiveScheduler().schedule(
-            entries_from_costs(costs), repetitions=24, num_workers=3
-        )
+        a = schedule(entries_from_costs(costs), 24, 3, "adaptive")
+        b = schedule(entries_from_costs(costs), 24, 3, "adaptive")
         assert [
             (t.point_index, t.chunk_index, t.num_chunks, t.repetitions)
             for t in a
@@ -245,17 +384,13 @@ class TestAdaptiveScheduler:
         ]
 
     def test_single_worker_never_splits(self):
-        tasks = AdaptiveScheduler().schedule(
-            entries_from_costs([100.0, 1.0]), repetitions=64, num_workers=1
-        )
+        tasks = schedule(entries_from_costs([100.0, 1.0]), 64, 1, "adaptive")
         assert all(t.num_chunks == 1 for t in tasks)
 
     def test_merge_reassembles_chunks_in_chunk_order(self):
         """Out-of-order completion cannot change the merged output."""
-        scheduler = AdaptiveScheduler(oversubscribe=2, min_chunk_repetitions=1)
-        tasks = scheduler.schedule(
-            entries_from_costs([50.0, 1.0]), repetitions=8, num_workers=2
-        )
+        tasks = schedule(entries_from_costs([50.0, 1.0]), 8, 2, "adaptive")
+        assert tasks[0].num_chunks > 1
 
         def fake_part(task):
             rows = np.full(
@@ -265,28 +400,21 @@ class TestAdaptiveScheduler:
             )
             return {"m": rows}, rows
 
-        merged = Scheduler.merge(tasks, [fake_part(t) for t in tasks], 2)
+        order = tasks[::-1]
+        merged = merge_by_point(order, [fake_part(t) for t in order], 2)
         assert len(merged) == 2
         chunk_ids = merged[0][1][:, 0]
         # Chunk labels appear in nondecreasing chunk order.
         assert list(chunk_ids) == sorted(chunk_ids)
 
-    def test_calibrate_reports_estimated_seconds(self):
-        scheduler = AdaptiveScheduler()
-        scheduler.schedule(
-            entries_from_costs([4.0, 2.0]), repetitions=8, num_workers=1
-        )
-        assert scheduler.last_schedule["estimated_seconds"] is None
-        scheduler.calibrate(cost=4.0, seconds=0.5)
-        assert scheduler.seconds_per_cost == pytest.approx(0.125)
-        estimates = scheduler.last_schedule["estimated_seconds"]
-        assert estimates == pytest.approx([0.5, 0.25])
-
     def test_validation(self):
-        with pytest.raises(ValueError, match="oversubscribe"):
-            AdaptiveScheduler(oversubscribe=0)
-        with pytest.raises(ValueError, match="min_chunk_repetitions"):
-            AdaptiveScheduler(min_chunk_repetitions=0)
+        """An unknown mode names the allowed values, at schedule time and
+        at executor construction."""
+        allowed = "'fifo', 'adaptive', 'stealing'"
+        with pytest.raises(ValueError, match=allowed):
+            schedule(entries_from_costs([1.0]), 8, 2, "lpt")
+        with pytest.raises(ValueError, match=allowed):
+            ProcessPoolExecutor(num_workers=2, scheduler="Adaptive")
 
 
 @pytest.fixture
@@ -317,7 +445,7 @@ class TestAdaptiveParity:
                 num_workers=2,
                 start_method=START_METHODS[0],
                 pool_manager=manager,
-                scheduler=AdaptiveScheduler(),
+                scheduler="adaptive",
             ),
         ).run_batch(circuits, repetitions=12)
         assert_results_equal(serial, adaptive)
@@ -329,7 +457,6 @@ class TestAdaptiveParity:
         """A mixed-depth batch with an oversized (split) point is
         bit-for-bit identical to the same schedule replayed in-process —
         the scheduler's serial path."""
-        scheduler = AdaptiveScheduler(oversubscribe=2, min_chunk_repetitions=4)
         circuits = [clifford_circuit(d) for d in (1, 1, 12, 1)]
         sim = make_sim(
             make_state,
@@ -339,36 +466,17 @@ class TestAdaptiveParity:
                 num_workers=2,
                 start_method=START_METHODS[0],
                 pool_manager=manager,
-                scheduler=scheduler,
+                scheduler="adaptive",
             ),
         )
         pooled = sim.run_batch(circuits, repetitions=24)
-        assert scheduler.last_schedule["split_points"] >= 1
 
         # Replay the identical schedule in the parent process.
-        replay_sim = make_sim(make_state, prob_fn, seed=17)
-        table = [replay_sim.compile(circuit) for circuit in circuits]
-        from repro.sampler.schedule import BatchEntry as Entry
-        from repro.sampler.service import _base_seed
-
-        entries = [
-            Entry(i, i, None, estimate_cost(table[i], 24))
-            for i in range(len(table))
-        ]
-        replay_sched = AdaptiveScheduler(
-            oversubscribe=2, min_chunk_repetitions=4
+        tasks, replayed = replay(
+            make_sim(make_state, prob_fn, seed=17), circuits, 24, 17,
+            "adaptive",
         )
-        tasks = replay_sched.schedule(entries, 24, num_workers=2)
-        base = _base_seed(17)
-        parts = [
-            _run_task_in_process(
-                replay_sim,
-                table,
-                _task_args(t, base, 24),
-            )
-            for t in tasks
-        ]
-        replayed = replay_sched.merge(tasks, parts, len(circuits))
+        assert any(t.num_chunks > 1 for t in tasks)
         for (records, _), result in zip(replayed, pooled):
             assert set(records) == set(result.measurements)
             for key in records:

@@ -458,15 +458,13 @@ class TestPooledParity:
         assert_records_equal(two, pooled)
 
     def test_adaptive_split_points_match_serial(self, start_method):
-        from repro.sampler.schedule import AdaptiveScheduler
-
         serial = self._sweep_bits(None)
         pooled = self._sweep_bits(
             ProcessPoolExecutor(
                 num_workers=2,
                 reuse_pool=False,
                 start_method=start_method,
-                scheduler=AdaptiveScheduler(),
+                scheduler="adaptive",
             )
         )
         for a, b in zip(serial, pooled):

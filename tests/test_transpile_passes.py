@@ -21,7 +21,6 @@ from repro.transpile import (
     DropNegligibleGates,
     LightConeReduction,
     MergeRotations,
-    PassManager,
     PassPipeline,
     PassStats,
     default_pipeline,
@@ -252,15 +251,7 @@ class TestDecomposeMultiQubit:
 
 
 class TestPassManager:
-    def test_history_records_counts(self):
-        qs = cirq.LineQubit.range(2)
-        circuit = cirq.Circuit(
-            cirq.H.on(qs[0]), cirq.H.on(qs[0]), cirq.measure(*qs, key="z")
-        )
-        pm = PassManager([CancelAdjacentInverses(), DropEmptyMoments()])
-        out = pm.run(circuit)
-        assert out.num_operations() == 1
-        assert pm.history[0] == ("CancelAdjacentInverses", 3, 1)
+    """The default pass pipeline, end to end."""
 
     def test_default_pipeline_distribution_preserved(self):
         qs = cirq.LineQubit.range(4)
@@ -492,11 +483,18 @@ class TestPassPipeline:
         assert first.depth_before >= first.depth_after
         assert first.seconds >= 0.0
 
-    def test_history_matches_legacy_triples(self):
-        qs, circuit = self._wasteful_circuit()
-        pipe = PassPipeline([CancelAdjacentInverses()])
-        pipe.run(circuit)
-        assert pipe.history == [("CancelAdjacentInverses", 5, 3)]
+    def test_stats_records_counts(self):
+        qs = cirq.LineQubit.range(2)
+        circuit = cirq.Circuit(
+            cirq.H.on(qs[0]), cirq.H.on(qs[0]), cirq.measure(*qs, key="z")
+        )
+        pipe = PassPipeline([CancelAdjacentInverses(), DropEmptyMoments()])
+        out = pipe.run(circuit)
+        assert out.num_operations() == 1
+        first = pipe.stats[0]
+        assert (first.name, first.ops_before, first.ops_after) == (
+            "CancelAdjacentInverses", 3, 1,
+        )
 
     def test_pipeline_is_composable_as_a_pass(self):
         qs, circuit = self._wasteful_circuit()
@@ -505,13 +503,6 @@ class TestPassPipeline:
         out = outer.run(circuit)
         assert out.num_operations() == 2
         assert outer.stats[0].name == "PassPipeline"
-
-    def test_passmanager_is_pipeline_alias(self):
-        assert issubclass(PassManager, PassPipeline)
-        qs, circuit = self._wasteful_circuit()
-        pm = PassManager([CancelAdjacentInverses()])
-        pm.run(circuit)
-        assert pm.history == [("CancelAdjacentInverses", 5, 3)]
 
     def test_transpile_default_equals_default_pipeline(self):
         qs, circuit = self._wasteful_circuit()

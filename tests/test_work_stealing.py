@@ -1,14 +1,13 @@
-"""Work-stealing dispatch: geometry, parity, calibration, failure paths.
+"""Work-stealing dispatch: geometry, parity, failure paths.
 
-The placement-vs-geometry contract under test: a
-:class:`~repro.sampler.schedule.WorkStealingScheduler` may let any idle
-worker pull any task at runtime, but the task *list* — chunk geometry
-and per-chunk ``SeedSequence([seed, point, chunk])`` streams — is a
-deterministic function of static inputs, so stealing output must be
-bit-for-bit identical to the serial path (unsplit schedules), to an
-in-process replay of the same schedule (split schedules), and to
-:class:`~repro.sampler.schedule.AdaptiveScheduler` runs of the same
-geometry — on all five backends, both transports, every start method.
+The placement-vs-geometry contract under test: in ``"stealing"`` mode
+any idle worker may pull any task at runtime, but the task *list* —
+chunk geometry and per-chunk ``SeedSequence([seed, point, chunk])``
+streams — is a deterministic function of static inputs, so stealing
+output must be bit-for-bit identical to the serial path (unsplit
+schedules), to an in-process replay of the same schedule (split
+schedules), and to ``"adaptive"`` runs of the same geometry — on all
+five backends, both transports, every start method.
 """
 
 import numpy as np
@@ -18,17 +17,14 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import (
-    AdaptiveScheduler,
-    PoolManager,
-    ProcessPoolExecutor,
-    WorkStealingScheduler,
-    estimate_cost,
+from repro.sampler import PoolManager, ProcessPoolExecutor, estimate_cost
+from repro.sampler.executors import (
+    _merge_chunks,
+    _run_task_in_process,
+    _task_args,
 )
-from repro.sampler.calibration import CalibrationTable
-from repro.sampler.executors import _run_task_in_process, _task_args
 from repro.sampler.result_planes import live_segment_names
-from repro.sampler.schedule import BatchEntry
+from repro.sampler.schedule import GRANULARITY, BatchEntry, schedule
 from repro.sampler.service import _base_seed
 from repro.states import (
     CliffordTableauSimulationState,
@@ -100,14 +96,19 @@ def make_sim(make_state, prob_fn, seed, executor=None):
     )
 
 
-def stealing_executor(manager, scheduler=None, start_method=None, **kwargs):
+#: Too few repetitions to split (< 2 * MIN_CHUNK_REPETITIONS): every
+#: mode keeps each point whole, so pooled output equals the serial path.
+UNSPLIT_REPS = 6
+
+
+def stealing_executor(
+    manager, scheduler="stealing", start_method=None, **kwargs
+):
     return ProcessPoolExecutor(
         num_workers=2,
         start_method=start_method or START_METHODS[0],
         pool_manager=manager,
-        scheduler=(
-            scheduler if scheduler is not None else WorkStealingScheduler()
-        ),
+        scheduler=scheduler,
         **kwargs,
     )
 
@@ -146,30 +147,25 @@ def manager():
 
 class TestWorkStealingGeometry:
     def test_flags_and_validation(self):
-        assert WorkStealingScheduler().granularity == 4
-        with pytest.raises(ValueError, match="granularity"):
-            WorkStealingScheduler(granularity=0)
+        assert GRANULARITY == 4
+        with pytest.raises(ValueError, match="'stealing'"):
+            schedule(entries_from_costs([4.0]), 32, 2, "work-stealing")
 
-    def test_granularity_one_matches_adaptive_geometry(self):
-        costs = [7.0, 2.0, 9.0, 9.0, 1.0]
-        adaptive = AdaptiveScheduler().schedule(
-            entries_from_costs(costs), repetitions=24, num_workers=3
-        )
-        stealing = WorkStealingScheduler(granularity=1).schedule(
-            entries_from_costs(costs), repetitions=24, num_workers=3
-        )
+    def test_matches_adaptive_when_already_split_finer(self):
+        """Points adaptive already splits into >= GRANULARITY chunks get
+        no extra pre-split: both modes give one geometry."""
+        costs = [10.0, 10.0]
+        adaptive = schedule(entries_from_costs(costs), 24, 8, "adaptive")
+        stealing = schedule(entries_from_costs(costs), 24, 8, "stealing")
+        assert all(t.num_chunks >= GRANULARITY for t in adaptive)
         assert geometry(adaptive) == geometry(stealing)
 
     def test_granularity_pre_splits_equal_cost_points(self):
         """Adaptive leaves an equal-cost batch whole; stealing pre-splits
         every point so there is something to steal."""
-        adaptive = AdaptiveScheduler().schedule(
-            entries_from_costs([4.0] * 3), repetitions=32, num_workers=2
-        )
+        adaptive = schedule(entries_from_costs([4.0] * 3), 32, 2, "adaptive")
         assert all(t.num_chunks == 1 for t in adaptive)
-        stealing = WorkStealingScheduler(granularity=4).schedule(
-            entries_from_costs([4.0] * 3), repetitions=32, num_workers=2
-        )
+        stealing = schedule(entries_from_costs([4.0] * 3), 32, 2, "stealing")
         assert all(t.num_chunks == 4 for t in stealing)
         for point in range(3):
             chunks = [t for t in stealing if t.point_index == point]
@@ -177,37 +173,25 @@ class TestWorkStealingGeometry:
             assert sum(t.repetitions for t in chunks) == 32
 
     def test_granularity_capped_by_min_chunk_repetitions(self):
-        tasks = WorkStealingScheduler(
-            granularity=8, min_chunk_repetitions=4
-        ).schedule(entries_from_costs([4.0]), repetitions=8, num_workers=2)
+        tasks = schedule(entries_from_costs([4.0]), 8, 2, "stealing")
         assert all(t.num_chunks == 2 for t in tasks)  # 8 reps // 4 min
         assert all(t.repetitions >= 4 for t in tasks)
 
     def test_too_few_repetitions_stay_whole(self):
-        tasks = WorkStealingScheduler(
-            granularity=4, min_chunk_repetitions=4
-        ).schedule(entries_from_costs([4.0, 4.0]), repetitions=4, num_workers=2)
+        tasks = schedule(entries_from_costs([4.0, 4.0]), 4, 2, "stealing")
         assert all(t.num_chunks == 1 for t in tasks)
 
     def test_single_worker_never_splits(self):
-        tasks = WorkStealingScheduler(granularity=4).schedule(
-            entries_from_costs([4.0] * 3), repetitions=32, num_workers=1
-        )
+        tasks = schedule(entries_from_costs([4.0] * 3), 32, 1, "stealing")
         assert all(t.num_chunks == 1 for t in tasks)
 
     def test_oversized_point_still_splits_at_least_adaptively(self):
         """The adaptive fair-share rule is a floor, not replaced."""
-        adaptive = AdaptiveScheduler(oversubscribe=4).schedule(
-            entries_from_costs([100.0, 1.0, 1.0]),
-            repetitions=128,
-            num_workers=2,
-        )
+        costs = [100.0, 1.0, 1.0]
+        adaptive = schedule(entries_from_costs(costs), 128, 2, "adaptive")
         adaptive_chunks = max(t.num_chunks for t in adaptive)
-        stealing = WorkStealingScheduler(oversubscribe=4, granularity=2).schedule(
-            entries_from_costs([100.0, 1.0, 1.0]),
-            repetitions=128,
-            num_workers=2,
-        )
+        assert adaptive_chunks > GRANULARITY
+        stealing = schedule(entries_from_costs(costs), 128, 2, "stealing")
         big = [t for t in stealing if t.point_index == 0]
         assert big[0].num_chunks >= adaptive_chunks
 
@@ -219,40 +203,34 @@ class TestWorkStealingParity:
     def test_unsplit_stealing_equals_serial_batch(
         self, manager, make_state, prob_fn
     ):
-        """granularity=1 on an equal-cost batch: no splits, so stealing
-        must reproduce the plain serial run_batch exactly — placement
-        changed, geometry did not."""
+        """Too few repetitions to split: stealing must reproduce the
+        plain serial run_batch exactly — placement changed, geometry did
+        not."""
         circuits = [clifford_circuit(2) for _ in range(4)]
         serial = make_sim(make_state, prob_fn, seed=13).run_batch(
-            circuits, repetitions=12
+            circuits, repetitions=UNSPLIT_REPS
         )
         stealing = make_sim(
             make_state,
             prob_fn,
             seed=13,
-            executor=stealing_executor(
-                manager, WorkStealingScheduler(granularity=1)
-            ),
-        ).run_batch(circuits, repetitions=12)
+            executor=stealing_executor(manager),
+        ).run_batch(circuits, repetitions=UNSPLIT_REPS)
         assert_results_equal(serial, stealing)
 
     @pytest.mark.parametrize("make_state, prob_fn", BACKENDS)
     def test_split_schedule_matches_in_process_replay(
         self, manager, make_state, prob_fn
     ):
-        """Default granularity pre-splits every point; the pooled stolen
-        run must equal the identical schedule replayed in-process."""
-        scheduler = WorkStealingScheduler(
-            oversubscribe=2, min_chunk_repetitions=4, granularity=4
-        )
+        """Stealing pre-splits every point; the pooled stolen run must
+        equal the identical schedule replayed in-process."""
         circuits = [clifford_circuit(d) for d in (1, 1, 12, 1)]
         pooled = make_sim(
             make_state,
             prob_fn,
             seed=17,
-            executor=stealing_executor(manager, scheduler),
+            executor=stealing_executor(manager),
         ).run_batch(circuits, repetitions=24)
-        assert scheduler.last_schedule["split_points"] == len(circuits)
 
         replay_sim = make_sim(make_state, prob_fn, seed=17)
         table = [replay_sim.compile(circuit) for circuit in circuits]
@@ -260,20 +238,16 @@ class TestWorkStealingParity:
             BatchEntry(i, i, None, estimate_cost(table[i], 24))
             for i in range(len(table))
         ]
-        replay_sched = WorkStealingScheduler(
-            oversubscribe=2, min_chunk_repetitions=4, granularity=4
-        )
-        tasks = replay_sched.schedule(entries, 24, num_workers=2)
+        tasks = schedule(entries, 24, 2, "stealing")
+        assert all(t.num_chunks > 1 for t in tasks)
         base = _base_seed(17)
-        parts = [
-            _run_task_in_process(
-                replay_sim,
-                table,
-                _task_args(t, base, 24),
+        by_point = {point: [] for point in range(len(circuits))}
+        for t in tasks:
+            part = _run_task_in_process(
+                replay_sim, table, _task_args(t, base, 24)
             )
-            for t in tasks
-        ]
-        replayed = replay_sched.merge(tasks, parts, len(circuits))
+            by_point[t.point_index].append((t.chunk_index, part))
+        replayed = [_merge_chunks(p, by_point[p]) for p in sorted(by_point)]
         for (records, _), result in zip(replayed, pooled):
             assert set(records) == set(result.measurements)
             for key in records:
@@ -285,9 +259,10 @@ class TestWorkStealingParity:
     def test_stealing_equals_adaptive_dispatch(
         self, manager, make_state, prob_fn
     ):
-        """Same geometry knobs, different scheduler classes: output must
-        be identical — placement never matters."""
-        circuits = [clifford_circuit(d) for d in (1, 1, 12, 1)]
+        """A one-circuit batch that adaptive already splits finer than
+        GRANULARITY: both modes share one geometry, so output must be
+        identical — placement never matters."""
+        circuits = [clifford_circuit(12)]
 
         def run(scheduler, mgr):
             return make_sim(
@@ -297,40 +272,29 @@ class TestWorkStealingParity:
                 executor=stealing_executor(mgr, scheduler),
             ).run_batch(circuits, repetitions=24)
 
-        adaptive = run(
-            AdaptiveScheduler(oversubscribe=2, min_chunk_repetitions=4),
-            manager,
-        )
+        adaptive = run("adaptive", manager)
         with PoolManager() as other:
-            stealing = run(
-                WorkStealingScheduler(
-                    oversubscribe=2, min_chunk_repetitions=4, granularity=1
-                ),
-                other,
-            )
+            stealing = run("stealing", other)
         assert_results_equal(adaptive, stealing)
 
     @pytest.mark.parametrize("start_method", START_METHODS)
     def test_parity_per_start_method(self, manager, start_method):
         """The queue plumbing (initargs inheritance) works under every
-        configured start method with identical output.  Equal costs keep
-        the schedule unsplit so serial is the exact reference."""
+        configured start method with identical output.  Too few
+        repetitions keep the schedule unsplit so serial is the exact
+        reference."""
         circuits = [clifford_circuit(2) for _ in range(3)]
         serial = make_sim(
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=31,
-        ).run_batch(circuits, repetitions=16)
+        ).run_batch(circuits, repetitions=UNSPLIT_REPS)
         stealing = make_sim(
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=31,
-            executor=stealing_executor(
-                manager,
-                WorkStealingScheduler(granularity=1, oversubscribe=1),
-                start_method=start_method,
-            ),
-        ).run_batch(circuits, repetitions=16)
+            executor=stealing_executor(manager, start_method=start_method),
+        ).run_batch(circuits, repetitions=UNSPLIT_REPS)
         assert_results_equal(serial, stealing)
 
     @pytest.mark.parametrize("scope", ["auto", "points"])
@@ -349,15 +313,13 @@ class TestWorkStealingParity:
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=37,
-        ).run_sweep(circuit, params, repetitions=12, scope=scope)
+        ).run_sweep(circuit, params, repetitions=UNSPLIT_REPS, scope=scope)
         stealing = make_sim(
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=37,
-            executor=stealing_executor(
-                manager, WorkStealingScheduler(granularity=1)
-            ),
-        ).run_sweep(circuit, params, repetitions=12, scope=scope)
+            executor=stealing_executor(manager),
+        ).run_sweep(circuit, params, repetitions=UNSPLIT_REPS, scope=scope)
         assert_results_equal(serial, stealing)
 
     def test_transports_are_identical(self, manager):
@@ -370,11 +332,7 @@ class TestWorkStealingParity:
                 lambda: StateVectorSimulationState(QUBITS),
                 born.compute_probability_state_vector,
                 seed=41,
-                executor=stealing_executor(
-                    mgr,
-                    WorkStealingScheduler(granularity=2),
-                    result_transport=transport,
-                ),
+                executor=stealing_executor(mgr, result_transport=transport),
             ).run_batch(circuits, repetitions=16)
 
         pickled = run("pickle", manager)
@@ -409,10 +367,7 @@ class TestWorkStealingParity:
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=47,
-            executor=ProcessPoolExecutor(
-                num_workers=1,
-                scheduler=WorkStealingScheduler(granularity=1),
-            ),
+            executor=ProcessPoolExecutor(num_workers=1, scheduler="stealing"),
         ).run_batch(circuits, repetitions=16)
         assert_results_equal(serial, inproc)
 
@@ -425,11 +380,9 @@ class TestWorkStealingParity:
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=53,
-            executor=stealing_executor(
-                manager, WorkStealingScheduler(granularity=1)
-            ),
+            executor=stealing_executor(manager),
         )
-        stream = sim.run_batch_iter(circuits, repetitions=12)
+        stream = sim.run_batch_iter(circuits, repetitions=UNSPLIT_REPS)
         next(stream)
         stream.close()
         assert live_segment_names() == []
@@ -437,8 +390,8 @@ class TestWorkStealingParity:
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=53,
-        ).run_batch(circuits, repetitions=12)
-        again = sim.run_batch(circuits, repetitions=12)
+        ).run_batch(circuits, repetitions=UNSPLIT_REPS)
+        again = sim.run_batch(circuits, repetitions=UNSPLIT_REPS)
         assert_results_equal(serial, again)
 
     def test_warm_reuse_single_init(self, manager):
@@ -456,90 +409,6 @@ class TestWorkStealingParity:
         assert_results_equal(first, second)
         assert manager.stats["inits"] == 1
         assert manager.stats["reuses"] >= 1
-
-
-class TestWorkStealingCalibration:
-    def test_every_task_calibrates_and_persists(self, manager, tmp_path):
-        path = str(tmp_path / "calibration.json")
-        table = CalibrationTable(path=path)
-        scheduler = WorkStealingScheduler(granularity=2, calibration=table)
-        circuits = [clifford_circuit(2) for _ in range(3)]
-        make_sim(
-            lambda: StateVectorSimulationState(QUBITS),
-            born.compute_probability_state_vector,
-            seed=61,
-            executor=stealing_executor(manager, scheduler),
-        ).run_batch(circuits, repetitions=16)
-        assert scheduler.seconds_per_cost is not None
-        assert scheduler.seconds_per_cost > 0
-        assert table.sample_count("StateVectorSimulationState", N) >= 1
-        # The executor flushed the table after the successful drain.
-        reloaded = CalibrationTable(path=path)
-        assert reloaded.sample_count("StateVectorSimulationState", N) >= 1
-
-    def test_next_schedule_starts_calibrated(self, manager, tmp_path):
-        """The persisted loop closed: a later scheduler built over the
-        same table file reports seconds estimates before any probe."""
-        path = str(tmp_path / "calibration.json")
-        circuits = [clifford_circuit(2) for _ in range(3)]
-        make_sim(
-            lambda: StateVectorSimulationState(QUBITS),
-            born.compute_probability_state_vector,
-            seed=67,
-            executor=stealing_executor(
-                manager,
-                WorkStealingScheduler(
-                    granularity=2, calibration=CalibrationTable(path=path)
-                ),
-            ),
-        ).run_batch(circuits, repetitions=16)
-
-        fresh = WorkStealingScheduler(
-            granularity=2, calibration=CalibrationTable(path=path)
-        )
-        sim = make_sim(
-            lambda: StateVectorSimulationState(QUBITS),
-            born.compute_probability_state_vector,
-            seed=67,
-        )
-        programs = [sim.compile(c) for c in circuits]
-        entries = [
-            BatchEntry(
-                i,
-                i,
-                None,
-                estimate_cost(programs[i], 16),
-                backend="StateVectorSimulationState",
-                num_qubits=N,
-            )
-            for i in range(len(programs))
-        ]
-        fresh.schedule(entries, 16, num_workers=2)
-        assert fresh.last_schedule["calibrated"] is True
-        estimates = fresh.last_schedule["estimated_seconds"]
-        assert estimates is not None and all(v > 0 for v in estimates)
-
-    def test_calibration_does_not_change_output(self, manager):
-        """A uniform same-backend rate scales all weights equally, so a
-        calibrated stealing run equals an uncalibrated one bit for bit."""
-        table = CalibrationTable(persist=False)
-        table.record("StateVectorSimulationState", N, 5e-6)
-        circuits = [clifford_circuit(d) for d in (1, 6, 1)]
-
-        def run(scheduler, mgr):
-            return make_sim(
-                lambda: StateVectorSimulationState(QUBITS),
-                born.compute_probability_state_vector,
-                seed=71,
-                executor=stealing_executor(mgr, scheduler),
-            ).run_batch(circuits, repetitions=16)
-
-        plain = run(WorkStealingScheduler(granularity=2), manager)
-        with PoolManager() as other:
-            calibrated = run(
-                WorkStealingScheduler(granularity=2, calibration=table), other
-            )
-        assert_results_equal(plain, calibrated)
 
 
 class TestWorkStealingFailures:
@@ -565,16 +434,12 @@ class TestWorkStealingFailures:
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=73,
-            executor=stealing_executor(
-                manager,
-                WorkStealingScheduler(granularity=1),
-                start_method="fork",
-            ),
-        ).run_batch(circuits, repetitions=16)
+            executor=stealing_executor(manager, start_method="fork"),
+        ).run_batch(circuits, repetitions=UNSPLIT_REPS)
         serial = make_sim(
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=73,
-        ).run_batch(circuits, repetitions=16)
+        ).run_batch(circuits, repetitions=UNSPLIT_REPS)
         assert_results_equal(serial, good)
         assert manager.stats["inits"] == inits_after_failure + 1
