@@ -77,12 +77,12 @@ def test_warm_pool_vs_cold_pool_sweep():
         )
         # First call builds + initializes the workers once...
         warm_first = warm_sim.sample_bitstrings_sweep(
-            template, params, repetitions=REPS, scope="points"
+            template, params, repetitions=REPS
         )
         # ...then consecutive sweeps reuse them with zero re-inits.
         warm_seconds = wall_time(
             lambda: warm_sim.sample_bitstrings_sweep(
-                template, params, repetitions=REPS, scope="points"
+                template, params, repetitions=REPS
             ),
             repeats=3,
         )
@@ -93,12 +93,13 @@ def test_warm_pool_vs_cold_pool_sweep():
         qubits,
         ProcessPoolExecutor(num_workers=2, start_method="fork", reuse_pool=False),
     )
-    # scope="repetitions" + cold pool = the PR-3 cost model: every sweep
-    # point spins up (and tears down) its own fully-initialized pool.
+    # One call per point on a cold pool = the PR-3 cost model: every
+    # sweep point spins up (and tears down) its own fully-initialized pool.
     cold_seconds = wall_time(
-        lambda: cold_sim.sample_bitstrings_sweep(
-            template, params, repetitions=REPS, scope="repetitions"
-        ),
+        lambda: [
+            cold_sim.sample_bitstrings(template, REPS, param_resolver=p)
+            for p in params
+        ],
         repeats=1,
     )
 
@@ -108,7 +109,7 @@ def test_warm_pool_vs_cold_pool_sweep():
     warm_again = make_sim(
         qubits,
         ProcessPoolExecutor(num_workers=2, start_method="fork"),
-    ).sample_bitstrings_sweep(template, params, repetitions=REPS, scope="points")
+    ).sample_bitstrings_sweep(template, params, repetitions=REPS)
     for a, b, c in zip(serial, warm_first, warm_again):
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)

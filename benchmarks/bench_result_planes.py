@@ -95,9 +95,7 @@ def test_shm_result_planes_vs_pickled_results():
                 sim = make_tableau_sim(qubits, executor)
 
                 def sweep(sim=sim, reps=reps):
-                    return sim.run_sweep(
-                        circuit, params, repetitions=reps, scope="points"
-                    )
+                    return sim.run_sweep(circuit, params, repetitions=reps)
 
                 results = sweep()  # warm the pool outside the timing
                 seconds = wall_time(sweep, repeats=3)
@@ -179,9 +177,7 @@ def test_streaming_first_point_latency():
             ),
         )
         def blocking():
-            return sim.run_sweep(
-                circuit, params, repetitions=STREAM_REPS, scope="points"
-            )
+            return sim.run_sweep(circuit, params, repetitions=STREAM_REPS)
 
         reference = blocking()  # warm the pool outside the timing
         full_seconds = wall_time(blocking, repeats=3)
@@ -189,9 +185,7 @@ def test_streaming_first_point_latency():
         first_latencies = []
         for _ in range(3):
             start = time.perf_counter()
-            stream = sim.run_sweep_iter(
-                circuit, params, repetitions=STREAM_REPS, scope="points"
-            )
+            stream = sim.run_sweep_iter(circuit, params, repetitions=STREAM_REPS)
             first = next(stream)
             first_latencies.append(time.perf_counter() - start)
             streamed = [first] + list(stream)  # drain outside the timing

@@ -6,7 +6,7 @@ Two claims, two series:
   *distinct* circuits ships one program table to the warm pool (one
   worker initialization for the whole batch) versus the PR-4 cost model
   in which every circuit is its own execution key and re-initializes the
-  pool (``scope="repetitions"``; 8 inits).  Acceptance bar: the
+  pool (one ``run`` per circuit; 8 inits).  Acceptance bar: the
   multi-program batch wins by >= 1.5x wall-clock
   (``BENCH_multi_program_batch_vs_per_circuit_reinit.json``), with the
   init counters asserted exactly (1 vs N).
@@ -101,13 +101,11 @@ def test_multi_program_batch_vs_per_circuit_reinit():
                 num_workers=2, start_method="fork", pool_manager=manager
             )
         )
-        # scope="repetitions" = the PR-4 cost model: every circuit is its
-        # own execution key, so each batch pass re-initializes the pool
-        # once per circuit.
+        # One run() per circuit = the PR-4 cost model: every circuit is
+        # its own execution key, so each batch pass re-initializes the
+        # pool once per circuit.
         reinit_seconds = wall_time(
-            lambda: reinit_sim.run_batch(
-                circuits, repetitions=REPS, scope="repetitions"
-            ),
+            lambda: [reinit_sim.run(c, repetitions=REPS) for c in circuits],
             repeats=1,
         )
         reinit_inits = manager.stats["inits"]

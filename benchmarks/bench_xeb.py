@@ -1,8 +1,8 @@
 """XEB supremacy-scale verification workload benchmark.
 
 The headline workload of this series: 64 *distinct* random supremacy
-circuits swept through ``run_batch(scope="points")`` on the warm pool as
-one multi-program payload, scored with the batched linear-XEB estimators.
+circuits swept through ``run_batch`` on the warm pool as one
+multi-program payload, scored with the batched linear-XEB estimators.
 Three claims ride in one JSON row (``BENCH_xeb_supremacy_batch.json``):
 
 * **One init for the whole ensemble** — 64 distinct circuits, streamed

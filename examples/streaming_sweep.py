@@ -47,9 +47,7 @@ def main() -> None:
         start = time.perf_counter()
         streamed = []
         for i, result in enumerate(
-            simulator.run_sweep_iter(
-                circuit, params, repetitions=repetitions, scope="points"
-            )
+            simulator.run_sweep_iter(circuit, params, repetitions=repetitions)
         ):
             streamed.append(result)
             ones = result.measurements["m"].all(axis=1).mean()
@@ -60,9 +58,7 @@ def main() -> None:
             )
 
         # The streamed results ARE the blocking API's list, bit for bit.
-        blocking = simulator.run_sweep(
-            circuit, params, repetitions=repetitions, scope="points"
-        )
+        blocking = simulator.run_sweep(circuit, params, repetitions=repetitions)
         for streamed_result, blocking_result in zip(streamed, blocking):
             np.testing.assert_array_equal(
                 streamed_result.measurements["m"],

@@ -4,10 +4,10 @@ The paper's motivating workload end to end: build an ensemble of
 distinct random supremacy circuits (delivered pulse-split, the way
 hardware emits them), collapse the same-axis pulse runs with the
 ``MergeRotations`` transpile pass, sweep the whole ensemble through
-``run_batch(scope="points")`` on the warm pool — one worker init for
-every circuit — and print each circuit's linear-XEB fidelity the moment
-its point lands.  Finishes with the ensemble estimate and the
-Porter-Thomas convergence diagnostics of one member.
+``run_batch`` on the warm pool — one worker init for every circuit — and
+print each circuit's linear-XEB fidelity the moment its point lands.
+Finishes with the ensemble estimate and the Porter-Thomas convergence
+diagnostics of one member.
 
 Run:  PYTHONPATH=src python examples/xeb_supremacy.py
 """

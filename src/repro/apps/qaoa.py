@@ -45,10 +45,9 @@ grid point (memoized per resolved parameter tuple, so refinement passes
 revisiting a point skip even that) instead of recompiling the whole
 circuit per point.  A Simulator carrying a
 :class:`repro.sampler.ProcessPoolExecutor` additionally fans whole grid
-points across its warm process pool (``scope="auto"`` resolves to point
-scope): the workers are initialized once for the template and reused
-across every sweep and refinement call, bit-for-bit identical to the
-serial sweep.
+points across its warm process pool: the workers are initialized once
+for the template and reused across every sweep and refinement call,
+bit-for-bit identical to the serial sweep.
 """
 
 

@@ -9,11 +9,11 @@ cross-entropy (XEB) scoring used to certify samples.
 
 The headline verification workload lives in :func:`run_xeb_workload` /
 :func:`stream_xeb_workload`: sweep many *distinct* random circuits
-through ``Simulator.run_batch(scope="points")`` (one warm-pool init for
-the whole ensemble, one pool point per circuit) and score each circuit's
-samples with the batched estimators in :mod:`repro.analysis.xeb`.  The
-streaming variant yields per-circuit estimates as points land on the
-pool, bit-for-bit equal to the blocking path.
+through ``Simulator.run_batch`` (one warm-pool init for the whole
+ensemble, one pool point per circuit) and score each circuit's samples
+with the batched estimators in :mod:`repro.analysis.xeb`.  The streaming
+variant yields per-circuit estimates as points land on the pool,
+bit-for-bit equal to the blocking path.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def xeb_circuits(
 
     One parent rng deterministically derives a child seed per circuit, so
     a single ``random_state`` pins the whole ensemble while every member
-    stays distinct — the shape ``run_batch(scope="points")`` fans across
+    stays distinct — the shape ``run_batch`` fans across
     the warm pool as one multi-program payload.
     """
     if num_circuits < 1:
@@ -230,7 +230,6 @@ def stream_xeb_workload(
     repetitions: int,
     *,
     probabilities: Optional[Sequence[np.ndarray]] = None,
-    scope: str = "points",
 ) -> Iterator[XEBEstimate]:
     """Stream per-circuit XEB estimates as batch points land on the pool.
 
@@ -249,8 +248,6 @@ def stream_xeb_workload(
         probabilities: Optional precomputed exact Born distribution per
             circuit (skips the statevector recomputation — the bench
             reuses one set across transpile variants).
-        scope: Forwarded to ``run_batch_iter``; ``"points"`` is the
-            one-point-per-circuit contract this workload is shaped for.
     """
     circuits = list(circuits)
     if probabilities is None:
@@ -262,9 +259,7 @@ def stream_xeb_workload(
                 f"Got {len(circuits)} circuits but {len(probabilities)} "
                 f"distributions"
             )
-    results = simulator.run_batch_iter(
-        circuits, repetitions=repetitions, scope=scope
-    )
+    results = simulator.run_batch_iter(circuits, repetitions=repetitions)
     for circuit, probs, result in zip(circuits, probabilities, results):
         yield linear_xeb_estimate(_workload_samples(circuit, result), probs)
 
@@ -275,7 +270,6 @@ def run_xeb_workload(
     repetitions: int,
     *,
     probabilities: Optional[Sequence[np.ndarray]] = None,
-    scope: str = "points",
 ) -> XEBResult:
     """Blocking ensemble XEB over a batch of distinct random circuits.
 
@@ -290,6 +284,5 @@ def run_xeb_workload(
             circuits,
             repetitions,
             probabilities=probabilities,
-            scope=scope,
         )
     )

@@ -5,15 +5,15 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
 :class:`~repro.sampler.plan.ExecutionPlan`); an :class:`Executor` owns the
 *strategy* — where and in how many pieces that algorithm runs:
 
-* :class:`SerialExecutor` — in-process.  With ``chunks > 1`` the
-  repetitions split into deterministic chunks whose RNGs derive from
-  ``SeedSequence([base_seed, chunk_index])``, which makes its output
-  bit-for-bit identical to a pooled run with the same chunk count — the
-  executor-parity contract the test suite pins.
+* :class:`SerialExecutor` — in-process.  With ``chunks > 1`` a ``run``
+  splits its repetitions into deterministic chunks whose RNGs derive
+  from ``SeedSequence([base_seed, chunk_index])``, which makes its output
+  bit-for-bit identical to a pooled ``run`` with the same chunk count —
+  the executor-parity contract the test suite pins.
 * :class:`ProcessPoolExecutor` — every call becomes one deterministic
   task list drained through a :class:`~repro.sampler.service.PoolManager`:
-  a repetition-scope ``execute`` is a one-point batch of seeded chunks,
-  a sweep or batch is whatever the configured scheduling mode
+  a ``run`` is a one-point batch of seeded chunks, a sweep or batch is
+  whatever the configured scheduling mode
   (:func:`repro.sampler.schedule.schedule`) made of its points.  The
   compiled units (one plan, or the **program table** of a heterogeneous
   batch), a packed snapshot of the initial state, and the simulator
@@ -25,13 +25,12 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
   initial-state payload, simulator config, pool geometry — changes.
   ``reuse_pool=False`` uses a private manager closed when the call ends.
 
+Every sweep and batch is built by one task builder, :func:`_point_tasks`.
 Under the default ``"fifo"`` mode each point is one stream seeded from
-``SeedSequence([seed, index])``, making pooled output bit-for-bit
-identical to a serial ``run_sweep``/``run_batch``; the ``"adaptive"``
-and ``"stealing"`` modes reorder and split points into deterministic
-repetition sub-chunks.  The base :class:`Executor` ``execute_sweep``
-preserves each executor's own repetition geometry per point, which is
-what ``run_sweep`` used before point scope existed.
+``SeedSequence([seed, index])``; the base :meth:`Executor.execute_batch_iter`
+runs that task list in-process, so pooled, serial and executor-free
+sweeps are bit-for-bit identical.  The ``"adaptive"`` and ``"stealing"``
+modes reorder and split points into deterministic repetition sub-chunks.
 
 Chunk seeding is deterministic: with an integer simulator seed, chunk
 ``i`` always receives ``SeedSequence([seed, i])`` regardless of pool
@@ -54,8 +53,6 @@ import pickle
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .requests import normalize_repetitions
 from .result_planes import PointPlanes, shm_available
 from .schedule import (
@@ -71,10 +68,8 @@ from .service import (
     RunParts,
     _WorkerPayload,
     _base_seed,
-    _chunk_seeds,
     _chunk_seeds_from_base,
     _chunk_sizes,
-    _dispatch,
     _merge_parts,
     _run_task,
     execution_key,
@@ -102,68 +97,9 @@ class TaskTimeoutError(RuntimeError):
 class Executor(abc.ABC):
     """Strategy object deciding where a compiled plan's repetitions run."""
 
-    #: Whether :meth:`execute_sweep` fans whole sweep points across
-    #: parallel workers (single stream per point).  Executors that leave
-    #: this False run sweeps point-by-point with their own repetition
-    #: geometry, exactly like ``run_sweep`` before point scope existed.
-    supports_point_scope = False
-
     @abc.abstractmethod
-    def execute(
-        self,
-        simulator,
-        plan,
-        repetitions: int,
-        rng: Optional[np.random.Generator] = None,
-        ctx: Optional[Tuple[int, int, int]] = None,
-    ) -> RunParts:
-        """Produce ``(records, bits)`` for ``repetitions`` of ``plan``.
-
-        ``ctx = (base_seed, point_index, rep_base)`` is the batched
-        trajectory engine's seeding anchor (see
-        :mod:`repro.sampler.trajectory_batch`); executors offset
-        ``rep_base`` per repetition chunk so batched output never
-        depends on chunk geometry.  Serial mode ignores it.
-        """
-
-    def execute_sweep_iter(
-        self, simulator, program, resolvers, repetitions: int
-    ) -> Iterator[RunParts]:
-        """Lazily yield one ``(records, bits)`` per resolver, in order.
-
-        Default: specialize and :meth:`execute` each point with this
-        executor's own repetition geometry, point ``i`` seeded from
-        ``SeedSequence([seed, i])`` — identical to the pre-point-scope
-        ``run_sweep`` loop, but one point at a time, so a consumer sees
-        point 0 before point 1 has run.
-        """
-        base = _base_seed(simulator.seed)
-        resolvers = list(resolvers)
-
-        def stream():
-            for index, resolver in enumerate(resolvers):
-                plan = program.specialize(resolver)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([base, index])
-                )
-                yield self.execute(
-                    simulator, plan, repetitions, rng=rng,
-                    ctx=(base, index, 0),
-                )
-
-        return stream()
-
-    def execute_sweep(
-        self, simulator, program, resolvers, repetitions: int
-    ) -> List[RunParts]:
-        """One ``(records, bits)`` per resolver of a parameter sweep.
-
-        ``list(...)`` over :meth:`execute_sweep_iter` — same geometry,
-        same seeds, collected eagerly.
-        """
-        return list(
-            self.execute_sweep_iter(simulator, program, resolvers, repetitions)
-        )
+    def execute(self, simulator, plan, repetitions: int) -> RunParts:
+        """Produce ``(records, bits)`` for ``repetitions`` of ``plan``."""
 
     def execute_batch_iter(
         self,
@@ -172,44 +108,18 @@ class Executor(abc.ABC):
         resolvers: Sequence,
         repetitions: int,
     ) -> Iterator[RunParts]:
-        """Lazily yield one ``(records, bits)`` per batch entry, in order.
+        """Lazily yield one ``(records, bits)`` per (program, resolver)
+        point, in order — the one hook behind every sweep and batch.
 
-        Default: specialize and :meth:`execute` each entry with this
-        executor's own repetition geometry, entry ``i`` seeded from
-        ``SeedSequence([seed, i])`` — identical to the serial
-        ``run_batch`` loop, streamed one entry at a time.
+        Default: the ``"fifo"`` task list of :func:`_point_tasks` runs
+        in-process, one stream per point seeded from ``SeedSequence([seed,
+        point])``, each point yielded before the next one starts.
+        Validation and seeding happen at call time.
         """
-        base = _base_seed(simulator.seed)
-        pairs = list(zip(programs, resolvers))
-
-        def stream():
-            for index, (program, resolver) in enumerate(pairs):
-                plan = program.specialize(resolver)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([base, index])
-                )
-                yield self.execute(
-                    simulator, plan, repetitions, rng=rng,
-                    ctx=(base, index, 0),
-                )
-
-        return stream()
-
-    def execute_batch(
-        self,
-        simulator,
-        programs: Sequence,
-        resolvers: Sequence,
-        repetitions: int,
-    ) -> List[RunParts]:
-        """One ``(records, bits)`` per (program, resolver) batch entry.
-
-        ``list(...)`` over :meth:`execute_batch_iter` — same geometry,
-        same seeds, collected eagerly.
-        """
-        return list(
-            self.execute_batch_iter(simulator, programs, resolvers, repetitions)
+        table, _, argses = _point_tasks(
+            simulator, programs, resolvers, repetitions, 1, "fifo"
         )
+        return (_run_task(simulator, table, *args) for args in argses)
 
 
 class SerialExecutor(Executor):
@@ -217,9 +127,10 @@ class SerialExecutor(Executor):
 
     ``chunks=1`` (default) runs exactly like a bare simulator — one
     stream off the simulator's own RNG.  ``chunks=k`` reproduces the
-    pooled executor's chunk geometry in-process: the output for a given
-    (seed, chunk count) is bit-for-bit identical to
-    :class:`ProcessPoolExecutor` with the same total chunk count.
+    pooled executor's chunk geometry for a ``run`` in-process: the output
+    for a given (seed, chunk count) is bit-for-bit identical to
+    :class:`ProcessPoolExecutor` with the same total chunk count.  Sweeps
+    and batches run one stream per point, like a bare simulator.
     """
 
     def __init__(self, chunks: int = 1):
@@ -227,19 +138,13 @@ class SerialExecutor(Executor):
             raise ValueError(f"chunks must be >= 1, got {chunks}")
         self.chunks = chunks
 
-    def execute(self, simulator, plan, repetitions, rng=None, ctx=None):
+    def execute(self, simulator, plan, repetitions):
         normalize_repetitions(repetitions)
         if self.chunks == 1:
-            return _dispatch(
-                simulator,
-                plan,
-                repetitions,
-                rng if rng is not None else simulator._rng,
-                ctx,
-            )
-        _, argses = _chunk_tasks(simulator, repetitions, self.chunks, rng, ctx)
+            return simulator._run_plan(plan, repetitions, None)
+        _, argses = _chunk_tasks(simulator, repetitions, self.chunks)
         return _merge_parts(
-            [_run_task_in_process(simulator, (plan,), args) for args in argses]
+            [_run_task(simulator, (plan,), *args) for args in argses]
         )
 
 
@@ -323,8 +228,6 @@ class ProcessPoolExecutor(Executor):
             ``last_result_bytes`` to 0 between measured sections.
     """
 
-    supports_point_scope = True
-
     def __init__(
         self,
         num_workers: Optional[int] = None,
@@ -380,36 +283,15 @@ class ProcessPoolExecutor(Executor):
                 pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             )
 
-    def execute(self, simulator, plan, repetitions, rng=None, ctx=None):
+    def execute(self, simulator, plan, repetitions):
         """Run ``repetitions`` of ``plan`` as a one-point batch of
         ``num_workers * chunks_per_worker`` seeded chunks."""
         normalize_repetitions(repetitions)
         tasks, argses = _chunk_tasks(
-            simulator,
-            repetitions,
-            self.num_workers * self.chunks_per_worker,
-            rng,
-            ctx,
+            simulator, repetitions, self.num_workers * self.chunks_per_worker
         )
         (parts,) = self._stream(simulator, (plan,), tasks, argses, repetitions)
         return parts
-
-    def execute_sweep_iter(self, simulator, program, resolvers, repetitions):
-        """Fan whole sweep points across the (warm) pool, streaming.
-
-        A sweep is a one-program batch: each point runs as one stream
-        seeded from ``SeedSequence([seed, index])`` — bit-for-bit
-        identical to a serial ``run_sweep`` — and specializes the shared
-        Program inside the worker (memoized, so optimizer loops
-        revisiting a point skip the param-slot rebuild).  Consecutive
-        sweeps over the same compiled Program and initial-state payload
-        reuse the warm workers with zero re-initializations.  Results
-        stream in point order (see :meth:`execute_batch_iter`).
-        """
-        resolvers = list(resolvers)
-        return self.execute_batch_iter(
-            simulator, [program] * len(resolvers), resolvers, repetitions
-        )
 
     def execute_batch_iter(self, simulator, programs, resolvers, repetitions):
         """Fan a (possibly heterogeneous) batch across the (warm) pool.
@@ -418,13 +300,12 @@ class ProcessPoolExecutor(Executor):
         table** shipped to every worker by the pool initializer — the
         execution key covers the whole table, so ``run_batch`` over N
         different circuits performs **one** pool initialization instead
-        of N, and repeated identical batches reuse the warm workers with
-        zero re-initializations (the process-wide Program cache hands
-        the manager the same table objects).  The ``scheduler`` mode
-        maps entries to tasks: ``"fifo"`` (default) is one task per point
-        in order, bit-for-bit identical to the serial ``run_batch``;
-        ``"adaptive"``/``"stealing"`` reorder largest-first and split
-        points into deterministic repetition sub-chunks.
+        of N, and repeated identical batches (or sweeps of one template)
+        reuse the warm workers with zero re-initializations (the
+        process-wide Program cache hands the manager the same table
+        objects).  Workers specialize per point (memoized, so optimizer
+        loops revisiting a point skip the param-slot rebuild).  The
+        ``scheduler`` mode maps points to tasks (see :func:`_point_tasks`).
 
         Collection is **completion-ordered** (chunks merge by chunk
         index, never by arrival) and the yields are **point-ordered**:
@@ -432,33 +313,15 @@ class ProcessPoolExecutor(Executor):
         lands and all earlier points are out.  Validation and scheduling
         happen eagerly, at call time; only the execution is lazy.
         """
-        resolvers = list(resolvers)
-        programs = list(programs)
-        if len(programs) != len(resolvers):
-            raise ValueError(
-                f"Got {len(programs)} programs but {len(resolvers)} resolvers"
-            )
-        normalize_repetitions(repetitions)
-        base = _base_seed(simulator.seed)
-        # Dedupe by identity: a batch repeating a circuit (the Program
-        # cache returns the same object) ships each distinct Program once.
-        table: List = []
-        table_index = {}
-        entries = []
-        for point, (program, resolver) in enumerate(zip(programs, resolvers)):
-            index = table_index.get(id(program))
-            if index is None:
-                index = len(table)
-                table.append(program)
-                table_index[id(program)] = index
-            entries.append(
-                BatchEntry(
-                    index, point, resolver, estimate_cost(program, repetitions)
-                )
-            )
-        tasks = schedule(entries, repetitions, self.num_workers, self.scheduler)
-        argses = [_task_args(task, base, repetitions) for task in tasks]
-        return self._stream(simulator, tuple(table), tasks, argses, repetitions)
+        table, tasks, argses = _point_tasks(
+            simulator,
+            programs,
+            resolvers,
+            repetitions,
+            self.num_workers,
+            self.scheduler,
+        )
+        return self._stream(simulator, table, tasks, argses, repetitions)
 
     def _stream(self, simulator, units, tasks, argses, repetitions):
         """Run ``tasks`` and yield one ``(records, bits)`` per point.
@@ -484,7 +347,7 @@ class ProcessPoolExecutor(Executor):
         collector = _PointCollector(tasks)
         if self.num_workers == 1 or len(tasks) <= 1:
             for task, args in zip(tasks, argses):
-                part = _run_task_in_process(simulator, units, args)
+                part = _run_task(simulator, units, *args)
                 yield from collector.feed(task, part, _merge_chunks)
             return
         planes: Dict[int, PointPlanes] = {}
@@ -566,35 +429,65 @@ def _merge_chunks(point, chunks) -> RunParts:
     return _merge_parts([part for _, part in sorted(chunks, key=lambda c: c[0])])
 
 
-def _chunk_tasks(simulator, repetitions, num_chunks, rng, ctx):
-    """The one-point task list of a repetition-scope run.
+def _chunk_tasks(simulator, repetitions, num_chunks):
+    """The one-point task list of a ``run``.
 
     ``repetitions`` split into at most ``num_chunks`` near-equal chunks;
     chunk ``i`` draws from its chunk seed (``SeedSequence([seed, i])``)
-    and its batched-engine anchor offsets ``rep_base`` by the chunk's
-    starting row — so output is a pure function of (seed, chunk count),
-    invariant under worker count and placement.  Returns ``(tasks,
-    argses)`` over the one-unit table ``(plan,)``.
+    and its batched-engine anchor ``(seed, 0, rep_base)`` offsets
+    ``rep_base`` by the chunk's starting row — so output is a pure
+    function of (seed, chunk count), invariant under worker count and
+    placement.  Returns ``(tasks, argses)`` over the one-unit table
+    ``(plan,)``.
     """
     sizes = _chunk_sizes(repetitions, num_chunks)
-    base = _base_seed(simulator.seed if rng is None else rng)
-    if ctx is None:
-        ctx = (base, 0, 0)
+    base = _base_seed(simulator.seed)
     tasks = [
         ScheduledTask(0, 0, None, chunk, len(sizes), size)
         for chunk, size in enumerate(sizes)
     ]
     argses = [
-        (
-            0,
-            None,
-            task.repetitions,
-            seed,
-            (ctx[0], ctx[1], ctx[2] + _row_offset(task, repetitions)),
-        )
+        (0, None, task.repetitions, seed, (base, 0, _row_offset(task, repetitions)))
         for task, seed in zip(tasks, _chunk_seeds_from_base(base, len(sizes)))
     ]
     return tasks, argses
+
+
+def _point_tasks(
+    simulator, programs, resolvers, repetitions: int, num_workers: int, mode: str
+):
+    """The one task builder of every sweep and batch.
+
+    Dedupes ``programs`` by identity into the unit table (a batch
+    repeating a circuit — the Program cache returns the same object —
+    ships each distinct Program once), costs every (program, resolver)
+    point, and schedules the points for ``num_workers`` in ``mode``
+    (:func:`repro.sampler.schedule.schedule`): ``"fifo"`` is one task per
+    point in point order.  Returns ``(table, tasks, argses)``, where
+    ``argses[j]`` is the :func:`~repro.sampler.service._run_task`
+    argument tuple of ``tasks[j]`` (see :func:`_task_args`).
+    """
+    programs = list(programs)
+    resolvers = list(resolvers)
+    if len(programs) != len(resolvers):
+        raise ValueError(
+            f"Got {len(programs)} programs but {len(resolvers)} resolvers"
+        )
+    normalize_repetitions(repetitions)
+    base = _base_seed(simulator.seed)
+    table: List = []
+    table_index = {}
+    entries = []
+    for point, (program, resolver) in enumerate(zip(programs, resolvers)):
+        index = table_index.setdefault(id(program), len(table))
+        if index == len(table):
+            table.append(program)
+        entries.append(
+            BatchEntry(index, point, resolver, estimate_cost(program, repetitions))
+        )
+    tasks = schedule(entries, repetitions, num_workers, mode)
+    argses = [_task_args(task, base, repetitions) for task in tasks]
+    return tuple(table), tasks, argses
 
 
 def _row_offset(task, repetitions: int) -> int:
@@ -613,10 +506,10 @@ def _row_offset(task, repetitions: int) -> int:
 def _task_args(task, base: int, repetitions: int) -> Tuple:
     """The :func:`~repro.sampler.service._run_task` args of a scheduled task.
 
-    Whole points (``num_chunks == 1``) keep the serial ``run_sweep`` /
-    ``run_batch`` recipe — one stream off ``SeedSequence([base, point])``
-    — so unsplit scheduling is bit-for-bit identical to the serial path.
-    Chunks of a split point draw from ``SeedSequence([base, point,
+    Whole points (``num_chunks == 1``) draw one stream off
+    ``SeedSequence([base, point])`` — the per-point seed of every sweep
+    and batch, pooled or in-process, built only here.  Chunks of a split
+    point draw from ``SeedSequence([base, point,
     chunk])``: a stable function of the indices alone, so the output
     never depends on worker count, submission order, or timing.
     """
@@ -670,16 +563,6 @@ class _PointCollector:
             out.append(self._ready.pop(self._next))
             self._next += 1
         return out
-
-
-def _run_task_in_process(simulator, units, args) -> RunParts:
-    """Run one task's ``args`` in the parent (single-worker fallbacks).
-
-    The same :func:`~repro.sampler.service._run_task` body the workers
-    run — same unit selection, memoized specialization and seed stream —
-    so in-process fallbacks are bit-for-bit identical to the pool.
-    """
-    return _run_task(simulator, units, *args)
 
 
 __all__ = [

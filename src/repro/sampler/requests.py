@@ -2,29 +2,21 @@
 
 Six entry points feed user input into the execution stack — ``run``,
 ``run_sweep``, ``run_sweep_iter``, ``run_batch``, ``run_batch_iter``, and
-``sample_bitstrings_sweep`` — and historically each re-implemented the
-same ``scope``/``seed``/``repetitions``/``trajectory_mode`` validation
-and defaults inline.  This module is the single source of truth for
-those checks: every error message and default below is part of the API
-contract pinned by ``tests/test_error_contracts.py``, so the service
-tier (and any other caller feeding untrusted input into a Simulator)
-sees one typed, named error per bad argument regardless of which entry
-point it hit.
-
-Nothing here changes behavior relative to the historical inline checks —
-the messages, exception types, and accepted values are identical; only
-the duplication is gone.
+``sample_bitstrings_sweep``.  This module is the single source of truth
+for their ``seed``/``repetitions``/``trajectory_mode`` validation and
+defaults: every error message below is part of the API contract pinned
+by ``tests/test_error_contracts.py``, so the service tier (and any other
+caller feeding untrusted input into a Simulator) sees one typed, named
+error per bad argument regardless of which entry point it hit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-SCOPES = ("auto", "points", "repetitions")
-TRAJECTORY_MODES = ("serial", "batched", "auto")
+TRAJECTORY_MODES = ("serial", "batched")
 
 
 def normalize_seed(
@@ -52,20 +44,11 @@ def normalize_repetitions(repetitions: int) -> int:
     return repetitions
 
 
-def normalize_scope(scope: str) -> str:
-    """Reject unknown ``scope`` values with the documented error."""
-    if scope not in SCOPES:
-        raise ValueError(
-            f"scope must be 'auto', 'points', or 'repetitions', got {scope!r}"
-        )
-    return scope
-
-
 def normalize_trajectory_mode(trajectory_mode: str) -> str:
     """Reject unknown ``trajectory_mode`` values with the documented error."""
     if trajectory_mode not in TRAJECTORY_MODES:
         raise ValueError(
-            "trajectory_mode must be 'serial', 'batched', or 'auto', "
+            "trajectory_mode must be 'serial' or 'batched', "
             f"got {trajectory_mode!r}"
         )
     return trajectory_mode
@@ -80,61 +63,3 @@ def normalize_trajectory_tile(trajectory_tile: Optional[int]) -> Optional[int]:
             f"trajectory_tile must be >= 1, got {trajectory_tile}"
         )
     return int(trajectory_tile)
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    """A validated, normalized multi-point run request.
-
-    Attributes:
-        repetitions: Validated per-point repetition count (``>= 1``).
-        scope: One of ``"auto" | "points" | "repetitions"``.
-        point_capable: Whether the simulator's executor can fan whole
-            points across a pool (``supports_point_scope``).
-    """
-
-    repetitions: int
-    scope: str
-    point_capable: bool
-
-    @property
-    def fan_points(self) -> bool:
-        """Route through the executor's point-scope fan-out?
-
-        True exactly when the caller allows point scope (``"auto"`` or
-        ``"points"``) *and* the executor can fan points.  An explicit
-        ``scope="points"`` without a point-capable executor degrades to
-        the serial one-stream-per-point recipe instead (see
-        :attr:`serial_point_streams`).
-        """
-        return self.scope in ("auto", "points") and self.point_capable
-
-    @property
-    def serial_point_streams(self) -> bool:
-        """Explicit point scope with no point-fanning executor.
-
-        The degraded contract: one in-process stream per point — exactly
-        what pooled point scope reproduces bit-for-bit — never the
-        executor's own repetition-chunk geometry.
-        """
-        return self.scope == "points" and not self.point_capable
-
-
-def normalize_run_request(
-    executor, repetitions: int, scope: str = "auto"
-) -> RunRequest:
-    """Validate and normalize one sweep/batch request.
-
-    The shared front door of every multi-point ``Simulator.run*`` entry
-    point: validates ``scope`` and ``repetitions`` (with the documented
-    error messages) and resolves the executor's point-scope capability
-    once, so the entry points never duplicate the routing conditions.
-    """
-    return RunRequest(
-        repetitions=normalize_repetitions(repetitions),
-        scope=normalize_scope(scope),
-        point_capable=bool(
-            executor is not None
-            and getattr(executor, "supports_point_scope", False)
-        ),
-    )

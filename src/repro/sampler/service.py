@@ -1,8 +1,8 @@
 """Warm-pool execution service: persistent workers across sampling calls.
 
-Every pooled call — a repetition-scope ``execute``, a sweep, or a
-heterogeneous batch — is one contract: a deterministic task list that
-may run on any worker.  This module runs it:
+Every pooled call — a one-point ``run``, a sweep, or a heterogeneous
+batch — is one contract: a deterministic task list that may run on any
+worker.  This module runs it:
 
 * :class:`PoolManager` owns one process pool and keeps it — workers,
   shipped compiled units, restored initial state and all — alive across
@@ -35,8 +35,8 @@ may run on any worker.  This module runs it:
 Determinism contracts (pinned by ``tests/test_pool_service.py``):
 
 * a task's generator is ``default_rng(seed)`` with the seed carried in the
-  task itself: chunk ``i`` of a repetition-scope run gets the first word
-  of ``SeedSequence([seed, i])``, a whole sweep/batch point ``[base,
+  task itself: chunk ``i`` of a ``run`` gets the first word of
+  ``SeedSequence([seed, i])``, a whole sweep/batch point ``[base,
   point]`` and chunk ``c`` of a split point ``[base, point, chunk]`` — so
   warm, cold, serial, pooled and in-process runs of equal geometry are
   bit-for-bit identical;
@@ -95,28 +95,16 @@ def _chunk_sizes(repetitions: int, num_chunks: int) -> List[int]:
     return [base + (1 if i < extra else 0) for i in range(num_chunks)]
 
 
-def _chunk_seeds(
-    seed: Union[int, np.random.Generator, None], num_chunks: int
-) -> List[int]:
-    """Per-chunk seeds derived deterministically from the user seed.
+def _chunk_seeds_from_base(base: int, num_chunks: int) -> List[int]:
+    """Per-chunk seeds derived deterministically from the integer base.
 
     Chunk ``i`` receives the first word of ``SeedSequence([base, i])`` —
-    a stable function of the user seed and the chunk *index* alone, so
+    a stable function of the base and the chunk *index* alone, so
     identically seeded runs hand every chunk the same stream, streams of
     different chunks are statistically independent, and chunk ``i``'s
-    seed does not shift when the total chunk count changes.  ``None``
-    draws a fresh entropy base; passing a Generator consumes one draw
-    from it for the base.
-    """
-    return _chunk_seeds_from_base(_base_seed(seed), num_chunks)
-
-
-def _chunk_seeds_from_base(base: int, num_chunks: int) -> List[int]:
-    """:func:`_chunk_seeds` with the integer base already collapsed.
-
-    Split out so callers that also need ``base`` itself (the batched
-    engine's ctx anchor) derive seeds and ctx from one draw instead of
-    consuming the source generator twice.
+    seed does not shift when the total chunk count changes.  ``base`` is
+    :func:`_base_seed` of the user seed, also the batched engine's ctx
+    anchor.
     """
     return [
         int(np.random.SeedSequence([base, i]).generate_state(1, np.uint64)[0])
@@ -154,17 +142,6 @@ def _merge_parts(parts: List[RunParts]) -> RunParts:
         for key in keys
     }
     return records, all_bits
-
-
-def _dispatch(simulator, plan, repetitions: int, rng, ctx=None) -> RunParts:
-    """Run one chunk through the plan's required mode.
-
-    ``ctx = (base_seed, point_index, rep_base)`` anchors the batched
-    trajectory engine's per-repetition seed streams (ignored in serial
-    mode); threading it here keeps pooled chunks of one point on the
-    same global repetition indices regardless of chunk geometry.
-    """
-    return simulator._run_plan(plan, repetitions, rng, ctx)
 
 
 def _main_is_importable() -> bool:
@@ -229,9 +206,9 @@ class _WorkerPayload:
     pickled once per *worker* by the pool initializer — never per task.
     ``units`` is the worker's *unit table*: the compiled Programs of a
     whole (possibly heterogeneous) batch, or the one specialized plan of
-    a repetition-scope run.  Tasks select a unit by index and specialize
-    it per resolver inside the worker (memoized for Programs; a plan is
-    its own specialization).
+    a ``run``.  Tasks select a unit by index and specialize it per
+    resolver inside the worker (memoized for Programs; a plan is its own
+    specialization).
     """
 
     __slots__ = (
@@ -336,8 +313,8 @@ def _run_task(
     plane at that row band and only the row count comes back.
     """
     plan = units[unit_index].specialize(resolver)
-    records, bits = _dispatch(
-        simulator, plan, size, np.random.default_rng(seed), ctx
+    records, bits = simulator._run_plan(
+        plan, size, np.random.default_rng(seed), ctx
     )
     if slot is None:
         return records, bits

@@ -41,9 +41,8 @@ Execution is layered:
   deterministic seeded chunks, or across a **warm** process pool
   (:mod:`repro.sampler.service`) whose workers receive the compiled
   plan/Program and a packed initial-state snapshot once and stay alive
-  across calls; :meth:`Simulator.run_sweep` can additionally fan whole
-  sweep points (``scope="points"``) across those workers, bit-for-bit
-  identical to the serial sweep.
+  across calls; sweeps and batches fan whole points across those
+  workers, bit-for-bit identical to the executor-free sweep.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .plan import ExecutionPlan, OpRecord
 from .program import Program, compiled_program
 from .requests import (
     normalize_repetitions,
-    normalize_run_request,
     normalize_seed,
     normalize_trajectory_mode,
     normalize_trajectory_tile,
@@ -103,8 +101,8 @@ class Simulator:
         trajectory_mode: How trajectory-mode plans (channels, mid-circuit
             measurement) execute their repetitions.  ``"serial"`` (the
             default) walks the plan once per repetition — the historical
-            loop with its pinned RNG draw order.  ``"batched"``/``"auto"``
-            run repetition stacks through the vectorized engine
+            loop with its pinned RNG draw order.  ``"batched"`` runs
+            repetition stacks through the vectorized engine
             (:mod:`repro.sampler.trajectory_batch`) when the backend
             advertises the ``batched_trajectories`` capability and the
             plan qualifies, falling back to the serial loop otherwise.
@@ -216,7 +214,6 @@ class Simulator:
         circuit: Circuit,
         params: Sequence[Union[ParamResolver, dict, None]],
         repetitions: int = 1,
-        scope: str = "auto",
     ) -> List["Result"]:
         """Run the circuit once per parameter resolver (Cirq-style sweep).
 
@@ -227,51 +224,36 @@ class Simulator:
         memoized per resolved parameter tuple) instead of recompiling the
         whole circuit.
 
-        ``scope`` chooses the unit of parallelism:
-
-        * ``"points"`` — fan whole sweep points across the executor's
-          (warm) process pool, one single-seeded stream per point.  Sweep
-          points are independent, so this parallelizes the sweep itself —
-          not just each point's repetitions — while staying bit-for-bit
-          identical to a serial executor-free ``run_sweep``.  Without a
-          point-capable executor it degrades to that serial loop.
-        * ``"repetitions"`` — the pre-point-scope behavior: each point
-          runs through :meth:`the executor's execute <Executor.execute>`
-          with its own repetition-chunk geometry.
-        * ``"auto"`` (default) — ``"points"`` when the executor fans
-          points (:class:`~repro.sampler.executors.ProcessPoolExecutor`),
-          else ``"repetitions"``.
-
-        Seeding is deterministic in every scope: point ``i`` draws from a
-        fresh generator seeded with ``SeedSequence([user_seed, i])`` — the
-        PR-2 worker-seed scheme — so two identically seeded simulators
-        produce bit-for-bit identical sweeps, a point's stream does not
-        depend on how many points precede it, and repeated ``run_sweep``
-        calls on one integer-seeded simulator return identical results
-        (the same chunk-seed contract as
-        :meth:`~repro.sampler.executors.ProcessPoolExecutor.execute`).
+        A sweep is a one-program batch (see :meth:`run_batch`): points are
+        independent, so a pooled executor fans whole points across its
+        (warm) workers.  Seeding is deterministic: point ``i`` draws from
+        a fresh generator seeded with ``SeedSequence([user_seed, i])``, so
+        two identically seeded simulators produce bit-for-bit identical
+        sweeps, a point's stream does not depend on how many points
+        precede it, and repeated ``run_sweep`` calls on one
+        integer-seeded simulator return identical results.  With the
+        default ``"fifo"`` pool scheduling the output equals the
+        executor-free sweep bit-for-bit.
         """
-        return list(self.run_sweep_iter(circuit, params, repetitions, scope))
+        return list(self.run_sweep_iter(circuit, params, repetitions))
 
     def run_sweep_iter(
         self,
         circuit: Circuit,
         params: Sequence[Union[ParamResolver, dict, None]],
         repetitions: int = 1,
-        scope: str = "auto",
     ):
         """Streaming :meth:`run_sweep`: yield each point's :class:`Result`
         as soon as it completes.
 
-        Same compiled Program, same deterministic per-point seeding, same
-        ``scope`` semantics — ``list(run_sweep_iter(...))`` equals
-        ``run_sweep(...)`` bit-for-bit.  The difference is *when* results
-        surface: with a point-capable pooled executor, point ``i`` is
-        yielded the moment its last chunk lands (and all earlier points
-        are out) while later points are still running in the workers;
-        serially, each point is yielded before the next one starts.
-        Argument validation and compilation happen eagerly at call time;
-        only the execution is lazy.
+        Same compiled Program and deterministic per-point seeding —
+        ``list(run_sweep_iter(...))`` equals ``run_sweep(...)``
+        bit-for-bit.  The difference is *when* results surface: with a
+        pooled executor, point ``i`` is yielded the moment its last chunk
+        lands (and all earlier points are out) while later points are
+        still running in the workers; in-process, each point is yielded
+        before the next one starts.  Argument validation and compilation
+        happen eagerly at call time; only the execution is lazy.
 
         An abandoned iterator (``close()``, early ``break``) cancels
         what it can and releases every shared-memory result plane —
@@ -282,85 +264,42 @@ class Simulator:
         worker); the pool is killed and its planes released before the
         error surfaces, so the next call starts from a fresh pool.
         """
-        parts = self._sweep_parts(circuit, params, repetitions, scope)
-
-        def stream():
-            for records, _ in parts:
-                if not records:
-                    raise ValueError(
-                        "Circuit has no measurements; add measure(...) "
-                        "operations before run_sweep."
-                    )
-                yield Result(records)
-
-        return stream()
+        parts = self._sweep_parts(circuit, params, repetitions)
+        return (self._result(records, "run_sweep") for records, _ in parts)
 
     def sample_bitstrings_sweep(
         self,
         circuit: Circuit,
         params: Sequence[Union[ParamResolver, dict, None]],
         repetitions: int = 1,
-        scope: str = "auto",
     ) -> List[np.ndarray]:
         """Per-point final full-register bitstrings for a parameter sweep.
 
         The raw-bitstring sibling of :meth:`run_sweep` (same shared
-        compiled Program, same deterministic per-point seeding, same
-        ``scope`` semantics); returns one ``(repetitions, n)`` array per
-        resolver.
+        compiled Program, same deterministic per-point seeding); returns
+        one ``(repetitions, n)`` array per resolver.
         """
         return [
-            bits
-            for _, bits in self._sweep_parts(circuit, params, repetitions, scope)
+            bits for _, bits in self._sweep_parts(circuit, params, repetitions)
         ]
 
-    def _sweep_parts(
-        self,
-        circuit: Circuit,
-        params: Sequence[Union[ParamResolver, dict, None]],
-        repetitions: int,
-        scope: str,
-    ):
-        """Shared sweep engine: one ``(records, bits)`` pair per resolver.
+    def _sweep_parts(self, circuit: Circuit, params, repetitions: int):
+        """One lazy ``(records, bits)`` per resolver: a one-program batch.
 
-        Returns an *iterator* that yields points lazily in point order
-        (the streaming substrate of :meth:`run_sweep_iter`); validation
-        and compilation are eager.
+        An empty sweep has nothing to run — and nothing to compile: the
+        still-parameterized circuit cannot be resolved without a
+        resolver, so it returns no points, matching ``run_batch([])``.
         """
-        request = normalize_run_request(self.executor, repetitions, scope)
+        normalize_repetitions(repetitions)
         params = list(params)
-        if not params:
-            # An empty sweep has nothing to run — and nothing to compile.
-            # Matching run_batch([]), it returns no points instead of
-            # compiling (and later specializing) the still-parameterized
-            # circuit, which cannot be resolved without a resolver.
-            return iter(())
-        program = self.compile(circuit)
-        if request.fan_points:
-            return self.executor.execute_sweep_iter(
-                self, program, params, repetitions
-            )
-        if request.serial_point_streams:
-            # Explicit point scope without a point-fanning executor: one
-            # in-process stream per point — the serial contract pooled
-            # point scope reproduces bit-for-bit.
-            from .executors import _dispatch
-
-            return (
-                _dispatch(self, plan, repetitions, rng, ctx)
-                for plan, rng, ctx in self._sweep_plans(program, params)
-            )
-        return (
-            self._execute_plan(plan, repetitions, rng, ctx)
-            for plan, rng, ctx in self._sweep_plans(program, params)
-        )
+        program = self.compile(circuit) if params else None
+        return self._points([program] * len(params), params, repetitions)
 
     def run_batch(
         self,
         circuits: Sequence[Circuit],
         params: Optional[Sequence[Union[ParamResolver, dict, None]]] = None,
         repetitions: int = 1,
-        scope: str = "auto",
     ) -> List["Result"]:
         """Run many circuits, one :class:`Result` each.
 
@@ -370,87 +309,67 @@ class Simulator:
         distinct one once.  Per-circuit seeds derive from
         ``SeedSequence([user_seed, index])`` exactly like :meth:`run_sweep`.
 
-        ``scope`` mirrors :meth:`run_sweep`: with a point-capable
-        executor, ``"points"``/``"auto"`` treat the whole heterogeneous
-        batch as **one schedulable unit** — every distinct compiled
-        Program ships to the warm pool's workers in a single program
-        table, so N different circuits cost one worker initialization
-        instead of N, tasks select their program in-worker, and the
-        executor's scheduling mode may reorder or split points
+        With a pooled executor the whole heterogeneous batch is **one
+        schedulable unit**: every distinct compiled Program ships to the
+        warm pool's workers in a single program table, so N different
+        circuits cost one worker initialization instead of N, tasks
+        select their program in-worker, and the executor's scheduling
+        mode may reorder or split points
         (:func:`repro.sampler.schedule.schedule`).  With the default
-        ``"fifo"`` mode the output is bit-for-bit identical to the serial
-        (executor-free) ``run_batch``; ``"adaptive"`` or ``"stealing"``
+        ``"fifo"`` mode the output is bit-for-bit identical to the
+        executor-free ``run_batch``; ``"adaptive"`` or ``"stealing"``
         changes only *where* (and for split points, in how many
         deterministic chunks) each entry runs — the output stays a pure
         function of (batch, seed, mode), never of placement or timing.
-        ``"repetitions"`` runs each circuit through the executor's own
-        repetition geometry — the pre-multi-program behavior, one
-        execution key per circuit.
         """
-        return list(self.run_batch_iter(circuits, params, repetitions, scope))
+        return list(self.run_batch_iter(circuits, params, repetitions))
 
     def run_batch_iter(
         self,
         circuits: Sequence[Circuit],
         params: Optional[Sequence[Union[ParamResolver, dict, None]]] = None,
         repetitions: int = 1,
-        scope: str = "auto",
     ):
         """Streaming :meth:`run_batch`: yield each circuit's
         :class:`Result` as soon as it completes.
 
-        Same compiled Programs, deterministic seeding, and ``scope``
-        semantics as :meth:`run_batch` — ``list(run_batch_iter(...))``
-        equals ``run_batch(...)`` bit-for-bit; results stream strictly
-        in batch order as points finish (see :meth:`run_sweep_iter` for
-        the streaming and cleanup contract).  Validation and compilation
+        Same compiled Programs and deterministic seeding as
+        :meth:`run_batch` — ``list(run_batch_iter(...))`` equals
+        ``run_batch(...)`` bit-for-bit; results stream strictly in batch
+        order as points finish (see :meth:`run_sweep_iter` for the
+        streaming and cleanup contract).  Validation and compilation
         are eager; execution is lazy.
         """
         if params is not None and len(params) != len(circuits):
             raise ValueError(
                 f"Got {len(circuits)} circuits but {len(params)} resolvers"
             )
-        request = normalize_run_request(self.executor, repetitions, scope)
+        normalize_repetitions(repetitions)
         resolvers = list(params) if params is not None else [None] * len(circuits)
-        if request.fan_points and circuits:
-            programs = [self.compile(circuit) for circuit in circuits]
-            parts = self.executor.execute_batch_iter(
-                self, programs, resolvers, repetitions
-            )
-            return (self._batch_result(records) for records, _ in parts)
-        base = self._sweep_base_seed()
+        programs = [self.compile(circuit) for circuit in circuits]
+        parts = self._points(programs, resolvers, repetitions)
+        return (self._result(records, "run_batch") for records, _ in parts)
 
-        def stream():
-            for index, circuit in enumerate(circuits):
-                plan = self.compile(circuit).specialize(resolvers[index])
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([base, index])
-                )
-                ctx = (base, index, 0)
-                if request.serial_point_streams:
-                    # Explicit point scope without a point-fanning
-                    # executor: one in-process stream per circuit — the
-                    # serial contract pooled batches reproduce
-                    # bit-for-bit (mirrors the same branch in
-                    # _sweep_parts), never the executor's own
-                    # repetition-chunk geometry.
-                    from .executors import _dispatch
+    def _points(self, programs, resolvers, repetitions: int):
+        """Lazily yield one ``(records, bits)`` per (program, resolver)
+        point: the one multi-point path behind every sweep and batch.
 
-                    records, _ = _dispatch(self, plan, repetitions, rng, ctx)
-                else:
-                    records, _ = self._execute_plan(
-                        plan, repetitions, rng, ctx
-                    )
-                yield self._batch_result(records)
+        The executor's :meth:`~repro.sampler.executors.Executor.execute_batch_iter`
+        runs the points; without one they run as under a
+        :class:`~repro.sampler.executors.SerialExecutor`: in-process, one
+        seeded stream per point.
+        """
+        from .executors import SerialExecutor
 
-        return stream()
+        executor = self.executor if self.executor is not None else SerialExecutor()
+        return executor.execute_batch_iter(self, programs, resolvers, repetitions)
 
     @staticmethod
-    def _batch_result(records: Dict[str, np.ndarray]) -> "Result":
+    def _result(records: Dict[str, np.ndarray], api: str) -> "Result":
         if not records:
             raise ValueError(
                 "Circuit has no measurements; add measure(...) "
-                "operations before run_batch."
+                f"operations before {api}."
             )
         return Result(records)
 
@@ -479,21 +398,9 @@ class Simulator:
     ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
         normalize_repetitions(repetitions)
         plan = self.compile(circuit).specialize(param_resolver)
-        return self._execute_plan(plan, repetitions, None)
-
-    def _execute_plan(
-        self,
-        plan: ExecutionPlan,
-        repetitions: int,
-        rng: Optional[np.random.Generator],
-        ctx: Optional[Tuple[int, int, int]] = None,
-    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-        """Hand a specialized plan to the configured execution strategy."""
         if self.executor is not None:
-            return self.executor.execute(
-                self, plan, repetitions, rng=rng, ctx=ctx
-            )
-        return self._run_plan(plan, repetitions, rng, ctx)
+            return self.executor.execute(self, plan, repetitions)
+        return self._run_plan(plan, repetitions, None)
 
     def _run_plan(
         self,
@@ -549,29 +456,6 @@ class Simulator:
         if not adapter_cls.supports_plan(plan):
             return None
         return adapter_cls
-
-    def _sweep_base_seed(self) -> int:
-        """The integer base anchoring per-point/per-circuit seed streams.
-
-        Shares the executor layer's derivation so sweep seeding and chunk
-        seeding stay one contract (serial-vs-pooled parity depends on it).
-        """
-        from .executors import _base_seed
-
-        return _base_seed(self.seed)
-
-    def _sweep_plans(self, program: Program, params):
-        """Yield (plan, per-point rng, batched ctx) triples for a sweep.
-
-        ``ctx = (base, point, 0)`` matches the pooled point-scope recipe,
-        so serial and pooled sweeps agree bit-for-bit in batched mode
-        exactly as they do in serial mode.
-        """
-        base = self._sweep_base_seed()
-        for index, resolver in enumerate(params):
-            plan = program.specialize(resolver)
-            rng = np.random.default_rng(np.random.SeedSequence([base, index]))
-            yield plan, rng, (base, index, 0)
 
     def _candidate_loop(
         self, state, bits: Sequence[int], support: Sequence[int]

@@ -349,7 +349,7 @@ class TestChunkSizesProperties:
 
 
 # ----------------------------------------------------------------------
-# scope / trajectory_mode — the shared request normalizer
+# trajectory_mode and eager validation — the shared request normalizer
 # ----------------------------------------------------------------------
 
 class TestRequestNormalizer:
@@ -365,37 +365,25 @@ class TestRequestNormalizer:
         )
 
     @pytest.mark.parametrize("make_executor", EXECUTORS)
-    def test_bad_scope_same_error_everywhere(self, make_executor):
+    def test_batch_iter_compiles_at_call_time(self, make_executor):
+        # Compilation is eager on every executor: a circuit the compiler
+        # rejects (a qubit outside the state register) raises at the
+        # call, not at the first next().
         sim = self._sim(executor=make_executor())
-        circuit = clifford_circuit()
-        messages = set()
-        for call in (
-            lambda: sim.run_sweep(circuit, [None], scope="bogus"),
-            lambda: list(sim.run_sweep_iter(circuit, [None], scope="bogus")),
-            lambda: sim.run_batch([circuit], scope="bogus"),
-            lambda: list(sim.run_batch_iter([circuit], scope="bogus")),
-            lambda: sim.sample_bitstrings_sweep(circuit, [None], scope="bogus"),
-        ):
-            with pytest.raises(ValueError, match="scope") as excinfo:
-                call()
-            messages.add(str(excinfo.value))
-        assert len(messages) == 1
-
-    def test_scope_error_is_eager_for_iterators(self):
-        # Validation happens at the call, not at first next() — a bad
-        # scope never produces a generator that blows up later.
-        sim = self._sim()
-        with pytest.raises(ValueError, match="scope"):
-            sim.run_batch_iter([clifford_circuit()], scope="nope")
+        foreign = cirq.LineQubit(N)
+        circuit = cirq.Circuit(cirq.H(foreign), cirq.measure(foreign, key="m"))
+        with pytest.raises(ValueError, match="not in state register"):
+            sim.run_batch_iter([clifford_circuit(), circuit], repetitions=4)
 
     def test_bad_trajectory_mode_at_construction(self):
-        with pytest.raises(ValueError, match="trajectory_mode"):
-            bgls.Simulator(
-                StateVectorSimulationState(QUBITS),
-                bgls.act_on,
-                born.compute_probability_state_vector,
-                trajectory_mode="sometimes",
-            )
+        for mode in ("sometimes", "auto"):
+            with pytest.raises(ValueError, match="'serial' or 'batched'"):
+                bgls.Simulator(
+                    StateVectorSimulationState(QUBITS),
+                    bgls.act_on,
+                    born.compute_probability_state_vector,
+                    trajectory_mode=mode,
+                )
 
     def test_bad_trajectory_tile_at_construction(self):
         with pytest.raises(ValueError, match="trajectory_tile"):

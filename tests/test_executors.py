@@ -16,11 +16,11 @@ from repro.sampler.executors import (
     ProcessPoolExecutor,
     SerialExecutor,
     TaskTimeoutError,
-    _chunk_seeds,
     _chunk_sizes,
     _WorkerPayload,
 )
 from repro.sampler.result_planes import live_segment_names
+from repro.sampler.service import _base_seed, _chunk_seeds_from_base
 from repro.states import StateVectorSimulationState
 
 QUBITS = cirq.LineQubit.range(2)
@@ -231,7 +231,8 @@ class TestChunkHelpers:
                 assert sum(_chunk_sizes(reps, chunks)) == reps
 
     def test_chunk_seeds_are_prefix_stable(self):
-        assert _chunk_seeds(123, 3) == _chunk_seeds(123, 5)[:3]
+        base = _base_seed(123)
+        assert _chunk_seeds_from_base(base, 3) == _chunk_seeds_from_base(base, 5)[:3]
 
 
 class TestPoolContext:

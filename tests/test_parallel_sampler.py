@@ -29,7 +29,7 @@ from repro.sampler import (
     stabilizer_extent_circuit,
     stabilizer_extent_rz,
 )
-from repro.sampler.executors import _chunk_seeds, _chunk_sizes
+from repro.sampler.service import _base_seed, _chunk_seeds_from_base, _chunk_sizes
 from repro.states import (
     StabilizerChFormSimulationState,
     StateVectorSimulationState,
@@ -244,7 +244,8 @@ class TestDeterministicWorkerSeeding:
         )
         np.testing.assert_array_equal(runs[0][2], serial)
         # The derivation itself is stable and chunk-count independent.
-        assert _chunk_seeds(123, 3) == _chunk_seeds(123, 5)[:3]
+        base = _base_seed(123)
+        assert _chunk_seeds_from_base(base, 3) == _chunk_seeds_from_base(base, 5)[:3]
 
     def test_chunked_runs_are_reproducible_too(self, manager):
         circuit = noisy_bell_circuit()

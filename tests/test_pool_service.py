@@ -2,9 +2,9 @@
 
 The contracts pinned here (the PR's acceptance criteria):
 
-* **Point-scope parity** — pooled ``run_sweep(scope="points")`` output is
-  bit-for-bit identical to a serial, executor-free ``run_sweep`` for the
-  same seed, on all five shipped backends.
+* **Point parity** — pooled ``run_sweep`` output is bit-for-bit
+  identical to a serial, executor-free ``run_sweep`` for the same seed,
+  on all five shipped backends.
 * **Warm reuse** — consecutive ``run_sweep`` calls over one compiled
   Program reuse the pool with **zero** worker re-initializations
   (``PoolManager.stats["inits"]`` stays 1), and re-initialize exactly
@@ -155,7 +155,7 @@ def manager():
 
 
 class TestPointScopeParity:
-    """Pooled point scope == serial run_sweep, bit for bit, all backends."""
+    """Pooled run_sweep == serial run_sweep, bit for bit, all backends."""
 
     @pytest.mark.parametrize("start_method", START_METHODS)
     @pytest.mark.parametrize(
@@ -177,7 +177,7 @@ class TestPointScopeParity:
             ),
         )
         pooled = pooled_sim.run_sweep(
-            circuit, points, repetitions=18, scope="points"
+            circuit, points, repetitions=18
         )
         assert_sweeps_equal(serial, pooled)
         assert manager.stats["inits"] == 1
@@ -193,7 +193,7 @@ class TestPointScopeParity:
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             ),
         ).sample_bitstrings_sweep(
-            circuit, PARAM_POINTS, repetitions=23, scope="points"
+            circuit, PARAM_POINTS, repetitions=23
         )
         for a, b in zip(serial, pooled):
             np.testing.assert_array_equal(a, b)
@@ -215,51 +215,21 @@ class TestPointScopeParity:
             executor=ProcessPoolExecutor(
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             ),
-        ).run_sweep(circuit, points, repetitions=12, scope="points")
+        ).run_sweep(circuit, points, repetitions=12)
         assert_sweeps_equal(serial, pooled)
 
     def test_points_scope_without_executor_is_serial(self):
-        """Explicit point scope with no executor degrades to the serial loop."""
+        """A sweep on a chunked SerialExecutor is the executor-free loop:
+        one stream per point, never the executor's repetition chunks."""
         circuit = parameterized_circuit()
         a = sv_sim(5).run_sweep(circuit, PARAM_POINTS, repetitions=14)
-        b = sv_sim(5).run_sweep(
-            circuit, PARAM_POINTS, repetitions=14, scope="points"
+        b = sv_sim(5, executor=SerialExecutor(chunks=4)).run_sweep(
+            circuit, PARAM_POINTS, repetitions=14
         )
         assert_sweeps_equal(a, b)
 
-    def test_auto_scope_equals_points_for_pooled_executor(self, manager):
-        circuit = parameterized_circuit()
-        executor = ProcessPoolExecutor(
-            num_workers=2, start_method=START_METHODS[0], pool_manager=manager
-        )
-        sim = sv_sim(9, executor=executor)
-        auto = sim.run_sweep(circuit, PARAM_POINTS, repetitions=10)
-        explicit = sim.run_sweep(
-            circuit, PARAM_POINTS, repetitions=10, scope="points"
-        )
-        assert_sweeps_equal(auto, explicit)
-
-    def test_repetition_scope_keeps_chunk_geometry(self, manager):
-        """scope="repetitions" chunks each point like SerialExecutor(chunks)."""
-        circuit = parameterized_circuit()
-        pooled = sv_sim(
-            13,
-            executor=ProcessPoolExecutor(
-                num_workers=2,
-                chunks_per_worker=2,
-                start_method=START_METHODS[0],
-                pool_manager=manager,
-            ),
-        ).run_sweep(
-            circuit, PARAM_POINTS[:3], repetitions=16, scope="repetitions"
-        )
-        chunked = sv_sim(13, executor=SerialExecutor(chunks=4)).run_sweep(
-            circuit, PARAM_POINTS[:3], repetitions=16, scope="repetitions"
-        )
-        assert_sweeps_equal(pooled, chunked)
-
     def test_single_worker_fallback_keeps_point_scope_streams(self):
-        """Regression: point-scope output must not depend on worker count.
+        """Regression: sweep output must not depend on worker count.
 
         The in-process fallback (num_workers=1) must use the same
         one-stream-per-point recipe as the pooled fan-out, not the
@@ -269,7 +239,7 @@ class TestPointScopeParity:
         serial = sv_sim(11).run_sweep(circuit, PARAM_POINTS, repetitions=15)
         one_worker = sv_sim(
             11, executor=ProcessPoolExecutor(num_workers=1)
-        ).run_sweep(circuit, PARAM_POINTS, repetitions=15, scope="points")
+        ).run_sweep(circuit, PARAM_POINTS, repetitions=15)
         assert_sweeps_equal(serial, one_worker)
 
     def test_single_point_sweep_matches_serial(self, manager):
@@ -281,15 +251,8 @@ class TestPointScopeParity:
             executor=ProcessPoolExecutor(
                 num_workers=4, start_method=START_METHODS[0], pool_manager=manager
             ),
-        ).run_sweep(circuit, PARAM_POINTS[:1], repetitions=15, scope="points")
+        ).run_sweep(circuit, PARAM_POINTS[:1], repetitions=15)
         assert_sweeps_equal(serial, pooled)
-
-    def test_invalid_scope_raises(self):
-        with pytest.raises(ValueError, match="scope"):
-            sv_sim(1).run_sweep(
-                parameterized_circuit(), PARAM_POINTS, repetitions=2, scope="bogus"
-            )
-
 
 class TestWarmReuse:
     """The init counter: reuse on equal keys, re-init exactly on change."""
@@ -303,9 +266,9 @@ class TestWarmReuse:
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             ),
         )
-        first = sim.run_sweep(circuit, PARAM_POINTS, repetitions=10, scope="points")
-        second = sim.run_sweep(circuit, PARAM_POINTS, repetitions=10, scope="points")
-        third = sim.run_sweep(circuit, PARAM_POINTS, repetitions=10, scope="points")
+        first = sim.run_sweep(circuit, PARAM_POINTS, repetitions=10)
+        second = sim.run_sweep(circuit, PARAM_POINTS, repetitions=10)
+        third = sim.run_sweep(circuit, PARAM_POINTS, repetitions=10)
         assert manager.stats["inits"] == 1
         assert manager.stats["reuses"] == 2
         assert manager.stats["key_changes"] == 0
@@ -317,13 +280,13 @@ class TestWarmReuse:
             num_workers=2, start_method=START_METHODS[0], pool_manager=manager
         )
         sim = sv_sim(3, executor=executor)
-        sim.run_sweep(parameterized_circuit(), PARAM_POINTS, repetitions=8, scope="points")
+        sim.run_sweep(parameterized_circuit(), PARAM_POINTS, repetitions=8)
         other = cirq.Circuit(
             cirq.X(QUBITS[0]),
             cirq.Rx(THETA).on(QUBITS[1]),
             cirq.measure(*QUBITS, key="m"),
         )
-        sim.run_sweep(other, PARAM_POINTS, repetitions=8, scope="points")
+        sim.run_sweep(other, PARAM_POINTS, repetitions=8)
         assert manager.stats["inits"] == 2
         assert manager.stats["key_changes"] == 1
 
@@ -347,8 +310,8 @@ class TestWarmReuse:
                 ),
             )
 
-        tableau_sim(False).run_sweep(circuit, CLIFFORD_POINTS, repetitions=6, scope="points")
-        tableau_sim(True).run_sweep(circuit, CLIFFORD_POINTS, repetitions=6, scope="points")
+        tableau_sim(False).run_sweep(circuit, CLIFFORD_POINTS, repetitions=6)
+        tableau_sim(True).run_sweep(circuit, CLIFFORD_POINTS, repetitions=6)
         assert manager.stats["inits"] == 2
         assert manager.stats["key_changes"] == 1
 
@@ -367,13 +330,13 @@ class TestWarmReuse:
                     pool_manager=manager,
                 ),
             )
-            sim.run_sweep(circuit, CLIFFORD_POINTS, repetitions=6, scope="points")
+            sim.run_sweep(circuit, CLIFFORD_POINTS, repetitions=6)
         assert manager.stats["inits"] == 1
         assert manager.stats["reuses"] == 1
 
     def test_execute_path_reuses_pool_via_memoized_plan(self, manager):
-        """Repetition-scope run() calls share the pool too: the memoized
-        specialize cache hands the manager the same plan object."""
+        """run() calls share the pool too: the memoized specialize cache
+        hands the manager the same plan object."""
         circuit = clifford_circuit()
         sim = bgls.Simulator(
             StabilizerChFormSimulationState(QUBITS),
@@ -406,7 +369,7 @@ class TestWarmReuse:
                     pool_manager=manager,
                 ),
             )
-            sim.run_sweep(circuit, PARAM_POINTS, repetitions=6, scope="points")
+            sim.run_sweep(circuit, PARAM_POINTS, repetitions=6)
         assert manager.stats["inits"] == 2
 
 
@@ -444,19 +407,6 @@ class TestHeterogeneousBatch:
         ).run_batch(circuits, repetitions=14)
         assert manager.stats["inits"] == 1
         assert_sweeps_equal(serial, pooled)
-
-    def test_repetition_scope_reinitializes_per_circuit(self, manager):
-        """The pre-multi-program cost model for contrast: each circuit is
-        its own execution key, so N circuits pay N pool inits."""
-        circuits = distinct_clifford_circuits(4)
-        sim = sv_sim(
-            19,
-            executor=ProcessPoolExecutor(
-                num_workers=2, start_method=START_METHODS[0], pool_manager=manager
-            ),
-        )
-        sim.run_batch(circuits, repetitions=16, scope="repetitions")
-        assert manager.stats["inits"] == len(circuits)
 
     def test_repeated_batch_reuses_pool(self, manager):
         """The Program cache hands the manager the same table objects, so
@@ -555,20 +505,14 @@ class TestHeterogeneousBatch:
         ).run_batch(circuits, params=params, repetitions=10)
         assert_sweeps_equal(serial, pooled)
 
-    def test_invalid_scope_raises(self):
-        with pytest.raises(ValueError, match="scope"):
-            sv_sim(1).run_batch(
-                distinct_clifford_circuits(2), repetitions=2, scope="bogus"
-            )
-
     def test_points_scope_without_point_executor_is_serial(self):
-        """Regression: explicit point scope must keep the one-stream-per-
-        point serial contract even when the executor cannot fan points —
-        never the executor's own repetition-chunk geometry."""
+        """A batch on a chunked SerialExecutor keeps the one-stream-per-
+        point serial contract — never the executor's own repetition-chunk
+        geometry."""
         circuits = distinct_clifford_circuits(3)
         serial = sv_sim(43).run_batch(circuits, repetitions=16)
         chunked = sv_sim(43, executor=SerialExecutor(chunks=4)).run_batch(
-            circuits, repetitions=16, scope="points"
+            circuits, repetitions=16
         )
         assert_sweeps_equal(serial, chunked)
 
@@ -581,7 +525,7 @@ class TestWarmColdEquality:
             executor=ProcessPoolExecutor(
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             ),
-        ).run_sweep(circuit, PARAM_POINTS, repetitions=12, scope="points")
+        ).run_sweep(circuit, PARAM_POINTS, repetitions=12)
         cold = sv_sim(
             31,
             executor=ProcessPoolExecutor(
@@ -589,7 +533,7 @@ class TestWarmColdEquality:
                 start_method=START_METHODS[0],
                 reuse_pool=False,
             ),
-        ).run_sweep(circuit, PARAM_POINTS, repetitions=12, scope="points")
+        ).run_sweep(circuit, PARAM_POINTS, repetitions=12)
         assert_sweeps_equal(warm, cold)
 
     def test_warm_and_cold_execute_identically(self, manager):
@@ -627,7 +571,7 @@ class TestLifecycle:
                     num_workers=2, start_method=START_METHODS[0], pool_manager=mgr
                 ),
             )
-            sim.run_sweep(circuit, PARAM_POINTS, repetitions=6, scope="points")
+            sim.run_sweep(circuit, PARAM_POINTS, repetitions=6)
             pids = mgr.worker_pids()
             assert pids
         for pid in pids:
@@ -640,12 +584,12 @@ class TestLifecycle:
             num_workers=2, start_method=START_METHODS[0], pool_manager=manager
         )
         sim = sv_sim(4, executor=executor)
-        sim.run_sweep(circuit, PARAM_POINTS, repetitions=6, scope="points")
+        sim.run_sweep(circuit, PARAM_POINTS, repetitions=6)
         manager.shutdown()
         manager.shutdown()  # no-op
         assert manager.stats["inits"] == 1
         # A new call after shutdown simply builds a fresh pool.
-        sim.run_sweep(circuit, PARAM_POINTS, repetitions=6, scope="points")
+        sim.run_sweep(circuit, PARAM_POINTS, repetitions=6)
         assert manager.stats["inits"] == 2
 
     def test_failed_task_resets_pool(self, manager):
@@ -660,11 +604,11 @@ class TestLifecycle:
         # Unresolvable sweep: the worker-side specialize raises.
         with pytest.raises(Exception):
             sim.run_sweep(
-                circuit, [{"theta": 0.1}, {"wrong": 1.0}], repetitions=4, scope="points"
+                circuit, [{"theta": 0.1}, {"wrong": 1.0}], repetitions=4
             )
         assert manager._pool is None  # fail-safe shutdown happened
         # The manager recovers with a fresh pool on the next call.
-        good = sim.run_sweep(circuit, PARAM_POINTS, repetitions=6, scope="points")
+        good = sim.run_sweep(circuit, PARAM_POINTS, repetitions=6)
         serial = sv_sim(6).run_sweep(circuit, PARAM_POINTS, repetitions=6)
         assert_sweeps_equal(good, serial)
 
@@ -688,7 +632,7 @@ class TestLifecycle:
             "                         born.compute_probability_state_vector, seed=1,\n"
             "                         executor=ProcessPoolExecutor(num_workers=2,\n"
             f"                         start_method={START_METHODS[0]!r}))\n"
-            "    sim.run_sweep(circ, [None] * 3, repetitions=8, scope='points')\n"
+            "    sim.run_sweep(circ, [None] * 3, repetitions=8)\n"
             "    print('PIDS', *service.shared_pool_manager().worker_pids())\n"
             "\n"
             "if __name__ == '__main__':\n"
@@ -721,7 +665,7 @@ class TestLifecycle:
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             ),
         )
-        sim.run_sweep(circuit, PARAM_POINTS, repetitions=4, scope="points")
+        sim.run_sweep(circuit, PARAM_POINTS, repetitions=4)
         live = manager.worker_pids()
         manager.shutdown()
         assert manager.worker_pids() == live

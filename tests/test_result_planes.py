@@ -4,8 +4,8 @@ The contracts pinned here (this PR's acceptance criteria):
 
 * **Transport parity** — shm-pooled ``run_sweep``/``run_batch`` are
   bit-for-bit identical to the serial executor-free path on all five
-  shipped backends, under every ``scope`` mode, under adaptive split
-  schedules, and identical to the pickled-result fallback transport.
+  shipped backends, under adaptive split schedules, and identical to
+  the pickled-result fallback transport.
 * **Streaming parity** — ``run_sweep_iter``/``run_batch_iter`` yield
   exactly the list APIs' per-point Results, in order.
 * **Segment lifecycle** — no shared-memory segment survives a completed
@@ -31,7 +31,7 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import PoolManager, ProcessPoolExecutor, SerialExecutor
+from repro.sampler import PoolManager, ProcessPoolExecutor
 from repro.sampler import result_planes
 from repro.sampler.result_planes import (
     PointPlanes,
@@ -227,17 +227,16 @@ class TestTransportParity:
     @pytest.mark.parametrize(
         "make_state,prob_fn,circuit_factory,points", BACKENDS
     )
-    @pytest.mark.parametrize("scope", ["auto", "points"])
     def test_sweep_matches_serial_on_all_backends(
-        self, manager, make_state, prob_fn, circuit_factory, points, scope
+        self, manager, make_state, prob_fn, circuit_factory, points
     ):
         circuit = circuit_factory()
         serial = make_sim(make_state, prob_fn, seed=11).run_sweep(
-            circuit, points, repetitions=32, scope=scope
+            circuit, points, repetitions=32
         )
         pooled = make_sim(
             make_state, prob_fn, seed=11, executor=pool_exec(manager)
-        ).run_sweep(circuit, points, repetitions=32, scope=scope)
+        ).run_sweep(circuit, points, repetitions=32)
         assert_sweeps_equal(serial, pooled)
         assert live_segment_names() == []
 
@@ -267,20 +266,6 @@ class TestTransportParity:
             circuit, PARAM_POINTS, repetitions=40
         )
         assert_sweeps_equal(shm, pickled)
-
-    def test_repetitions_scope_matches_serial_chunks(self, manager):
-        # scope="repetitions" routes each point through execute(): the
-        # chunk-geometry contract (pooled == SerialExecutor with the
-        # same chunk count) must hold for the shm transport too.
-        circuit = parameterized_circuit()
-        pooled = sv_sim(9, pool_exec(manager, "shm")).run_sweep(
-            circuit, PARAM_POINTS, repetitions=30, scope="repetitions"
-        )
-        serial = sv_sim(9, SerialExecutor(chunks=2)).run_sweep(
-            circuit, PARAM_POINTS, repetitions=30, scope="repetitions"
-        )
-        assert_sweeps_equal(pooled, serial)
-        assert live_segment_names() == []
 
     def test_adaptive_split_schedule_parity(self, manager):
         # Adaptive mode through both transports must match the
@@ -368,10 +353,6 @@ class TestStreaming:
 
     def test_iter_validates_eagerly(self, manager):
         simulator = sv_sim(1, pool_exec(manager))
-        with pytest.raises(ValueError, match="scope"):
-            simulator.run_sweep_iter(
-                parameterized_circuit(), PARAM_POINTS, 8, scope="bogus"
-            )
         with pytest.raises(ValueError, match="resolvers"):
             simulator.run_batch_iter(
                 [parameterized_circuit()], [None, None], 8

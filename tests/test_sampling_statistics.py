@@ -163,7 +163,7 @@ class TestSeededRandomCircuit:
         assert_matches_exact(bits, probs, n, reps)
 
     def test_qaoa_grid_pooled_point_scope_matches_exact(self):
-        """Pooled point-scope run_sweep vs exact Born, per grid point.
+        """Pooled run_sweep vs exact Born, per grid point.
 
         The statistical regression for the warm-pool sweep path: a
         parameterized QAOA MaxCut template swept over a (gamma, beta)
@@ -200,9 +200,7 @@ class TestSeededRandomCircuit:
                 ProcessPoolExecutor(
                     num_workers=2, start_method="fork", pool_manager=manager
                 )
-            ).sample_bitstrings_sweep(
-                template, resolvers, repetitions=reps, scope="points"
-            )
+            ).sample_bitstrings_sweep(template, resolvers, repetitions=reps)
         serial = make_sim().sample_bitstrings_sweep(
             template, resolvers, repetitions=reps
         )

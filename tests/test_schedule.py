@@ -22,11 +22,7 @@ from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
 from repro.sampler import PoolManager, ProcessPoolExecutor, estimate_cost
-from repro.sampler.executors import (
-    _merge_chunks,
-    _run_task_in_process,
-    _task_args,
-)
+from repro.sampler.executors import _merge_chunks, _task_args
 from repro.sampler.schedule import (
     MIN_CHUNK_REPETITIONS,
     TRAJECTORY_COST_MULTIPLIER,
@@ -128,7 +124,7 @@ def merge_by_point(tasks, parts, num_points):
 
 def replay(sim, circuits, repetitions, seed, mode):
     """Run ``mode``'s schedule of ``circuits`` in-process, task by task."""
-    from repro.sampler.service import _base_seed
+    from repro.sampler.service import _base_seed, _run_task
 
     table = [sim.compile(circuit) for circuit in circuits]
     entries = [
@@ -138,7 +134,7 @@ def replay(sim, circuits, repetitions, seed, mode):
     tasks = schedule(entries, repetitions, 2, mode)
     base = _base_seed(seed)
     parts = [
-        _run_task_in_process(sim, table, _task_args(t, base, repetitions))
+        _run_task(sim, table, *_task_args(t, base, repetitions))
         for t in tasks
     ]
     return tasks, merge_by_point(tasks, parts, len(circuits))

@@ -273,28 +273,6 @@ class TestDeterminism:
         assert_records_equal(sv, ch)
         assert_records_equal(sv, tab)
 
-    def test_auto_mode_equals_batched_on_supported_backend(self):
-        circuit = noisy_circuit()
-        batched = run_bits(
-            make_sim(
-                lambda: StateVectorSimulationState(QUBITS),
-                born.compute_probability_state_vector,
-                seed=5,
-                mode="batched",
-            ),
-            circuit,
-        )
-        auto = run_bits(
-            make_sim(
-                lambda: StateVectorSimulationState(QUBITS),
-                born.compute_probability_state_vector,
-                seed=5,
-                mode="auto",
-            ),
-            circuit,
-        )
-        assert_records_equal(batched, auto)
-
     def test_measurement_only_plans_bypass_the_engine(self):
         """Pure-unitary circuits never enter trajectory mode, so batched
         and serial modes agree bit-for-bit there."""

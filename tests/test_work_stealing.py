@@ -18,14 +18,10 @@ from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
 from repro.sampler import PoolManager, ProcessPoolExecutor, estimate_cost
-from repro.sampler.executors import (
-    _merge_chunks,
-    _run_task_in_process,
-    _task_args,
-)
+from repro.sampler.executors import _merge_chunks, _task_args
 from repro.sampler.result_planes import live_segment_names
 from repro.sampler.schedule import GRANULARITY, BatchEntry, schedule
-from repro.sampler.service import _base_seed
+from repro.sampler.service import _base_seed, _run_task
 from repro.states import (
     CliffordTableauSimulationState,
     DensityMatrixSimulationState,
@@ -243,9 +239,7 @@ class TestWorkStealingParity:
         base = _base_seed(17)
         by_point = {point: [] for point in range(len(circuits))}
         for t in tasks:
-            part = _run_task_in_process(
-                replay_sim, table, _task_args(t, base, 24)
-            )
+            part = _run_task(replay_sim, table, *_task_args(t, base, 24))
             by_point[t.point_index].append((t.chunk_index, part))
         replayed = [_merge_chunks(p, by_point[p]) for p in sorted(by_point)]
         for (records, _), result in zip(replayed, pooled):
@@ -297,10 +291,9 @@ class TestWorkStealingParity:
         ).run_batch(circuits, repetitions=UNSPLIT_REPS)
         assert_results_equal(serial, stealing)
 
-    @pytest.mark.parametrize("scope", ["auto", "points"])
-    def test_sweep_scope_matches_serial_sweep(self, manager, scope):
-        """Stealing through run_sweep's point scope: a parameterized
-        sweep equals the serial sweep bit for bit."""
+    def test_sweep_matches_serial_sweep(self, manager):
+        """Stealing through run_sweep: a parameterized sweep equals the
+        serial sweep bit for bit."""
         theta = cirq.Symbol("theta")
         circuit = cirq.Circuit(
             cirq.H(QUBITS[0]),
@@ -313,13 +306,13 @@ class TestWorkStealingParity:
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=37,
-        ).run_sweep(circuit, params, repetitions=UNSPLIT_REPS, scope=scope)
+        ).run_sweep(circuit, params, repetitions=UNSPLIT_REPS)
         stealing = make_sim(
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=37,
             executor=stealing_executor(manager),
-        ).run_sweep(circuit, params, repetitions=UNSPLIT_REPS, scope=scope)
+        ).run_sweep(circuit, params, repetitions=UNSPLIT_REPS)
         assert_results_equal(serial, stealing)
 
     def test_transports_are_identical(self, manager):
