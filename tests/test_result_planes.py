@@ -31,7 +31,7 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import PoolManager, ProcessPoolExecutor
+from repro.sampler import PoolManager, ProcessPoolExecutor, SerialExecutor
 from repro.sampler import result_planes
 from repro.sampler.result_planes import (
     PointPlanes,
@@ -134,6 +134,13 @@ def make_sim(make_state, prob_fn, seed, executor=None):
     )
 
 
+#: In-process references a pooled sweep must equal, by how the points
+#: are scoped: ``"auto"`` lets the simulator pick its executor-free
+#: default; ``"points"`` runs the point-task list under an explicit
+#: chunked SerialExecutor, whose sweeps still run one stream per point.
+SERIAL_REFERENCES = {"auto": None, "points": SerialExecutor(chunks=2)}
+
+
 def sv_sim(seed, executor=None):
     return make_sim(
         lambda: StateVectorSimulationState(QUBITS),
@@ -227,13 +234,14 @@ class TestTransportParity:
     @pytest.mark.parametrize(
         "make_state,prob_fn,circuit_factory,points", BACKENDS
     )
+    @pytest.mark.parametrize("scope", ["auto", "points"])
     def test_sweep_matches_serial_on_all_backends(
-        self, manager, make_state, prob_fn, circuit_factory, points
+        self, manager, make_state, prob_fn, circuit_factory, points, scope
     ):
         circuit = circuit_factory()
-        serial = make_sim(make_state, prob_fn, seed=11).run_sweep(
-            circuit, points, repetitions=32
-        )
+        serial = make_sim(
+            make_state, prob_fn, seed=11, executor=SERIAL_REFERENCES[scope]
+        ).run_sweep(circuit, points, repetitions=32)
         pooled = make_sim(
             make_state, prob_fn, seed=11, executor=pool_exec(manager)
         ).run_sweep(circuit, points, repetitions=32)

@@ -17,7 +17,12 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import PoolManager, ProcessPoolExecutor, estimate_cost
+from repro.sampler import (
+    PoolManager,
+    ProcessPoolExecutor,
+    SerialExecutor,
+    estimate_cost,
+)
 from repro.sampler.executors import _merge_chunks, _task_args
 from repro.sampler.result_planes import live_segment_names
 from repro.sampler.schedule import GRANULARITY, BatchEntry, schedule
@@ -291,9 +296,12 @@ class TestWorkStealingParity:
         ).run_batch(circuits, repetitions=UNSPLIT_REPS)
         assert_results_equal(serial, stealing)
 
-    def test_sweep_matches_serial_sweep(self, manager):
-        """Stealing through run_sweep: a parameterized sweep equals the
-        serial sweep bit for bit."""
+    @pytest.mark.parametrize("scope", ["auto", "points"])
+    def test_sweep_scope_matches_serial_sweep(self, manager, scope):
+        """Stealing through run_sweep's point tasks: a parameterized sweep
+        equals the serial sweep bit for bit, whether the serial side runs
+        executor-free (``auto``) or under an explicit chunked
+        SerialExecutor (``points``)."""
         theta = cirq.Symbol("theta")
         circuit = cirq.Circuit(
             cirq.H(QUBITS[0]),
@@ -306,6 +314,7 @@ class TestWorkStealingParity:
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=37,
+            executor={"auto": None, "points": SerialExecutor(chunks=2)}[scope],
         ).run_sweep(circuit, params, repetitions=UNSPLIT_REPS)
         stealing = make_sim(
             lambda: StateVectorSimulationState(QUBITS),
