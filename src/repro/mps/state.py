@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuits.qubits import Qid
-from ..states.base import SimulationState
+from ..states.base import SimulationState, check_basis_index
 from ..tensornet import Tensor, TensorNetwork
 from .options import MPSOptions
 
@@ -45,9 +45,10 @@ class MPSState(SimulationState):
         super().__init__(qubits, seed)
         self.options = options or MPSOptions()
         n = self.num_qubits
+        initial_state = check_basis_index(initial_state, n)
         self.tensors: List[Tensor] = []
         for k in range(n):
-            bit = (int(initial_state) >> (n - 1 - k)) & 1
+            bit = (initial_state >> (n - 1 - k)) & 1
             vec = np.zeros(2, dtype=np.complex128)
             vec[bit] = 1.0
             self.tensors.append(Tensor(vec, (self.i_str(k),)))

@@ -11,9 +11,11 @@ computation** instead:
   ``(B, rows, words)`` packed GF(2) word stacks
   (:class:`~repro.states.tableau.StackedCliffordTableaus`,
   :class:`~repro.states.chform.StackedChForms`);
-* every plan record applies across the batch axis in one call: unitaries
-  broadcast via ``tensordot``, Clifford primitives as stacked column
-  passes, candidate probabilities as one batched gather;
+* every plan record applies across the batch axis in one call, through
+  the scalar backends' own kernels: unitaries via
+  :func:`~repro.states.state_vector.apply_matrix` on the tile's shifted
+  axes, Clifford primitives via the engines' ``...``-indexed gate
+  updates, candidate probabilities as one batched gather;
 * bit resampling replaces ``B`` scalar multinomials with one vectorized
   cumulative-sum/searchsorted pass over a ``(B, 2^k)`` probability matrix;
 * Kraus branching draws all ``B`` branch choices at once and applies each
@@ -45,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..states.base import candidate_index_matrix
+from ..states.state_vector import apply_matrix
 from .plan import ExecutionPlan, FusedOpRecord, OpRecord
 
 #: Soft cap on the dense tile's amplitude memory (bytes).  The engine
@@ -171,24 +174,12 @@ class BatchedStateVector:
         return min(tile, repetitions)
 
     # -- stacked mutations -------------------------------------------------
-    def _applied(
-        self, tensor: np.ndarray, u: np.ndarray, support: Sequence[int]
-    ) -> np.ndarray:
-        """``u`` applied to the support axes of a ``(B, ...)`` tile."""
-        k = len(support)
-        u = np.asarray(u, dtype=np.complex128).reshape((2,) * (2 * k))
-        axes = [a + 1 for a in support]
-        moved = np.tensordot(u, tensor, axes=(range(k, 2 * k), axes))
-        return np.moveaxis(moved, range(k), axes)
-
     def apply_record(self, plan: ExecutionPlan, rec) -> None:
-        if type(rec) is FusedOpRecord:
-            for sub in rec.records:
-                self.tensor = self._applied(
-                    self.tensor, sub.unitary, sub.support
-                )
-        else:
-            self.tensor = self._applied(self.tensor, rec.unitary, rec.support)
+        subs = rec.records if type(rec) is FusedOpRecord else (rec,)
+        for sub in subs:
+            # Tile axis 0 is the batch, so qubit a lives on axis a + 1.
+            axes = [a + 1 for a in sub.support]
+            self.tensor = apply_matrix(self.tensor, sub.unitary, axes)
 
     def candidate_probabilities(
         self, bits: np.ndarray, support: Sequence[int]
@@ -230,11 +221,12 @@ class BatchedStateVector:
         the chosen-branch candidate probabilities for bit resampling.
         """
         nk = len(kraus)
+        axes = [a + 1 for a in support]
         idx = candidate_index_matrix(bits, support, self.n)
         rows = np.arange(self.batch)
         probses = np.empty((nk, self.batch, idx.shape[1]))
         for i, k_op in enumerate(kraus):
-            trial = self._applied(self.tensor, k_op, support)
+            trial = apply_matrix(self.tensor, k_op, axes)
             flat = trial.reshape(self.batch, -1)
             probses[i] = np.abs(flat[rows[:, None], idx]) ** 2
         weights = probses.sum(axis=2).T  # (B, nk)
@@ -250,7 +242,7 @@ class BatchedStateVector:
             mask = choice == j
             if not mask.any():
                 continue
-            out[mask] = self._applied(self.tensor[mask], kraus[j], support)
+            out[mask] = apply_matrix(self.tensor[mask], kraus[j], axes)
         self.tensor = out
         flat = self.tensor.reshape(self.batch, -1)
         norms = np.linalg.norm(flat, axis=1)

@@ -99,6 +99,49 @@ class SimulationState(abc.ABC):
         """Deep copy (fresh RNG unless ``seed`` shares one)."""
 
 
+def check_basis_index(initial_state: int, num_qubits: int) -> int:
+    """``initial_state`` as a basis index of a ``num_qubits``-qubit register.
+
+    Raises ``ValueError`` outside ``[0, 2^n)``: a negative index would
+    otherwise wrap through NumPy indexing or sign bits, and one past the
+    register would be silently truncated.
+    """
+    index = int(initial_state)
+    if not 0 <= index < 2**num_qubits:
+        raise ValueError(
+            f"initial_state {initial_state} out of range for "
+            f"{num_qubits} qubits"
+        )
+    return index
+
+
+#: ``_stabilizer_sequence_`` primitive name -> engine method.  Both
+#: stabilizer engines (and their batch stacks) implement every method.
+STABILIZER_PRIMITIVES = {
+    "H": "apply_h",
+    "S": "apply_s",
+    "SDG": "apply_sdg",
+    "X": "apply_x",
+    "Y": "apply_y",
+    "Z": "apply_z",
+    "CX": "apply_cx",
+    "CZ": "apply_cz",
+}
+
+
+def apply_primitives(engine, prims, axes: Sequence[int]) -> None:
+    """Run ``(name, local_axes)`` primitives on a stabilizer engine.
+
+    ``local_axes`` index into ``axes``, the operation's state axes.
+    """
+    for name, local in prims:
+        try:
+            method = STABILIZER_PRIMITIVES[name]
+        except KeyError:
+            raise ValueError(f"Unknown stabilizer primitive {name!r}") from None
+        getattr(engine, method)(*[axes[i] for i in local])
+
+
 def candidate_index_matrix(
     bits_list: Sequence[Sequence[int]], support: Sequence[int], n: int
 ) -> np.ndarray:

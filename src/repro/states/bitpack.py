@@ -125,56 +125,22 @@ def set_bit(vec: np.ndarray, col: int, value: int) -> None:
 
 
 def get_col(mat: np.ndarray, col: int) -> np.ndarray:
-    """Column ``col`` of a packed matrix as a (rows,) 0/1 ``uint64`` array."""
+    """Column ``col`` of a ``(..., words)`` packed matrix as a 0/1
+    ``uint64`` array over the leading axes (the word axis dropped)."""
     w, b = word_and_bit(col)
-    return (mat[:, w] >> b) & _ONE
+    return (mat[..., w] >> b) & _ONE
 
 
 def xor_col(mat: np.ndarray, col: int, bits01: np.ndarray) -> None:
-    """XOR a (rows,) 0/1 vector into column ``col`` of a packed matrix."""
+    """XOR a 0/1 array into column ``col`` of a ``(..., words)`` packed
+    matrix; ``bits01`` broadcasts against the leading axes."""
     w, b = word_and_bit(col)
-    mat[:, w] ^= bits01 << b
+    mat[..., w] ^= bits01 << b
 
 
 def bit_positions(vec: np.ndarray, n: int) -> np.ndarray:
     """Indices of set bits of a packed vector (like ``np.flatnonzero``)."""
     return np.flatnonzero(unpack_rows(vec, n))
-
-
-# -- stacked (leading batch axes) column helpers ------------------------------
-#
-# The batched-trajectory engine stacks B copies of a packed GF(2) matrix
-# into one ``(B, rows, words)`` array and updates all B at once.  These
-# helpers are the stacked siblings of :func:`get_col`/:func:`xor_col`:
-# they address the *last* axis as the word axis, so any number of leading
-# batch/row axes broadcasts through one NumPy call.
-
-
-def get_col_stacked(mat: np.ndarray, col: int) -> np.ndarray:
-    """Column ``col`` across all leading axes as a 0/1 ``uint64`` array.
-
-    ``mat`` has shape ``(..., words)``; the result drops the word axis.
-    """
-    w, b = word_and_bit(col)
-    return (mat[..., w] >> b) & _ONE
-
-
-def xor_col_stacked(mat: np.ndarray, col: int, bits01: np.ndarray) -> None:
-    """XOR a 0/1 array into column ``col`` of a stacked packed matrix.
-
-    ``bits01`` must broadcast against ``mat[..., w]`` (shape ``(...,)``).
-    """
-    w, b = word_and_bit(col)
-    mat[..., w] ^= np.asarray(bits01, dtype=np.uint64) << b
-
-
-def set_col_stacked(mat: np.ndarray, col: int, bits01: np.ndarray) -> None:
-    """Set column ``col`` of a stacked packed matrix to a 0/1 array."""
-    w, b = word_and_bit(col)
-    keep = ~(_ONE << b)
-    mat[..., w] = (mat[..., w] & keep) | (
-        np.asarray(bits01, dtype=np.uint64) << b
-    )
 
 
 def words_to_bytes(arr: np.ndarray) -> bytes:

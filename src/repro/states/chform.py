@@ -26,6 +26,14 @@ pre-packing implementation is retained as
 :class:`repro.states.reference.UnpackedStabilizerChForm` and property
 tests assert exact agreement gate-for-gate.
 
+Every gate update except the Hadamard indexes rows with ``...`` and
+reduces over the last axis, and the candidate routine broadcasts over a
+leading axis, so the same code runs on one CH form and on a
+``(B, n, W)`` batch stack.  :class:`StackedChForms` inherits them and
+only adds stacking, per-trajectory views, a batch-shape check on its
+candidate query, and the per-trajectory Hadamard (whose ``update_sum``
+case split depends on each trajectory's own ``v`` and ``s``).
+
 Why BGLS cares: computing one bitstring amplitude costs O(n^2) and is
 *independent of circuit depth* — the property behind the paper's Fig. 3.
 Probability queries are cheaper still: a stabilizer state is flat, so
@@ -43,6 +51,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import bitpack as bp
+from .base import apply_primitives, check_basis_index
 
 _SQRT2 = math.sqrt(2.0)
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
@@ -55,6 +64,7 @@ class StabilizerChForm:
         n = int(num_qubits)
         if n <= 0:
             raise ValueError("Need at least one qubit")
+        initial_state = check_basis_index(initial_state, n)
         self.n = n
         w = bp.num_words(n)
         self._w = w
@@ -107,22 +117,24 @@ class StabilizerChForm:
         H Z^F X^M, flipping s_j by M and contributing (-1)^{F*(s+M)}; on
         bare qubits (v_j=0) it flips s_j by F and contributes (-1)^{M*s}.
         """
-        f_row, m_row = self.Fw[q], self.Mw[q]
+        f_row, m_row = self.Fw[..., q, :], self.Mw[..., q, :]
         v, s = self.vw, self.sw
         t = s ^ (f_row & ~v) ^ (m_row & v)
-        beta = bp.count_bits(m_row & ~v & s)
-        beta += bp.count_bits(f_row & v & (s ^ m_row))
-        return int(self.gamma[q] + 2 * beta) % 4, t
+        beta = bp.count_bits(m_row & ~v & s, axis=-1)
+        beta += bp.count_bits(f_row & v & (s ^ m_row), axis=-1)
+        return (self.gamma[..., q] + 2 * beta) % 4, t
 
     def _z_row_action(self, q: int) -> Tuple[int, np.ndarray]:
         """Action of ``U_C^dag Z_q U_C`` on ``U_H|s>``: (i-power, new_s)."""
-        g_row = self.Gw[q]
+        g_row = self.Gw[..., q, :]
         u = self.sw ^ (g_row & self.vw)
-        alpha = bp.count_bits(g_row & ~self.vw & self.sw)
+        alpha = bp.count_bits(g_row & ~self.vw & self.sw, axis=-1)
         return (2 * alpha) % 4, u
 
     # ------------------------------------------------------------------
-    # Left multiplications (circuit gates)
+    # Left multiplications (circuit gates).  Every update except the
+    # Hadamard indexes rows with ``...`` and reduces over ``axis=-1``, so
+    # it runs unchanged on a :class:`StackedChForms` batch.
     # ------------------------------------------------------------------
     def apply_x(self, q: int) -> None:
         pw, t = self._x_row_action(q)
@@ -142,25 +154,25 @@ class StabilizerChForm:
 
     def apply_s(self, q: int) -> None:
         """S (phase gate): gamma_q -= 1, M_q ^= G_q."""
-        self.Mw[q] ^= self.Gw[q]
-        self.gamma[q] = (self.gamma[q] - 1) % 4
+        self.Mw[..., q, :] ^= self.Gw[..., q, :]
+        self.gamma[..., q] = (self.gamma[..., q] - 1) % 4
 
     def apply_sdg(self, q: int) -> None:
         """S^dagger: gamma_q += 1, M_q ^= G_q."""
-        self.Mw[q] ^= self.Gw[q]
-        self.gamma[q] = (self.gamma[q] + 1) % 4
+        self.Mw[..., q, :] ^= self.Gw[..., q, :]
+        self.gamma[..., q] = (self.gamma[..., q] + 1) % 4
 
     def apply_s_many(self, qs: Sequence[int]) -> None:
         """S on several distinct qubits in one batched row pass."""
         idx = np.asarray(qs, dtype=np.intp)
-        self.Mw[idx] ^= self.Gw[idx]
-        self.gamma[idx] = (self.gamma[idx] - 1) % 4
+        self.Mw[..., idx, :] ^= self.Gw[..., idx, :]
+        self.gamma[..., idx] = (self.gamma[..., idx] - 1) % 4
 
     def apply_sdg_many(self, qs: Sequence[int]) -> None:
         """S-dagger on several distinct qubits in one batched row pass."""
         idx = np.asarray(qs, dtype=np.intp)
-        self.Mw[idx] ^= self.Gw[idx]
-        self.gamma[idx] = (self.gamma[idx] + 1) % 4
+        self.Mw[..., idx, :] ^= self.Gw[..., idx, :]
+        self.gamma[..., idx] = (self.gamma[..., idx] + 1) % 4
 
     def apply_z_many(self, qs: Sequence[int]) -> None:
         """Z on several distinct qubits in one batched pass.
@@ -173,31 +185,31 @@ class StabilizerChForm:
         idx = np.asarray(qs, dtype=np.intp)
         if idx.size == 0:
             return
-        g_rows = self.Gw[idx]
-        alpha = bp.count_bits(g_rows & ~self.vw[None, :] & self.sw[None, :])
-        self.omega *= _I_POW[(2 * int(alpha)) % 4]
-        self.sw = self.sw ^ np.bitwise_xor.reduce(g_rows & self.vw[None, :], axis=0)
+        g_rows = self.Gw[..., idx, :]
+        v = self.vw[..., None, :]
+        alpha = bp.count_bits(g_rows & ~v & self.sw[..., None, :], axis=(-2, -1))
+        self.omega *= _I_POW[(2 * alpha) % 4]
+        self.sw = self.sw ^ np.bitwise_xor.reduce(g_rows & v, axis=-2)
 
     def apply_cz(self, q: int, r: int) -> None:
         """CZ: M_q ^= G_r and M_r ^= G_q (no phase)."""
         if q == r:
             raise ValueError("CZ needs distinct qubits")
-        self.Mw[q] ^= self.Gw[r]
-        self.Mw[r] ^= self.Gw[q]
+        self.Mw[..., q, :] ^= self.Gw[..., r, :]
+        self.Mw[..., r, :] ^= self.Gw[..., q, :]
 
     def apply_cx(self, c: int, t: int) -> None:
         """CNOT with control c, target t."""
         if c == t:
             raise ValueError("CNOT needs distinct qubits")
         # Phase from reordering Z^{M_c} past X^{F_t} when combining rows.
-        self.gamma[c] = (
-            self.gamma[c]
-            + self.gamma[t]
-            + 2 * (bp.count_bits(self.Mw[c] & self.Fw[t]) & 1)
+        parity = bp.count_bits(self.Mw[..., c, :] & self.Fw[..., t, :], axis=-1)
+        self.gamma[..., c] = (
+            self.gamma[..., c] + self.gamma[..., t] + 2 * (parity & 1)
         ) % 4
-        self.Gw[t] ^= self.Gw[c]
-        self.Fw[c] ^= self.Fw[t]
-        self.Mw[c] ^= self.Mw[t]
+        self.Gw[..., t, :] ^= self.Gw[..., c, :]
+        self.Fw[..., c, :] ^= self.Fw[..., t, :]
+        self.Mw[..., c, :] ^= self.Mw[..., t, :]
 
     def apply_h(self, q: int) -> None:
         """Hadamard: H = (X + Z)/sqrt(2) creates a two-branch superposition
@@ -207,6 +219,50 @@ class StabilizerChForm:
         delta = (pz - px) % 4
         self.omega *= _I_POW[px] / _SQRT2
         self.update_sum(t, u, delta)
+
+    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
+        """Apply a ``(phase, [(primitive, local_axes)])`` decomposition.
+
+        The CH form tracks global phase: the sequence's phase multiplies
+        ``omega`` after the primitives.
+        """
+        phase, prims = seq
+        apply_primitives(self, prims, axes)
+        self.omega *= phase
+
+    def apply_single_qubit_moment(
+        self, seqs: Sequence, axes: Sequence[int]
+    ) -> None:
+        """Apply one single-qubit Clifford gate per (disjoint) axis.
+
+        ``seqs[i]`` is ``(phase, [primitive, ...])`` for the gate on
+        ``axes[i]``.  Primitives are layered; within a layer the row-local
+        gates (S, S-dagger) and the phase-only Z batch into single
+        vectorized passes, while X/Y/H — whose CH updates read state the
+        other gates write — stay sequential.  All global phases multiply
+        into ``omega`` first.
+        """
+        for phase, _ in seqs:
+            self.omega *= phase
+        depth = max(len(prims) for _, prims in seqs)
+        for layer in range(depth):
+            batched = {"S": [], "SDG": [], "Z": []}
+            sequential = []
+            for i, (_, prims) in enumerate(seqs):
+                if layer >= len(prims):
+                    continue
+                name = prims[layer]
+                if name in batched:
+                    batched[name].append(axes[i])
+                else:
+                    sequential.append((name, (i,)))
+            if batched["S"]:
+                self.apply_s_many(batched["S"])
+            if batched["SDG"]:
+                self.apply_sdg_many(batched["SDG"])
+            if batched["Z"]:
+                self.apply_z_many(batched["Z"])
+            apply_primitives(self, sequential, axes)
 
     # ------------------------------------------------------------------
     # Right multiplications (absorbing gates into U_C)
@@ -418,9 +474,9 @@ class StabilizerChForm:
         A stabilizer state is flat: all nonzero amplitudes share the
         magnitude ``|omega| * 2^{-|v|/2}``, so probability queries reduce
         to the support-membership test and this constant — no phase
-        bookkeeping required.
+        bookkeeping required.  A stack gets one constant per trajectory.
         """
-        return abs(self.omega) ** 2 * 2.0 ** (-int(bp.popcount(self.vw).sum()))
+        return abs(self.omega) ** 2 * 2.0 ** -bp.count_bits(self.vw, axis=-1)
 
     def probability_of(self, bits: Sequence[int]) -> float:
         """Born probability of a full bitstring: |<b|psi>|^2.
@@ -441,24 +497,25 @@ class StabilizerChForm:
         return self._nonzero_probability()
 
     def probabilities_of_many(self, bitstrings) -> np.ndarray:
-        """Born probabilities of a whole ``(R, n)`` batch of bitstrings.
+        """Born probabilities of a ``(..., R, n)`` batch of bitstrings.
 
-        One dense GF(2) matvec ``X = C F mod 2`` answers every
+        One dense GF(2) matmul ``X = C F mod 2`` answers every
         support-membership test at once; the per-row probability is the
-        flat stabilizer constant.  This is the kernel behind the sampler's
-        per-gate candidate batching.
+        flat stabilizer constant.  On a :class:`StackedChForms` the
+        leading axis is the trajectory: ``bitstrings[b]`` is tested
+        against trajectory ``b``'s own ``F``, ``s`` and ``v``.  This is the
+        kernel behind the sampler's per-gate candidate batching.
         """
         c = np.asarray(bitstrings, dtype=np.float64)
-        if c.ndim != 2 or c.shape[1] != self.n:
+        if c.ndim < 2 or c.shape[-1] != self.n:
             raise ValueError(f"Expected (R, {self.n}) bitstrings, got {c.shape}")
         f_mat = bp.unpack_rows(self.Fw, self.n).astype(np.float64)
         x = (c @ f_mat) % 2.0
-        s = bp.unpack_rows(self.sw, self.n).astype(np.float64)
-        bare = bp.unpack_rows(self.vw, self.n) == 0
-        mismatch = ((x != s) & bare).any(axis=1)
-        out = np.full(c.shape[0], self._nonzero_probability())
-        out[mismatch] = 0.0
-        return out
+        s = bp.unpack_rows(self.sw, self.n).astype(np.float64)[..., None, :]
+        bare = bp.unpack_rows(self.vw, self.n)[..., None, :] == 0
+        mismatch = ((x != s) & bare).any(axis=-1)
+        flat = np.asarray(self._nonzero_probability())[..., None]
+        return np.where(mismatch, 0.0, flat)
 
     def candidate_probabilities(
         self, bits: Sequence[int], support: Sequence[int]
@@ -475,7 +532,8 @@ class StabilizerChForm:
     ) -> np.ndarray:
         """A ``(B, 2^k)`` matrix of candidate probabilities for ``B``
         tracked bitstrings sharing one gate support — one batched matvec
-        for the whole resampling step of a gate."""
+        for the whole resampling step of a gate.  On a stack, row ``b`` is
+        answered by trajectory ``b``."""
         support = [int(a) for a in support]
         k = len(support)
         base = np.asarray(bits_list, dtype=np.uint8)
@@ -488,8 +546,7 @@ class StabilizerChForm:
             (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
         ).astype(np.uint8)
         cands[:, :, support] = patterns[None, :, :]
-        flat = cands.reshape(base.shape[0] * 2**k, self.n)
-        return self.probabilities_of_many(flat).reshape(base.shape[0], 2**k)
+        return self.probabilities_of_many(cands)
 
     def state_vector(self) -> np.ndarray:
         """Full dense wavefunction (exponential; for testing on small n)."""
@@ -571,19 +628,20 @@ class StabilizerChForm:
         return StackedChForms(self, batch)
 
 
-class StackedChForms:
+class StackedChForms(StabilizerChForm):
     """A stack of ``B`` independent CH forms sharing each gate's word pass.
 
     The batched-trajectory engine's CH layout: ``Fw``/``Gw``/``Mw`` are
     ``(B, n, W)`` ``uint64`` arrays, ``gamma`` is ``(B, n)``, ``vw``/``sw``
     are ``(B, W)`` and ``omega`` is a ``(B,)`` complex vector.  The
-    control-type gates (S, S-dagger, CZ, CNOT) and the Pauli row actions
-    (X, Y, Z) are linear word updates identical across the batch, so each
-    broadcasts over ``B`` in one NumPy call.  Hadamard and measurement
-    collapse branch per trajectory (``update_sum``'s case analysis depends
-    on the trajectory's own ``v``/``s``); those run through :meth:`view`,
-    a zero-copy scalar alias of one trajectory, with the rebound ``sw``/
-    ``omega`` scalars written back by :meth:`store`.
+    inherited control-type gates (S, S-dagger, CZ, CNOT) and Pauli row
+    actions (X, Y, Z) broadcast over ``B`` in one NumPy call, and the
+    inherited candidate routine answers trajectory ``b`` against row
+    ``b``.  Hadamard and measurement collapse branch per trajectory
+    (``update_sum``'s case analysis depends on the trajectory's own
+    ``v``/``s``); those run through :meth:`view`, a zero-copy scalar alias
+    of one trajectory, with the rebound ``sw``/``omega`` scalars written
+    back by :meth:`store`.
     """
 
     def __init__(self, form: StabilizerChForm, batch: int):
@@ -594,14 +652,9 @@ class StackedChForms:
         self._w = form._w
         self._mask = form._mask
         self.batch = batch
-        self.Fw = np.broadcast_to(form.Fw, (batch,) + form.Fw.shape).copy()
-        self.Gw = np.broadcast_to(form.Gw, (batch,) + form.Gw.shape).copy()
-        self.Mw = np.broadcast_to(form.Mw, (batch,) + form.Mw.shape).copy()
-        self.gamma = np.broadcast_to(
-            form.gamma, (batch,) + form.gamma.shape
-        ).copy()
-        self.vw = np.broadcast_to(form.vw, (batch,) + form.vw.shape).copy()
-        self.sw = np.broadcast_to(form.sw, (batch,) + form.sw.shape).copy()
+        for name in ("Fw", "Gw", "Mw", "gamma", "vw", "sw"):
+            arr = getattr(form, name)
+            setattr(self, name, np.broadcast_to(arr, (batch,) + arr.shape).copy())
         self.omega = np.full(batch, form.omega, dtype=np.complex128)
 
     def view(self, b: int) -> StabilizerChForm:
@@ -629,54 +682,6 @@ class StackedChForms:
         self.sw[b] = form.sw
         self.omega[b] = form.omega
 
-    # -- batched gate passes (one NumPy call across the whole batch) -------
-    def apply_s(self, q: int) -> None:
-        self.Mw[:, q] ^= self.Gw[:, q]
-        self.gamma[:, q] = (self.gamma[:, q] - 1) % 4
-
-    def apply_sdg(self, q: int) -> None:
-        self.Mw[:, q] ^= self.Gw[:, q]
-        self.gamma[:, q] = (self.gamma[:, q] + 1) % 4
-
-    def apply_cz(self, q: int, r: int) -> None:
-        if q == r:
-            raise ValueError("CZ needs distinct qubits")
-        self.Mw[:, q] ^= self.Gw[:, r]
-        self.Mw[:, r] ^= self.Gw[:, q]
-
-    def apply_cx(self, c: int, t: int) -> None:
-        if c == t:
-            raise ValueError("CNOT needs distinct qubits")
-        self.gamma[:, c] = (
-            self.gamma[:, c]
-            + self.gamma[:, t]
-            + 2 * (bp.count_bits(self.Mw[:, c] & self.Fw[:, t], axis=1) & 1)
-        ) % 4
-        self.Gw[:, t] ^= self.Gw[:, c]
-        self.Fw[:, c] ^= self.Fw[:, t]
-        self.Mw[:, c] ^= self.Mw[:, t]
-
-    def apply_x(self, q: int) -> None:
-        f_row, m_row = self.Fw[:, q], self.Mw[:, q]
-        t = self.sw ^ (f_row & ~self.vw) ^ (m_row & self.vw)
-        beta = bp.count_bits(m_row & ~self.vw & self.sw, axis=1)
-        beta = beta + bp.count_bits(f_row & self.vw & (self.sw ^ m_row), axis=1)
-        pw = (self.gamma[:, q] + 2 * beta) % 4
-        self.omega *= _I_POW[pw]
-        self.sw = t
-
-    def apply_z(self, q: int) -> None:
-        g_row = self.Gw[:, q]
-        u = self.sw ^ (g_row & self.vw)
-        alpha = bp.count_bits(g_row & ~self.vw & self.sw, axis=1)
-        self.omega *= _I_POW[(2 * alpha) % 4]
-        self.sw = u
-
-    def apply_y(self, q: int) -> None:
-        self.apply_z(q)
-        self.apply_x(q)
-        self.omega *= 1j
-
     def apply_h(self, q: int) -> None:
         """Hadamard: ``update_sum``'s case analysis is per-trajectory."""
         for b in range(self.batch):
@@ -684,84 +689,13 @@ class StackedChForms:
             st.apply_h(q)
             self.store(b, st)
 
-    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
-        """One cached ``(phase, primitives)`` decomposition, batch-wide.
-
-        Unlike the tableau, the CH form tracks global phase, so the
-        sequence's phase factor multiplies ``omega`` directly.
-        """
-        phase, prims = seq
-        if phase is not None and phase != 1:
-            self.omega *= phase
-        dispatch = {
-            "H": self.apply_h,
-            "S": self.apply_s,
-            "SDG": self.apply_sdg,
-            "X": self.apply_x,
-            "Y": self.apply_y,
-            "Z": self.apply_z,
-            "CX": self.apply_cx,
-            "CZ": self.apply_cz,
-        }
-        for name, local in prims:
-            mapped = [axes[i] for i in local]
-            try:
-                dispatch[name](*mapped)
-            except KeyError:  # pragma: no cover - defensive
-                raise ValueError(f"Unknown CH primitive {name!r}") from None
-
-    def apply_single_qubit_moment(
-        self, seqs: Sequence, axes: Sequence[int]
-    ) -> None:
-        """A fused moment of disjoint single-qubit gates, batch-wide.
-
-        ``seqs[i]`` is ``(phase, [primitive, ...])`` for the gate on
-        ``axes[i]`` — the :class:`~repro.sampler.plan.FusedOpRecord`
-        layout.
-        """
-        for (phase, prims), axis in zip(seqs, axes):
-            if phase is not None and phase != 1:
-                self.omega *= phase
-            self.apply_stabilizer_sequence(
-                (None, [(name, (0,)) for name in prims]), [axis]
-            )
-
-    # -- batched candidate probabilities -----------------------------------
     def candidate_probabilities(
         self, bits: np.ndarray, support: Sequence[int]
     ) -> np.ndarray:
-        """A ``(B, 2^k)`` candidate matrix, one per-trajectory state each.
-
-        The stacked sibling of
-        :meth:`StabilizerChForm.candidate_probabilities_many`: candidate
-        ``idx`` of trajectory ``b`` agrees with ``bits[b]`` off
-        ``support`` and encodes ``support[pos]`` at bit ``k - 1 - pos``.
-        The support-membership test runs as one batched GF(2) matmul
-        against the stacked ``F`` matrices.
-        """
-        support = [int(a) for a in support]
-        k = len(support)
-        base = np.asarray(bits, dtype=np.uint8)
-        if base.ndim != 2 or base.shape != (self.batch, self.n):
+        """A ``(B, 2^k)`` candidate matrix, row ``b`` from trajectory ``b``."""
+        if np.shape(bits) != (self.batch, self.n):
             raise ValueError(
                 f"Expected ({self.batch}, {self.n}) bitstrings, "
-                f"got {base.shape}"
+                f"got {np.shape(bits)}"
             )
-        cands = np.repeat(base[:, None, :], 2**k, axis=1)
-        patterns = (
-            (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)[None, :]) & 1
-        ).astype(np.uint8)
-        cands[:, :, support] = patterns[None, :, :]
-        f_mats = bp.unpack_rows(self.Fw, self.n).astype(np.float64)
-        x = np.einsum(
-            "bkp,bpj->bkj", cands.astype(np.float64), f_mats
-        ) % 2.0
-        s = bp.unpack_rows(self.sw, self.n).astype(np.float64)
-        bare = bp.unpack_rows(self.vw, self.n) == 0
-        mismatch = ((x != s[:, None, :]) & bare[:, None, :]).any(axis=2)
-        flat = np.abs(self.omega) ** 2 * np.exp2(
-            -bp.count_bits(self.vw, axis=1).astype(np.float64)
-        )
-        out = np.broadcast_to(flat[:, None], mismatch.shape).copy()
-        out[mismatch] = 0.0
-        return out
+        return self.candidate_probabilities_many(bits, support)

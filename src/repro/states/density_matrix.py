@@ -13,7 +13,8 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from ..circuits.qubits import Qid
-from .base import SimulationState, candidate_index_matrix
+from .base import SimulationState, candidate_index_matrix, check_basis_index
+from .state_vector import apply_matrix
 
 
 class DensityMatrixSimulationState(SimulationState):
@@ -42,7 +43,8 @@ class DensityMatrixSimulationState(SimulationState):
         dim = 2**n
         if isinstance(initial_state, (int, np.integer)):
             rho = np.zeros((dim, dim), dtype=np.complex128)
-            rho[int(initial_state), int(initial_state)] = 1.0
+            index = check_basis_index(initial_state, n)
+            rho[index, index] = 1.0
         else:
             arr = np.asarray(initial_state, dtype=np.complex128)
             if arr.ndim == 1 or (arr.ndim == 2 and 1 in arr.shape):
@@ -62,15 +64,8 @@ class DensityMatrixSimulationState(SimulationState):
     def _left_right_apply(self, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
         """Return ``op rho op^dag`` on the given qubit axes."""
         n = self.num_qubits
-        k = len(axes)
-        op = np.asarray(op, dtype=np.complex128).reshape((2,) * (2 * k))
-        row_axes = list(axes)
-        col_axes = [a + n for a in axes]
-        out = np.tensordot(op, self.tensor, axes=(range(k, 2 * k), row_axes))
-        out = np.moveaxis(out, range(k), row_axes)
-        out = np.tensordot(op.conj(), out, axes=(range(k, 2 * k), col_axes))
-        out = np.moveaxis(out, range(k), col_axes)
-        return out
+        out = apply_matrix(self.tensor, op, list(axes))
+        return apply_matrix(out, np.conj(op), [a + n for a in axes])
 
     # -- mutations ------------------------------------------------------------
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:

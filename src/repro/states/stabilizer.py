@@ -48,72 +48,13 @@ class StabilizerChFormSimulationState(SimulationState):
 
     def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
         """Apply a ``(phase, [(primitive, local_axes)])`` decomposition."""
-        phase, prims = seq
-        ch = self.ch_form
-        for name, local in prims:
-            mapped = [axes[i] for i in local]
-            if name == "H":
-                ch.apply_h(mapped[0])
-            elif name == "S":
-                ch.apply_s(mapped[0])
-            elif name == "SDG":
-                ch.apply_sdg(mapped[0])
-            elif name == "X":
-                ch.apply_x(mapped[0])
-            elif name == "Y":
-                ch.apply_y(mapped[0])
-            elif name == "Z":
-                ch.apply_z(mapped[0])
-            elif name == "CX":
-                ch.apply_cx(mapped[0], mapped[1])
-            elif name == "CZ":
-                ch.apply_cz(mapped[0], mapped[1])
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"Unknown CH primitive {name!r}")
-        ch.omega *= phase
+        self.ch_form.apply_stabilizer_sequence(seq, axes)
 
     def apply_single_qubit_moment(
         self, seqs: Sequence, axes: Sequence[int]
     ) -> None:
-        """Apply one single-qubit Clifford gate per (disjoint) axis.
-
-        ``seqs[i]`` is ``(phase, [primitive, ...])`` for the gate on
-        ``axes[i]``.  Primitives are layered; within a layer the row-local
-        gates (S, S-dagger) and the phase-only Z batch into single
-        vectorized passes, while X/Y/H — whose CH updates read state the
-        other gates write — stay sequential.  All global phases multiply
-        into ``omega`` exactly as the per-gate path does.
-        """
-        ch = self.ch_form
-        for phase, _ in seqs:
-            ch.omega *= phase
-        depth = max(len(prims) for _, prims in seqs)
-        for layer in range(depth):
-            batched = {"S": [], "SDG": [], "Z": []}
-            sequential = []
-            for (_, prims), axis in zip(seqs, axes):
-                if layer >= len(prims):
-                    continue
-                name = prims[layer]
-                if name in batched:
-                    batched[name].append(axis)
-                else:
-                    sequential.append((name, axis))
-            if batched["S"]:
-                ch.apply_s_many(batched["S"])
-            if batched["SDG"]:
-                ch.apply_sdg_many(batched["SDG"])
-            if batched["Z"]:
-                ch.apply_z_many(batched["Z"])
-            for name, axis in sequential:
-                if name == "H":
-                    ch.apply_h(axis)
-                elif name == "X":
-                    ch.apply_x(axis)
-                elif name == "Y":
-                    ch.apply_y(axis)
-                else:  # pragma: no cover - defensive
-                    raise ValueError(f"Unknown CH primitive {name!r}")
+        """Apply one single-qubit Clifford gate per (disjoint) axis."""
+        self.ch_form.apply_single_qubit_moment(seqs, axes)
 
     # -- SimulationState interface -------------------------------------------
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:

@@ -2,9 +2,11 @@
 
 The workhorse general-purpose representation (and the exact reference all
 other representations are tested against).  The state is stored as a
-``(2,)*n`` complex tensor; gates are applied by ``tensordot`` over the
-support axes followed by ``moveaxis`` — fully vectorized, no Python loop
-over amplitudes.
+``(2,)*n`` complex tensor; gates and Kraus operators are applied by
+:func:`apply_matrix` — ``tensordot`` over the support axes followed by
+``moveaxis``, fully vectorized, no Python loop over amplitudes.  The
+batched trajectory engine runs the same kernel on its ``(B, 2, ..., 2)``
+tiles.
 """
 
 from __future__ import annotations
@@ -14,7 +16,22 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from ..circuits.qubits import Qid
-from .base import SimulationState, candidate_index_matrix
+from .base import SimulationState, candidate_index_matrix, check_basis_index
+
+
+def apply_matrix(
+    tensor: np.ndarray, u: np.ndarray, axes: Sequence[int]
+) -> np.ndarray:
+    """The ``2^k x 2^k`` matrix ``u`` applied to ``axes`` of ``tensor``.
+
+    ``axes`` are absolute tensor axes, so a batched ``(B, 2, ..., 2)``
+    tile passes its qubit support shifted by one.  Returns a new tensor
+    (``tensordot`` over the axes, then ``moveaxis`` back into place).
+    """
+    k = len(axes)
+    u = np.asarray(u, dtype=np.complex128).reshape((2,) * (2 * k))
+    moved = np.tensordot(u, tensor, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(moved, range(k), axes)
 
 
 class StateVectorSimulationState(SimulationState):
@@ -38,7 +55,7 @@ class StateVectorSimulationState(SimulationState):
         n = self.num_qubits
         if isinstance(initial_state, (int, np.integer)):
             tensor = np.zeros(2**n, dtype=np.complex128)
-            tensor[int(initial_state)] = 1.0
+            tensor[check_basis_index(initial_state, n)] = 1.0
         else:
             tensor = np.asarray(initial_state, dtype=np.complex128).reshape(-1)
             if tensor.shape[0] != 2**n:
@@ -54,20 +71,14 @@ class StateVectorSimulationState(SimulationState):
 
     # -- mutations ---------------------------------------------------------
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
-        k = len(axes)
-        u = np.asarray(u, dtype=np.complex128).reshape((2,) * (2 * k))
-        self.tensor = np.tensordot(u, self.tensor, axes=(range(k, 2 * k), axes))
-        self.tensor = np.moveaxis(self.tensor, range(k), axes)
+        self.tensor = apply_matrix(self.tensor, u, axes)
 
     def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
         """Quantum-trajectory Kraus application: pick branch ~ its weight."""
-        k = len(axes)
         branch_states = []
         weights = []
         for op in kraus:
-            op = np.asarray(op, dtype=np.complex128).reshape((2,) * (2 * k))
-            candidate = np.tensordot(op, self.tensor, axes=(range(k, 2 * k), axes))
-            candidate = np.moveaxis(candidate, range(k), axes)
+            candidate = apply_matrix(self.tensor, op, axes)
             weight = float(np.vdot(candidate, candidate).real)
             branch_states.append(candidate)
             weights.append(weight)

@@ -32,6 +32,12 @@ Kernel complexities with ``W = ceil(n/64)`` words per row:
   of a gate's support from one shared scratch tableau (the off-support
   projection chain is done once, not ``2^k`` times).
 
+Gate updates (and the fused single-qubit layer) index the word axis with
+``...`` and reduce over the last axis, so the same code updates one
+tableau ``(2n+1, W)`` or a batch stack ``(B, 2n+1, W)``:
+:class:`StackedCliffordTableaus` inherits them and only adds stacking and
+per-trajectory views for the batched trajectory engine.
+
 The pre-packing one-bit-per-byte implementation is retained verbatim as
 :class:`repro.states.reference.UnpackedCliffordTableau`; property tests
 assert bit-exact agreement gate-for-gate.
@@ -46,7 +52,7 @@ import numpy as np
 from ..circuits.operations import GateOperation
 from ..circuits.qubits import Qid
 from . import bitpack as bp
-from .base import SimulationState
+from .base import SimulationState, apply_primitives, check_basis_index
 
 _ONE = np.uint64(1)
 
@@ -69,17 +75,17 @@ def _scatter_xor_columns(
 ) -> None:
     """XOR per-column 0/1 values into packed columns, one pass per word.
 
-    ``vals[:, j]`` lands at bit ``bs[j]`` of word column ``ws[j]``.  Columns
+    ``vals[..., j]`` lands at bit ``bs[j]`` of word column ``ws[j]``.  Columns
     sharing a word are combined first (their bit positions are distinct, so
     OR equals the XOR sum) and each destination word is touched once —
     plain fancy-indexed ``^=`` would silently drop duplicate word indices.
     """
-    shifted = vals << bs[None, :]
+    shifted = vals << bs
     order = np.argsort(ws, kind="stable")
     sorted_ws = ws[order]
     starts = np.flatnonzero(np.r_[True, sorted_ws[1:] != sorted_ws[:-1]])
-    combined = np.bitwise_or.reduceat(shifted[:, order], starts, axis=1)
-    mat[:, sorted_ws[starts]] ^= combined
+    combined = np.bitwise_or.reduceat(shifted[..., order], starts, axis=-1)
+    mat[..., sorted_ws[starts]] ^= combined
 
 
 class CliffordTableau:
@@ -94,10 +100,7 @@ class CliffordTableau:
         n = int(num_qubits)
         if n < 1:
             raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-        if not 0 <= initial_state < 2**n:
-            raise ValueError(
-                f"initial_state {initial_state} out of range for {n} qubits"
-            )
+        initial_state = check_basis_index(initial_state, n)
         self.n = n
         w = bp.num_words(n)
         self._w = w
@@ -160,44 +163,44 @@ class CliffordTableau:
     def apply_h(self, a: int) -> None:
         """Hadamard on qubit ``a``: swaps the X and Z columns."""
         w, b = bp.word_and_bit(a)
-        xa = (self.xw[:, w] >> b) & _ONE
-        za = (self.zw[:, w] >> b) & _ONE
+        xa = (self.xw[..., w] >> b) & _ONE
+        za = (self.zw[..., w] >> b) & _ONE
         self.r ^= (xa & za).astype(np.uint8)
         diff = (xa ^ za) << b
-        self.xw[:, w] ^= diff
-        self.zw[:, w] ^= diff
+        self.xw[..., w] ^= diff
+        self.zw[..., w] ^= diff
 
     def apply_s(self, a: int) -> None:
         """Phase gate S on qubit ``a``."""
         w, b = bp.word_and_bit(a)
-        xa = (self.xw[:, w] >> b) & _ONE
-        za = (self.zw[:, w] >> b) & _ONE
+        xa = (self.xw[..., w] >> b) & _ONE
+        za = (self.zw[..., w] >> b) & _ONE
         self.r ^= (xa & za).astype(np.uint8)
-        self.zw[:, w] ^= xa << b
+        self.zw[..., w] ^= xa << b
 
     def apply_sdg(self, a: int) -> None:
         """S-dagger on qubit ``a``, in one pass (= Z then S fused)."""
         w, b = bp.word_and_bit(a)
-        xa = (self.xw[:, w] >> b) & _ONE
-        za = (self.zw[:, w] >> b) & _ONE
+        xa = (self.xw[..., w] >> b) & _ONE
+        za = (self.zw[..., w] >> b) & _ONE
         self.r ^= (xa & (za ^ _ONE)).astype(np.uint8)
-        self.zw[:, w] ^= xa << b
+        self.zw[..., w] ^= xa << b
 
     def apply_x(self, a: int) -> None:
         """Pauli X: flips the sign of rows anticommuting with X_a."""
         w, b = bp.word_and_bit(a)
-        self.r ^= ((self.zw[:, w] >> b) & _ONE).astype(np.uint8)
+        self.r ^= ((self.zw[..., w] >> b) & _ONE).astype(np.uint8)
 
     def apply_z(self, a: int) -> None:
         """Pauli Z: flips the sign of rows anticommuting with Z_a."""
         w, b = bp.word_and_bit(a)
-        self.r ^= ((self.xw[:, w] >> b) & _ONE).astype(np.uint8)
+        self.r ^= ((self.xw[..., w] >> b) & _ONE).astype(np.uint8)
 
     def apply_y(self, a: int) -> None:
         """Pauli Y: flips the sign of rows holding X or Z (not Y) at ``a``."""
         w, b = bp.word_and_bit(a)
-        xa = (self.xw[:, w] >> b) & _ONE
-        za = (self.zw[:, w] >> b) & _ONE
+        xa = (self.xw[..., w] >> b) & _ONE
+        za = (self.zw[..., w] >> b) & _ONE
         self.r ^= (xa ^ za).astype(np.uint8)
 
     def apply_cx(self, a: int, b: int) -> None:
@@ -206,13 +209,13 @@ class CliffordTableau:
             raise ValueError("CNOT control and target must differ")
         wa, ba = bp.word_and_bit(a)
         wb, bb = bp.word_and_bit(b)
-        xa = (self.xw[:, wa] >> ba) & _ONE
-        za = (self.zw[:, wa] >> ba) & _ONE
-        xb = (self.xw[:, wb] >> bb) & _ONE
-        zb = (self.zw[:, wb] >> bb) & _ONE
+        xa = (self.xw[..., wa] >> ba) & _ONE
+        za = (self.zw[..., wa] >> ba) & _ONE
+        xb = (self.xw[..., wb] >> bb) & _ONE
+        zb = (self.zw[..., wb] >> bb) & _ONE
         self.r ^= (xa & zb & (xb ^ za ^ _ONE)).astype(np.uint8)
-        self.xw[:, wb] ^= xa << bb
-        self.zw[:, wa] ^= zb << ba
+        self.xw[..., wb] ^= xa << bb
+        self.zw[..., wa] ^= zb << ba
 
     def apply_cz(self, a: int, b: int) -> None:
         """CZ in one pass: Z_a gains X_b, Z_b gains X_a, sign flips where
@@ -221,13 +224,13 @@ class CliffordTableau:
             raise ValueError("CZ control and target must differ")
         wa, ba = bp.word_and_bit(a)
         wb, bb = bp.word_and_bit(b)
-        xa = (self.xw[:, wa] >> ba) & _ONE
-        za = (self.zw[:, wa] >> ba) & _ONE
-        xb = (self.xw[:, wb] >> bb) & _ONE
-        zb = (self.zw[:, wb] >> bb) & _ONE
+        xa = (self.xw[..., wa] >> ba) & _ONE
+        za = (self.zw[..., wa] >> ba) & _ONE
+        xb = (self.xw[..., wb] >> bb) & _ONE
+        zb = (self.zw[..., wb] >> bb) & _ONE
         self.r ^= (xa & xb & (za ^ zb)).astype(np.uint8)
-        self.zw[:, wa] ^= xb << ba
-        self.zw[:, wb] ^= xa << bb
+        self.zw[..., wa] ^= xb << ba
+        self.zw[..., wb] ^= xa << bb
 
     def apply_single_qubit_layer(
         self, names: Sequence[str], cols: Sequence[int]
@@ -249,8 +252,8 @@ class CliffordTableau:
             raise ValueError("Layer columns must be distinct qubits")
         ws = cols >> 6
         bs = (cols & (bp.WORD_BITS - 1)).astype(np.uint64)
-        xa = (self.xw[:, ws] >> bs[None, :]) & _ONE
-        za = (self.zw[:, ws] >> bs[None, :]) & _ONE
+        xa = (self.xw[..., ws] >> bs) & _ONE
+        za = (self.zw[..., ws] >> bs) & _ONE
         flips = np.empty_like(xa)
         dx = np.zeros_like(xa)
         dz = np.zeros_like(xa)
@@ -259,27 +262,27 @@ class CliffordTableau:
             raise ValueError("Need exactly one primitive name per column")
         for name in set(names):
             sel = names_arr == name
-            x_s, z_s = xa[:, sel], za[:, sel]
+            x_s, z_s = xa[..., sel], za[..., sel]
             if name == "H":
                 diff = x_s ^ z_s
-                flips[:, sel] = x_s & z_s
-                dx[:, sel] = diff
-                dz[:, sel] = diff
+                flips[..., sel] = x_s & z_s
+                dx[..., sel] = diff
+                dz[..., sel] = diff
             elif name == "S":
-                flips[:, sel] = x_s & z_s
-                dz[:, sel] = x_s
+                flips[..., sel] = x_s & z_s
+                dz[..., sel] = x_s
             elif name == "SDG":
-                flips[:, sel] = x_s & (z_s ^ _ONE)
-                dz[:, sel] = x_s
+                flips[..., sel] = x_s & (z_s ^ _ONE)
+                dz[..., sel] = x_s
             elif name == "X":
-                flips[:, sel] = z_s
+                flips[..., sel] = z_s
             elif name == "Z":
-                flips[:, sel] = x_s
+                flips[..., sel] = x_s
             elif name == "Y":
-                flips[:, sel] = x_s ^ z_s
+                flips[..., sel] = x_s ^ z_s
             else:
                 raise ValueError(f"Unknown single-qubit primitive {name!r}")
-        self.r ^= np.bitwise_xor.reduce(flips, axis=1).astype(np.uint8)
+        self.r ^= np.bitwise_xor.reduce(flips, axis=-1).astype(np.uint8)
         _scatter_xor_columns(self.xw, ws, bs, dx)
         _scatter_xor_columns(self.zw, ws, bs, dz)
 
@@ -288,11 +291,39 @@ class CliffordTableau:
         wa, ba = bp.word_and_bit(a)
         wb, bb = bp.word_and_bit(b)
         for mat in (self.xw, self.zw):
-            ca = (mat[:, wa] >> ba) & _ONE
-            cb = (mat[:, wb] >> bb) & _ONE
+            ca = (mat[..., wa] >> ba) & _ONE
+            cb = (mat[..., wb] >> bb) & _ONE
             diff = ca ^ cb
-            mat[:, wa] ^= diff << ba
-            mat[:, wb] ^= diff << bb
+            mat[..., wa] ^= diff << ba
+            mat[..., wb] ^= diff << bb
+
+    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
+        """Apply a ``(phase, [(primitive, local_axes)])`` decomposition.
+
+        The global phase is not representable and is dropped.
+        """
+        apply_primitives(self, seq[1], axes)
+
+    def apply_single_qubit_moment(
+        self, seqs: Sequence, axes: Sequence[int]
+    ) -> None:
+        """Apply one single-qubit Clifford gate per (disjoint) axis, batched.
+
+        ``seqs[i]`` is ``(phase, [primitive, ...])`` — the gate on
+        ``axes[i]`` as a sequence of single-qubit primitives.  The gates
+        are layered (j-th primitive of every axis together) and each layer
+        runs as one :meth:`apply_single_qubit_layer` column pass.  Global
+        phases are dropped, as in :meth:`apply_stabilizer_sequence`.
+        """
+        depth = max(len(prims) for _, prims in seqs)
+        for layer in range(depth):
+            names = []
+            cols = []
+            for (_, prims), axis in zip(seqs, axes):
+                if layer < len(prims):
+                    names.append(prims[layer])
+                    cols.append(axis)
+            self.apply_single_qubit_layer(names, cols)
 
     # ------------------------------------------------------------------
     # Measurement (AG04 Sec. III) and forced projection
@@ -624,20 +655,19 @@ class CliffordTableau:
         return StackedCliffordTableaus(self, batch)
 
 
-class StackedCliffordTableaus:
+class StackedCliffordTableaus(CliffordTableau):
     """A stack of ``B`` independent tableaus updated by one column pass.
 
     The batched-trajectory engine's word layout: ``xw``/``zw`` are
     ``(B, 2n+1, W)`` ``uint64`` arrays and ``r`` is ``(B, 2n+1)``, i.e.
     ``B`` :class:`CliffordTableau` instances stacked on a leading axis.
-    Every Clifford gate is the same one- or two-column word update as the
-    scalar kernels, broadcast over the batch axis in a single NumPy call —
-    the per-gate cost is amortized over all ``B`` trajectories.
-
-    Measurement-adjacent operations (pivot search, collapse, candidate
-    chains) branch per trajectory; :meth:`view` exposes trajectory ``b``
-    as a zero-copy :class:`CliffordTableau` whose arrays alias the stack
-    (every scalar kernel mutates in place, so views stay coherent).
+    The inherited gate updates index the word axis with ``...``, so each
+    Clifford gate is the scalar kernel broadcast over the batch axis in
+    one NumPy call.  Measurement-adjacent operations (pivot search,
+    collapse, candidate chains) branch per trajectory and run on
+    :meth:`view`, a zero-copy :class:`CliffordTableau` whose arrays alias
+    the stack (every scalar kernel mutates in place, so views stay
+    coherent).
     """
 
     def __init__(self, tableau: CliffordTableau, batch: int):
@@ -660,112 +690,6 @@ class StackedCliffordTableaus:
         out.zw = self.zw[b]
         out.r = self.r[b]
         return out
-
-    # -- batched Clifford column passes (broadcast over the batch axis) ----
-    def apply_h(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[..., w] >> b) & _ONE
-        za = (self.zw[..., w] >> b) & _ONE
-        self.r ^= (xa & za).astype(np.uint8)
-        diff = (xa ^ za) << b
-        self.xw[..., w] ^= diff
-        self.zw[..., w] ^= diff
-
-    def apply_s(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[..., w] >> b) & _ONE
-        za = (self.zw[..., w] >> b) & _ONE
-        self.r ^= (xa & za).astype(np.uint8)
-        self.zw[..., w] ^= xa << b
-
-    def apply_sdg(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[..., w] >> b) & _ONE
-        za = (self.zw[..., w] >> b) & _ONE
-        self.r ^= (xa & (za ^ _ONE)).astype(np.uint8)
-        self.zw[..., w] ^= xa << b
-
-    def apply_x(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        self.r ^= ((self.zw[..., w] >> b) & _ONE).astype(np.uint8)
-
-    def apply_z(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        self.r ^= ((self.xw[..., w] >> b) & _ONE).astype(np.uint8)
-
-    def apply_y(self, a: int) -> None:
-        w, b = bp.word_and_bit(a)
-        xa = (self.xw[..., w] >> b) & _ONE
-        za = (self.zw[..., w] >> b) & _ONE
-        self.r ^= (xa ^ za).astype(np.uint8)
-
-    def apply_cx(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("CNOT control and target must differ")
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        xa = (self.xw[..., wa] >> ba) & _ONE
-        za = (self.zw[..., wa] >> ba) & _ONE
-        xb = (self.xw[..., wb] >> bb) & _ONE
-        zb = (self.zw[..., wb] >> bb) & _ONE
-        self.r ^= (xa & zb & (xb ^ za ^ _ONE)).astype(np.uint8)
-        self.xw[..., wb] ^= xa << bb
-        self.zw[..., wa] ^= zb << ba
-
-    def apply_cz(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError("CZ control and target must differ")
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        xa = (self.xw[..., wa] >> ba) & _ONE
-        za = (self.zw[..., wa] >> ba) & _ONE
-        xb = (self.xw[..., wb] >> bb) & _ONE
-        zb = (self.zw[..., wb] >> bb) & _ONE
-        self.r ^= (xa & xb & (za ^ zb)).astype(np.uint8)
-        self.zw[..., wa] ^= xb << ba
-        self.zw[..., wb] ^= xa << bb
-
-    def apply_swap(self, a: int, b: int) -> None:
-        wa, ba = bp.word_and_bit(a)
-        wb, bb = bp.word_and_bit(b)
-        for mat in (self.xw, self.zw):
-            ca = (mat[..., wa] >> ba) & _ONE
-            cb = (mat[..., wb] >> bb) & _ONE
-            diff = ca ^ cb
-            mat[..., wa] ^= diff << ba
-            mat[..., wb] ^= diff << bb
-
-    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
-        """One cached ``(phase, primitives)`` decomposition, batch-wide."""
-        _, prims = seq  # global phase is not representable; dropped
-        dispatch = {
-            "H": self.apply_h,
-            "S": self.apply_s,
-            "SDG": self.apply_sdg,
-            "X": self.apply_x,
-            "Y": self.apply_y,
-            "Z": self.apply_z,
-            "CX": self.apply_cx,
-            "CZ": self.apply_cz,
-        }
-        for name, local in prims:
-            mapped = [axes[i] for i in local]
-            try:
-                dispatch[name](*mapped)
-            except KeyError:  # pragma: no cover - defensive
-                raise ValueError(f"Unknown tableau primitive {name!r}") from None
-
-    def apply_single_qubit_moment(
-        self, seqs: Sequence, axes: Sequence[int]
-    ) -> None:
-        """A fused moment of disjoint single-qubit gates, batch-wide."""
-        depth = max(len(prims) for _, prims in seqs)
-        for layer in range(depth):
-            for (_, prims), axis in zip(seqs, axes):
-                if layer < len(prims):
-                    self.apply_stabilizer_sequence(
-                        (None, [(prims[layer], (0,))]), [axis]
-                    )
 
 
 class CliffordTableauSimulationState(SimulationState):
@@ -803,46 +727,13 @@ class CliffordTableauSimulationState(SimulationState):
 
     def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
         """Apply a ``(phase, [(primitive, local_axes)])`` decomposition."""
-        _, prims = seq  # global phase is not representable; intentionally dropped
-        t = self.tableau
-        dispatch = {
-            "H": t.apply_h,
-            "S": t.apply_s,
-            "SDG": t.apply_sdg,
-            "X": t.apply_x,
-            "Y": t.apply_y,
-            "Z": t.apply_z,
-            "CX": t.apply_cx,
-            "CZ": t.apply_cz,
-        }
-        for name, local in prims:
-            mapped = [axes[i] for i in local]
-            try:
-                dispatch[name](*mapped)
-            except KeyError:  # pragma: no cover - defensive
-                raise ValueError(f"Unknown tableau primitive {name!r}") from None
+        self.tableau.apply_stabilizer_sequence(seq, axes)
 
     def apply_single_qubit_moment(
         self, seqs: Sequence, axes: Sequence[int]
     ) -> None:
-        """Apply one single-qubit Clifford gate per (disjoint) axis, batched.
-
-        ``seqs[i]`` is ``(phase, [primitive, ...])`` — the gate on
-        ``axes[i]`` as a sequence of single-qubit primitives.  The gates
-        are layered (j-th primitive of every axis together) and each layer
-        runs as one :meth:`CliffordTableau.apply_single_qubit_layer` column
-        pass.  Global phases are not representable and are dropped, as in
-        :meth:`apply_stabilizer_sequence`.
-        """
-        depth = max(len(prims) for _, prims in seqs)
-        for layer in range(depth):
-            names = []
-            cols = []
-            for (_, prims), axis in zip(seqs, axes):
-                if layer < len(prims):
-                    names.append(prims[layer])
-                    cols.append(axis)
-            self.tableau.apply_single_qubit_layer(names, cols)
+        """Apply one single-qubit Clifford gate per (disjoint) axis."""
+        self.tableau.apply_single_qubit_moment(seqs, axes)
 
     # -- SimulationState interface ------------------------------------------
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:

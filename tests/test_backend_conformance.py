@@ -300,3 +300,26 @@ class TestAllBackendsAgainstReference:
             )
             many = state.candidate_probabilities_many(bits_list, support)
             np.testing.assert_allclose(many, expected, atol=ATOL)
+
+
+BASIS_BACKENDS = {
+    "state_vector": StateVectorSimulationState,
+    "density_matrix": DensityMatrixSimulationState,
+    "ch_form": StabilizerChFormSimulationState,
+    "tableau": CliffordTableauSimulationState,
+    "mps": MPSState,
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BASIS_BACKENDS))
+def test_out_of_range_initial_state_is_rejected(backend):
+    """Every backend accepts exactly the basis indices ``[0, 2^n)``."""
+    state_cls = BASIS_BACKENDS[backend]
+    qs = cirq.LineQubit.range(2)
+    for bad in (-1, 4, 8):
+        with pytest.raises(ValueError, match="initial_state .* out of range"):
+            state_cls(qs, initial_state=bad)
+    state = state_cls(qs, initial_state=3)
+    np.testing.assert_allclose(
+        scalar_candidates(state, [0, 0], [0, 1]), [0.0, 0.0, 0.0, 1.0]
+    )

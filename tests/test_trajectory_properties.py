@@ -1,6 +1,6 @@
 """Property tests pinning the batched trajectory engine's kernels.
 
-Three kernels carry the batched engine's correctness and get adversarial
+Four kernels carry the batched engine's correctness and get adversarial
 randomized coverage here:
 
 * :func:`~repro.sampler.trajectory_batch.categorical_rows` — the
@@ -9,8 +9,12 @@ randomized coverage here:
 * :meth:`~repro.sampler.trajectory_batch.BatchedStateVector.apply_kraus`
   — two-pass masked branching — against a per-trajectory scalar replay
   of the identical weight/choice/collapse recipe;
-* the stacked GF(2) word helpers in :mod:`repro.states.bitpack` at
-  widths 63/64/65, the word-boundary cases.
+* the packed column helpers of :mod:`repro.states.bitpack` on 2-D and
+  stacked 3-D word matrices at widths 63/64/65, the word-boundary cases;
+* the stacked stabilizer engines
+  (:class:`~repro.states.tableau.StackedCliffordTableaus`,
+  :class:`~repro.states.chform.StackedChForms`) against ``B`` scalar
+  engines, gate by gate from per-trajectory random prefixes.
 """
 
 import numpy as np
@@ -22,6 +26,7 @@ from repro.sampler.trajectory_batch import (
     categorical_rows,
 )
 from repro.states import bitpack as bp
+from repro.states.state_vector import apply_matrix
 
 
 # ----------------------------------------------------------------------
@@ -120,13 +125,10 @@ def test_masked_batched_kraus_matches_scalar_replay(case):
 
     idx = candidate_index_matrix(bits, support, n)
     for b in range(batch):
-        psi = tensor[b].reshape(-1)
         # Pass 1: per-branch candidate masses.
         branch_probs = []
         for op in kraus:
-            scalar = BatchedStateVector(tensor[b : b + 1].copy(), n)
-            scalar.tensor = scalar._applied(scalar.tensor, op, support)
-            flat = scalar.tensor.reshape(-1)
+            flat = apply_matrix(tensor[b], op, support).reshape(-1)
             branch_probs.append(np.abs(flat[idx[b]]) ** 2)
         weights = np.array([p.sum() for p in branch_probs])
         cum = np.cumsum(np.clip(weights, 0, None))
@@ -135,11 +137,7 @@ def test_masked_batched_kraus_matches_scalar_replay(case):
             int(np.searchsorted(cum, u_branch[b], side="left")), nk - 1
         )
         # Pass 2: the chosen branch, renormalized.
-        scalar = BatchedStateVector(tensor[b : b + 1].copy(), n)
-        scalar.tensor = scalar._applied(
-            scalar.tensor, kraus[choice], support
-        )
-        flat = scalar.tensor.reshape(-1)
+        flat = apply_matrix(tensor[b], kraus[choice], support).reshape(-1)
         flat = flat / np.linalg.norm(flat)
         np.testing.assert_allclose(
             adapter.tensor[b].reshape(-1), flat, atol=1e-12
@@ -148,13 +146,14 @@ def test_masked_batched_kraus_matches_scalar_replay(case):
 
 
 # ----------------------------------------------------------------------
-# stacked bitpack helpers at word-boundary widths
+# packed column helpers on 2-D and stacked 3-D matrices at word-boundary
+# widths
 # ----------------------------------------------------------------------
 
 @st.composite
 def stacked_bit_cases(draw):
     width = draw(st.sampled_from([63, 64, 65]))
-    batch = draw(st.integers(min_value=1, max_value=5))
+    batch = draw(st.sampled_from([None, 1, 2, 5]))
     rows = draw(st.integers(min_value=1, max_value=7))
     col = draw(st.integers(min_value=0, max_value=width - 1))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -165,37 +164,194 @@ def stacked_bit_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_stacked_column_helpers_match_unpacked(case):
     width, batch, rows, col, seed = case
+    lead = (rows,) if batch is None else (batch, rows)
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(batch, rows, width)).astype(np.uint8)
+    bits = rng.integers(0, 2, size=lead + (width,)).astype(np.uint8)
     packed = bp.pack_rows(bits, width)
 
-    np.testing.assert_array_equal(
-        bp.get_col_stacked(packed, col), bits[:, :, col]
-    )
+    np.testing.assert_array_equal(bp.get_col(packed, col), bits[..., col])
 
-    flips = rng.integers(0, 2, size=(batch, rows)).astype(np.uint64)
+    flips = rng.integers(0, 2, size=lead).astype(np.uint64)
     expected = bits.copy()
-    expected[:, :, col] ^= flips.astype(np.uint8)
+    expected[..., col] ^= flips.astype(np.uint8)
     xored = packed.copy()
-    bp.xor_col_stacked(xored, col, flips)
+    bp.xor_col(xored, col, flips)
     np.testing.assert_array_equal(bp.unpack_rows(xored, width), expected)
 
-    values = rng.integers(0, 2, size=(batch, rows)).astype(np.uint64)
-    expected = bits.copy()
-    expected[:, :, col] = values.astype(np.uint8)
-    written = packed.copy()
-    bp.set_col_stacked(written, col, values)
-    np.testing.assert_array_equal(bp.unpack_rows(written, width), expected)
+
+# ----------------------------------------------------------------------
+# stacked stabilizer engines vs B scalar engines, gate by gate
+# ----------------------------------------------------------------------
+
+_ONE_QUBIT_PRIMS = ("H", "S", "SDG", "X", "Y", "Z")
+_PHASES = (1.0 + 0j, 1j, -1.0 + 0j, -1j, complex(np.exp(0.25j * np.pi)))
 
 
-@given(stacked_bit_cases())
-@settings(max_examples=100, deadline=None)
-def test_stacked_helpers_agree_with_scalar_siblings(case):
-    width, batch, rows, col, seed = case
+def _random_phase(rng):
+    return _PHASES[int(rng.integers(len(_PHASES)))]
+
+
+def _random_prims(rng, n, length):
+    """``length`` random engine primitives ``(name, axes)`` on ``n`` qubits."""
+    prims = []
+    for _ in range(length):
+        if n >= 2 and rng.random() < 0.35:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            prims.append((("CX", "CZ")[int(rng.integers(2))], (a, b)))
+        else:
+            name = _ONE_QUBIT_PRIMS[int(rng.integers(len(_ONE_QUBIT_PRIMS)))]
+            prims.append((name, (int(rng.integers(n)),)))
+    return prims
+
+
+def _random_steps(rng, n, length):
+    """Shared steps: gate-like ``(phase, prims)`` sequences on one or two
+    axes, or fused moments of disjoint single-qubit gates."""
+    steps = []
+    for _ in range(length):
+        if rng.random() < 0.3:
+            width = int(rng.integers(1, n + 1))
+            axes = [int(a) for a in rng.choice(n, size=width, replace=False)]
+            seqs = [
+                (
+                    _random_phase(rng),
+                    [
+                        _ONE_QUBIT_PRIMS[int(rng.integers(len(_ONE_QUBIT_PRIMS)))]
+                        for _ in range(int(rng.integers(1, 4)))
+                    ],
+                )
+                for _ in axes
+            ]
+            steps.append(("moment", seqs, axes))
+            continue
+        k = 2 if n >= 2 and rng.random() < 0.5 else 1
+        axes = [int(a) for a in rng.choice(n, size=k, replace=False)]
+        local = _random_prims(rng, k, int(rng.integers(1, 4)))
+        steps.append(("sequence", (_random_phase(rng), local), axes))
+    return steps
+
+
+def _has_h(step):
+    return any("H" in prims for _, prims in step[1])
+
+
+def _apply_prim(engine, name, axes):
+    getattr(engine, "apply_" + name.lower())(*axes)
+
+
+def _apply_step(target, step):
+    kind, seq, axes = step
+    if kind == "moment":
+        target.apply_single_qubit_moment(seq, axes)
+    else:
+        target.apply_stabilizer_sequence(seq, axes)
+
+
+@st.composite
+def stack_parity_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3, 5, 64, 65]))
+    batch = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return n, batch, seed
+
+
+def _scalar_states(state_cls, n, batch, rng):
+    """A base state and ``batch`` per-trajectory random Clifford prefixes."""
+    qubits = list(range(n))
+    initial = int(rng.integers(2 ** min(n, 62)))
+    base = state_cls(qubits, initial_state=initial)
+    prefixes = [
+        _random_prims(rng, n, int(rng.integers(0, 9))) for _ in range(batch)
+    ]
+    return base, prefixes
+
+
+@given(stack_parity_cases())
+@settings(max_examples=40, deadline=None)
+def test_stacked_tableaus_match_scalar_engines_gate_by_gate(case):
+    from repro.states import CliffordTableauSimulationState
+
+    n, batch, seed = case
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=(batch, rows, width)).astype(np.uint8)
-    packed = bp.pack_rows(bits, width)
-    for b in range(batch):
-        np.testing.assert_array_equal(
-            bp.get_col_stacked(packed, col)[b], bp.get_col(packed[b], col)
-        )
+    base, prefixes = _scalar_states(CliffordTableauSimulationState, n, batch, rng)
+    stack = base.tableau.stack(batch)
+    scalars = [base.copy() for _ in range(batch)]
+    for b, prefix in enumerate(prefixes):
+        view = stack.view(b)
+        for name, axes in prefix:
+            _apply_prim(view, name, axes)
+            _apply_prim(scalars[b].tableau, name, axes)
+
+    def check():
+        for b, state in enumerate(scalars):
+            np.testing.assert_array_equal(stack.xw[b], state.tableau.xw)
+            np.testing.assert_array_equal(stack.zw[b], state.tableau.zw)
+            np.testing.assert_array_equal(stack.r[b], state.tableau.r)
+
+    check()
+    for step in _random_steps(rng, n, 12):
+        _apply_step(stack, step)
+        for state in scalars:
+            _apply_step(state, step)
+        check()
+
+
+@given(stack_parity_cases())
+@settings(max_examples=40, deadline=None)
+def test_stacked_ch_forms_match_scalar_engines_gate_by_gate(case):
+    from repro.states import StabilizerChFormSimulationState
+
+    n, batch, seed = case
+    rng = np.random.default_rng(seed)
+    base, prefixes = _scalar_states(
+        StabilizerChFormSimulationState, n, batch, rng
+    )
+    stack = base.ch_form.stack(batch)
+    scalars = [base.copy() for _ in range(batch)]
+    for b, prefix in enumerate(prefixes):
+        view = stack.view(b)
+        for name, axes in prefix:
+            _apply_prim(view, name, axes)
+            _apply_prim(scalars[b].ch_form, name, axes)
+        stack.store(b, view)
+
+    def check(exact=True):
+        bits = rng.integers(0, 2, size=(batch, n)).astype(np.uint8)
+        k = int(rng.integers(1, min(n, 3) + 1))
+        support = [int(a) for a in rng.choice(n, size=k, replace=False)]
+        probs = stack.candidate_probabilities(bits, support)
+        for b, state in enumerate(scalars):
+            form = state.ch_form
+            np.testing.assert_allclose(
+                probs[b],
+                form.candidate_probabilities(bits[b], support),
+                rtol=1e-12,
+                atol=1e-15,
+            )
+            if not exact:
+                if n <= 5:
+                    np.testing.assert_allclose(
+                        stack.view(b).state_vector(),
+                        form.state_vector(),
+                        atol=1e-12,
+                    )
+                # Continue from one shared representation.
+                state.ch_form = stack.view(b).copy()
+                continue
+            for name in ("Fw", "Gw", "Mw", "gamma", "vw", "sw"):
+                np.testing.assert_array_equal(
+                    getattr(stack, name)[b], getattr(form, name), err_msg=name
+                )
+            np.testing.assert_allclose(
+                stack.omega[b], form.omega, rtol=1e-12, atol=1e-12
+            )
+
+    check()
+    for step in _random_steps(rng, n, 12):
+        _apply_step(stack, step)
+        for state in scalars:
+            _apply_step(state, step)
+        # The CH form of a state is not unique: Hadamards inside a fused
+        # moment pick their representation from the order the moment's
+        # primitives run in, so a moment is compared by its amplitudes.
+        check(exact=step[0] != "moment" or not _has_h(step))
