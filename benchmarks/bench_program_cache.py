@@ -7,10 +7,11 @@ Two claims, two series:
   only the resolver-dependent unitaries per point, versus recompiling the
   full circuit per point (the pre-Program behavior, emulated by clearing
   the cache between points).
-* **Pooled startup** — the executor-layer process pool ships the compiled
-  plan and packed initial state once per *worker* and hands each task a
-  few scalars, versus a per-task ``(factory, circuit)`` pickle with an
-  in-worker rebuild.  The payload series is deterministic (byte counts).
+* **Pooled startup** — the executor-layer process pool ships the packed
+  initial state once per *worker*, whatever the circuit; each task
+  carries a few scalars plus its compiled unit (pickled once per run),
+  versus a per-task ``(factory, circuit)`` pickle with an in-worker
+  rebuild.  The payload series is deterministic (byte counts).
 """
 
 import pickle
@@ -22,7 +23,7 @@ from repro import born
 from repro import circuits as cirq
 from repro.circuits import channels
 from repro.sampler import clear_program_cache, program_cache_info
-from repro.sampler.executors import _WorkerPayload
+from repro.sampler.service import _unit_ref, _WorkerPayload
 from repro.states import StateVectorSimulationState
 
 from conftest import assert_timing_win, print_series, wall_time
@@ -129,7 +130,8 @@ def pool_factory(seed):
 
 
 def test_pooled_task_payload_is_constant(benchmark):
-    """The per-task pickle no longer grows with the circuit or state."""
+    """Per-task scalars and the per-worker payload stay constant; only the
+    compiled unit a task carries grows with the circuit."""
     rows = []
     for layers in (8, 16, 32):
         circuit = noisy_circuit(POOL_QUBITS, layers=layers)
@@ -139,18 +141,29 @@ def test_pooled_task_payload_is_constant(benchmark):
         pooled_task = len(pickle.dumps((0, None, 4, 123, (123, 0, 0))))
         sim = sv_simulator(POOL_QUBITS, seed=0)
         plan = sim.compile(circuit).specialize(None)
-        once_per_worker = len(pickle.dumps(_WorkerPayload(sim, (plan,))))
-        rows.append((layers, legacy_task, pooled_task, once_per_worker))
-        # Acceptance: tasks are O(1); the circuit ships once per worker.
+        unit_per_task = len(_unit_ref(plan)[1])
+        once_per_worker = len(pickle.dumps(_WorkerPayload(sim)))
+        rows.append(
+            (layers, legacy_task, pooled_task, unit_per_task, once_per_worker)
+        )
         assert pooled_task < 100
         assert pooled_task < legacy_task
-    assert rows[0][2] == rows[-1][2]  # task payload independent of depth
+    # Scalars are independent of depth; the worker payload (the state)
+    # does not grow with the circuit, only the unit each task carries.
+    assert rows[0][2] == rows[-1][2]
+    assert abs(rows[-1][4] - rows[0][4]) < 64 < rows[-1][3] - rows[0][3]
     print_series(
         "Pooled executor task payloads (bytes)",
-        ["layers", "legacy_per_task", "pooled_per_task", "pooled_once_per_worker"],
+        [
+            "layers",
+            "legacy_per_task",
+            "pooled_per_task",
+            "unit_per_task",
+            "pooled_once_per_worker",
+        ],
         rows,
     )
     circuit = noisy_circuit(POOL_QUBITS, layers=8)
     sim = sv_simulator(POOL_QUBITS, seed=0)
     plan = sim.compile(circuit).specialize(None)
-    benchmark(lambda: pickle.dumps(_WorkerPayload(sim, (plan,))))
+    benchmark(lambda: _unit_ref(plan))

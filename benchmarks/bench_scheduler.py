@@ -1,15 +1,5 @@
-"""Multi-program warm-pool batches + adaptive scheduling benchmarks.
+"""Adaptive scheduling benchmark.
 
-Two claims, two series:
-
-* **Multi-program batch vs per-circuit re-init** — ``run_batch`` over 8
-  *distinct* circuits ships one program table to the warm pool (one
-  worker initialization for the whole batch) versus the PR-4 cost model
-  in which every circuit is its own execution key and re-initializes the
-  pool (one ``run`` per circuit; 8 inits).  Acceptance bar: the
-  multi-program batch wins by >= 1.5x wall-clock
-  (``BENCH_multi_program_batch_vs_per_circuit_reinit.json``), with the
-  init counters asserted exactly (1 vs N).
 * **Adaptive vs FIFO scheduling** — a mixed-depth 24-point batch whose
   one deep circuit sits at the end of the queue.  FIFO (one task per
   point, submission order) serializes the deep tail on a single worker;
@@ -36,22 +26,6 @@ from conftest import assert_timing_win, print_series, wall_time
 
 WIDTH = 4
 QUBITS = cirq.LineQubit.range(WIDTH)
-BATCH = 8
-REPS = 20
-
-
-def clifford_batch(count):
-    """``count`` structurally distinct Clifford circuits."""
-    circuits = []
-    for extra in range(count):
-        circuit = cirq.Circuit(cirq.H(q) for q in QUBITS)
-        for layer in range(extra + 1):
-            for a, b in zip(QUBITS[:-1], QUBITS[1:]):
-                circuit.append(cirq.CNOT(a, b))
-            circuit.append(cirq.S(QUBITS[layer % WIDTH]))
-        circuit.append(cirq.measure(*QUBITS, key="m"))
-        circuits.append(circuit)
-    return circuits
 
 
 def noisy_circuit(depth, rng):
@@ -73,67 +47,6 @@ def make_sim(executor=None, seed=11):
         born.compute_probability_state_vector,
         seed=seed,
         executor=executor,
-    )
-
-
-def test_multi_program_batch_vs_per_circuit_reinit():
-    """One pool init for a heterogeneous batch vs one per circuit."""
-    circuits = clifford_batch(BATCH)
-    serial = make_sim().run_batch(circuits, repetitions=REPS)
-
-    with PoolManager() as manager:
-        warm_sim = make_sim(
-            ProcessPoolExecutor(
-                num_workers=2, start_method="fork", pool_manager=manager
-            )
-        )
-        warm_first = warm_sim.run_batch(circuits, repetitions=REPS)
-        warm_seconds = wall_time(
-            lambda: warm_sim.run_batch(circuits, repetitions=REPS), repeats=3
-        )
-        # Acceptance criterion: 8 distinct circuits, exactly 1 worker init.
-        assert manager.stats["inits"] == 1, manager.stats
-        warm_inits = manager.stats["inits"]
-
-    with PoolManager() as manager:
-        reinit_sim = make_sim(
-            ProcessPoolExecutor(
-                num_workers=2, start_method="fork", pool_manager=manager
-            )
-        )
-        # One run() per circuit = the PR-4 cost model: every circuit is
-        # its own execution key, so each batch pass re-initializes the
-        # pool once per circuit.
-        reinit_seconds = wall_time(
-            lambda: [reinit_sim.run(c, repetitions=REPS) for c in circuits],
-            repeats=1,
-        )
-        reinit_inits = manager.stats["inits"]
-        assert reinit_inits >= BATCH
-
-    for a, b in zip(serial, warm_first):
-        np.testing.assert_array_equal(a.measurements["m"], b.measurements["m"])
-
-    speedup = reinit_seconds / warm_seconds
-    print_series(
-        "Multi-program batch vs per-circuit reinit",
-        ["circuits", "reps", "warm_s", "reinit_s", "speedup", "warm_inits", "reinit_inits"],
-        [
-            (
-                BATCH,
-                REPS,
-                warm_seconds,
-                reinit_seconds,
-                speedup,
-                warm_inits,
-                reinit_inits,
-            )
-        ],
-    )
-    assert_timing_win(
-        1.5 * warm_seconds,
-        reinit_seconds,
-        "multi-program batch >= 1.5x over per-circuit reinit",
     )
 
 

@@ -13,7 +13,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-import scipy.stats
 
 
 def porter_thomas_pdf(p: np.ndarray, dim: int) -> np.ndarray:
@@ -74,6 +73,9 @@ def porter_thomas_test(
             )
         probs = probs / total
     dim = probs.size
+    # Imported on use: it adds ~45 MB to every process importing repro.
+    import scipy.stats
+
     # Under PT, N*p is Exp(1).
     statistic, p_value = scipy.stats.kstest(dim * probs, "expon")
     return float(statistic), float(p_value)

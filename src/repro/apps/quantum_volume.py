@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
-import scipy.stats
 
 from ..circuits import Circuit, LineQubit, MatrixGate, Qid, measure
 from ..states.base import bits_to_index
@@ -46,6 +45,9 @@ def quantum_volume_circuit(
     qubits = list(qubits)
     if len(qubits) != m:
         raise ValueError(f"Expected {m} qubits, got {len(qubits)}")
+
+    # Imported on use: it adds ~45 MB to every process importing repro.
+    import scipy.stats
 
     circuit = Circuit()
     for _ in range(m):

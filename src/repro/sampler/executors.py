@@ -14,16 +14,15 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
   task list drained through a :class:`~repro.sampler.service.PoolManager`:
   a ``run`` is a one-point batch of seeded chunks, a sweep or batch is
   whatever the configured scheduling mode
-  (:func:`repro.sampler.schedule.schedule`) made of its points.  The
-  compiled units (one plan, or the **program table** of a heterogeneous
-  batch), a packed snapshot of the initial state, and the simulator
-  configuration ship to each worker exactly once through the pool
-  *initializer*; each task then carries only ``(unit_index, resolver,
-  size, seed, ctx)`` plus an optional result-plane slot.  By default (``reuse_pool=True``) the pool
-  is **warm**: the shared manager keeps the workers alive across calls
-  and re-initializes them only when the execution key — compiled units,
-  initial-state payload, simulator config, pool geometry — changes.
-  ``reuse_pool=False`` uses a private manager closed when the call ends.
+  (:func:`repro.sampler.schedule.schedule`) made of its points.  A
+  packed initial state and the simulator config ship to each worker once,
+  through the pool *initializer*; each task carries its compiled unit
+  (one plan, or one Program of a batch) pickled, plus ``(resolver, size,
+  seed, ctx)`` and an optional result-plane slot.  By default
+  (``reuse_pool=True``) the pool is **warm**: one pool per (initial
+  state, simulator config, pool geometry) lives across calls, whatever
+  circuits they run.  ``reuse_pool=False`` uses a private manager closed
+  when the call ends.
 
 Every sweep and batch is built by one task builder, :func:`_point_tasks`.
 Under the default ``"fifo"`` mode each point is one stream seeded from
@@ -72,6 +71,7 @@ from .service import (
     _chunk_sizes,
     _merge_parts,
     _run_task,
+    _unit_ref,
     execution_key,
     shared_pool_manager,
 )
@@ -165,14 +165,14 @@ class ProcessPoolExecutor(Executor):
             sentinel ``"auto"`` resolves to ``forkserver`` where
             available and the platform default elsewhere (Windows has
             only ``spawn``), so default-configured executors work on
-            every platform.  With ``fork`` the shared units and packed
-            state are inherited copy-on-write; with
-            ``forkserver``/``spawn`` they are pickled once per worker by
-            the initializer.
+            every platform.  With ``fork`` the packed state is inherited
+            copy-on-write; with ``forkserver``/``spawn`` it is pickled
+            once per worker by the initializer.
         reuse_pool: True (default) keeps the pool **warm** through a
             :class:`~repro.sampler.service.PoolManager`: consecutive
             calls with an unchanged execution key submit straight to the
-            already-initialized workers.  False runs each call on a
+            already-initialized workers, whatever circuits they carry.
+            False runs each call on a
             private manager closed when the call ends — same output,
             more startup cost.
         pool_manager: The manager owning the warm pool.  None (default)
@@ -297,14 +297,10 @@ class ProcessPoolExecutor(Executor):
         """Fan a (possibly heterogeneous) batch across the (warm) pool.
 
         The batch's distinct compiled Programs form one **program
-        table** shipped to every worker by the pool initializer — the
-        execution key covers the whole table, so ``run_batch`` over N
-        different circuits performs **one** pool initialization instead
-        of N, and repeated identical batches (or sweeps of one template)
-        reuse the warm workers with zero re-initializations (the
-        process-wide Program cache hands the manager the same table
-        objects).  Workers specialize per point (memoized, so optimizer
-        loops revisiting a point skip the param-slot rebuild).  The
+        table**; each task carries its Program, so a fresh ensemble runs
+        on the warm workers.  Workers keep recent Programs unpickled and
+        specialize per point (memoized, so optimizer loops revisiting a
+        point skip the param-slot rebuild).  The
         ``scheduler`` mode maps points to tasks (see :func:`_point_tasks`).
 
         Collection is **completion-ordered** (chunks merge by chunk
@@ -329,8 +325,9 @@ class ProcessPoolExecutor(Executor):
         ``argses[j]`` is the :func:`~repro.sampler.service._run_task`
         argument tuple of ``tasks[j]`` over the unit table ``units``.
         With one worker (or one task) the tasks run in-process, in order,
-        with direct arrays.  Otherwise they go to the pool as one run:
-        idle workers pull the next task from the shared queue, and the
+        with direct arrays, never pickling a unit.  Otherwise they go to
+        the pool as one run: idle workers pull the next task from the
+        shared queue, and the
         drain below collects results in completion order and releases
         points in point order.  Shared-memory transport allocates one
         :class:`~repro.sampler.result_planes.PointPlanes` per point (row
@@ -350,6 +347,8 @@ class ProcessPoolExecutor(Executor):
                 part = _run_task(simulator, units, *args)
                 yield from collector.feed(task, part, _merge_chunks)
             return
+        # Each distinct unit is pickled once; every task carries it.
+        refs = [_unit_ref(unit) for unit in units]
         planes: Dict[int, PointPlanes] = {}
         manager = self.pool_manager if self.reuse_pool else PoolManager()
         run = None
@@ -374,11 +373,11 @@ class ProcessPoolExecutor(Executor):
                     for task, args in zip(tasks, argses)
                 ]
             run = manager.submit(
-                execution_key(simulator, units),
+                execution_key(simulator),
                 min(self.num_workers, len(tasks)),
                 self.start_method,
-                lambda: _WorkerPayload(simulator, units),
-                argses,
+                lambda: _WorkerPayload(simulator),
+                [(refs[args[0]], args) for args in argses],
                 planes=tuple(planes.values()),
             )
             received = 0
@@ -460,7 +459,7 @@ def _point_tasks(
 
     Dedupes ``programs`` by identity into the unit table (a batch
     repeating a circuit — the Program cache returns the same object —
-    ships each distinct Program once), costs every (program, resolver)
+    pickles each distinct Program once), costs every (program, resolver)
     point, and schedules the points for ``num_workers`` in ``mode``
     (:func:`repro.sampler.schedule.schedule`): ``"fifo"`` is one task per
     point in point order.  Returns ``(table, tasks, argses)``, where

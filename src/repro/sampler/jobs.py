@@ -2,27 +2,26 @@
 
 Everything below the service layer is a blocking library call in one
 caller's hands: ``Simulator.run_sweep`` owns its executor, the executor
-owns (or shares) a :class:`~repro.sampler.service.PoolManager`, and two
-independent callers with different circuits thrash each other's warm
-workers by alternating execution keys.  This module is the ROADMAP's
-"millions of users" tier: many independent clients (*tenants*) submit
-sampling jobs against **one** warm pool, and a single dispatcher decides
-what runs next so that
+owns (or shares) a :class:`~repro.sampler.service.PoolManager`.  This
+module is the ROADMAP's "millions of users" tier: many independent
+clients (*tenants*) submit sampling jobs against **one** warm pool, and a
+single dispatcher decides what runs next so that
 
 * tenants share fairly — per-tenant FIFO queues drained by quota-weighted
   fair share (the tenant with the least *served cost per quota unit*
   runs next; equal quotas and equal job costs degenerate to round-robin
   across tenants with jobs pending, and a higher ``quota`` buys a
   proportionally larger share),
-* the pool stays warm — the dispatcher groups same-execution-key jobs
-  (within a small per-tenant lookahead window it may run a later job of
-  the *chosen* tenant first when its key matches the currently warm
-  pool) so interleaved submissions of K distinct circuits cost K pool
-  initializations, not one per job,
+* the pool stays warm — the pool is keyed by the service's initial
+  state and simulator config only, and every job's compiled circuit
+  travels with its tasks, so jobs over any mix of circuits run in plain
+  fair-share order on one pool initialization,
 * one bad job hurts only itself — a job that poisons the pool (a task
   failing in a worker) is marked ``FAILED``, its shared-memory result
   planes are released through the executor/manager lifecycle backstops,
-  and the manager's reset path rebuilds the pool for the next job.
+  and the manager's reset path rebuilds the pool for the next job.  An
+  error in the dispatcher's own bookkeeping fails the job it was
+  handling, with that error, and the dispatcher serves on.
 
 Job lifecycle: ``submit(...)`` returns a :class:`JobHandle` in state
 ``QUEUED``; the dispatcher moves it to ``RUNNING``, then exactly one of
@@ -39,7 +38,7 @@ Determinism: each job runs on its own :class:`Simulator` seeded with the
 job's ``seed`` (drawn at submit when not given, recorded on the handle),
 so every streamed ``Result`` is bit-for-bit equal to a direct
 ``run_sweep`` of the same ``(circuit, params, repetitions, seed)`` —
-regardless of tenant interleaving, grouping, or pool resets.
+regardless of tenant interleaving or pool resets.
 """
 
 from __future__ import annotations
@@ -48,14 +47,14 @@ import itertools
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .executors import ProcessPoolExecutor
 from .results import Result
 from .schedule import estimate_job_cost
-from .service import PoolManager, execution_key
+from .service import PoolManager
 from .simulator import Simulator
 
 #: Job states (a job visits QUEUED, then RUNNING, then one terminal state;
@@ -99,7 +98,6 @@ class _Tenant:
         "repetitions",
         "estimated_cost",
         "queue_wait_seconds",
-        "reinits",
     )
 
     def __init__(self, name: str, quota: float):
@@ -115,7 +113,6 @@ class _Tenant:
         self.repetitions = 0
         self.estimated_cost = 0
         self.queue_wait_seconds = 0.0
-        self.reinits = 0
 
 
 class JobHandle:
@@ -138,7 +135,6 @@ class JobHandle:
         repetitions: int,
         seed: int,
         cost: int,
-        exec_key: Tuple,
         simulator: Simulator,
     ):
         self._service = service
@@ -150,7 +146,6 @@ class JobHandle:
         self.seed = seed
         self.num_points = len(params)
         self.cost = cost
-        self._exec_key = exec_key
         self._simulator = simulator
         self._state = QUEUED
         self._results: List[Result] = []
@@ -289,11 +284,11 @@ class SamplingService:
     options — and one pooled executor (built over its own
     :class:`PoolManager` unless an ``executor`` is injected).  Each
     submitted job gets its own ``Simulator`` (its own seed) sharing that
-    executor, so jobs with equal circuits land on equal execution keys
-    and reuse the warm workers.
+    executor and the service's state and config, so every job reuses
+    the warm workers.
 
     One dispatcher thread drains the tenant queues; see the module
-    docstring for the fair-share and key-grouping semantics.  The
+    docstring for the fair-share semantics.  The
     service is a context manager; :meth:`shutdown` cancels queued jobs,
     joins the dispatcher, and shuts the owned pool manager down.
     """
@@ -309,7 +304,6 @@ class SamplingService:
         start_method: Optional[str] = "auto",
         max_result_entries: int = 256,
         max_result_bytes: int = 256 * 2**20,
-        key_window: int = 8,
         default_quota: float = 1.0,
         simulator_options: Optional[dict] = None,
     ):
@@ -321,8 +315,6 @@ class SamplingService:
             raise ValueError(
                 f"max_result_bytes must be >= 1, got {max_result_bytes}"
             )
-        if key_window < 0:
-            raise ValueError(f"key_window must be >= 0, got {key_window}")
         if default_quota <= 0:
             raise ValueError(
                 f"default_quota must be > 0, got {default_quota}"
@@ -341,7 +333,6 @@ class SamplingService:
         self.executor = executor
         self.max_result_entries = max_result_entries
         self.max_result_bytes = max_result_bytes
-        self.key_window = key_window
         self.default_quota = default_quota
 
         self._cond = threading.Condition()
@@ -349,7 +340,6 @@ class SamplingService:
         self._store: "OrderedDict[str, JobHandle]" = OrderedDict()
         self._store_bytes = 0
         self._evictions = 0
-        self._warm_key: Optional[Tuple] = None
         self._serial = itertools.count()
         self._seq = itertools.count()
         self._virtual_time = 0.0
@@ -423,16 +413,13 @@ class SamplingService:
             **self._simulator_options,
         )
         # Compile eagerly: bare states and uncompilable circuits fail the
-        # submit call, not some later tenant's dispatch turn.  The handle
-        # keeps the Program alive so the id-based execution key cannot
-        # alias a recycled address while the job is queued.
+        # submit call, not some later tenant's dispatch turn.
         program = simulator.compile(circuit)
         if not program.key_axes:
             raise ValueError(
                 "Circuit has no measurements; add measure(...) operations "
                 "before submitting a sampling job."
             )
-        exec_key = execution_key(simulator, (program,))
         cost = estimate_job_cost(program, len(resolved_params), repetitions)
         with self._cond:
             if self._shutdown:
@@ -467,10 +454,8 @@ class SamplingService:
                 repetitions,
                 int(seed),
                 cost,
-                exec_key,
                 simulator,
             )
-            job._program = program  # keep the keyed Program alive
             record.queue.append(job)
             record.jobs_submitted += 1
             record.repetitions += repetitions * max(1, len(resolved_params))
@@ -481,7 +466,7 @@ class SamplingService:
 
     # -- introspection -----------------------------------------------------
     def stats(self) -> Dict[str, Dict[str, Union[int, float]]]:
-        """Per-tenant accounting: jobs, reps, cost, waits, reinits."""
+        """Per-tenant accounting: jobs, reps, cost, queue waits."""
         with self._cond:
             return {
                 t.name: {
@@ -494,7 +479,6 @@ class SamplingService:
                     "repetitions": t.repetitions,
                     "estimated_cost": t.estimated_cost,
                     "queue_wait_seconds": t.queue_wait_seconds,
-                    "reinits": t.reinits,
                 }
                 for t in self._tenants.values()
             }
@@ -561,15 +545,11 @@ class SamplingService:
             self._dispatcher.start()
 
     def _select_locked(self) -> Optional[JobHandle]:
-        """Pick the next job: fair share first, key affinity second.
+        """Pop the next job: the head of the fair-share tenant's queue.
 
         The tenant with the least served cost per quota unit goes next
-        (ties break toward the least recently served).  Within *that*
-        tenant's FIFO queue, the first job among the front ``key_window``
-        whose execution key matches the warm pool runs early — a bounded
-        reordering of independent, individually-seeded jobs, so output
-        is unaffected; only pool re-inits are.  Affinity never overrides
-        the tenant choice: fairness beats warmth.
+        (ties break toward the least recently served); each tenant's
+        jobs run in submission order.
         """
         candidates = [t for t in self._tenants.values() if t.queue]
         if not candidates:
@@ -578,47 +558,52 @@ class SamplingService:
             candidates,
             key=lambda t: (t.served_cost / t.quota, t.last_served, t.name),
         )
-        self._virtual_time = max(
-            self._virtual_time, tenant.served_cost / tenant.quota
-        )
-        pick = 0
-        if self._warm_key is not None and self.key_window:
-            for offset, job in enumerate(
-                itertools.islice(tenant.queue, self.key_window)
-            ):
-                if job._exec_key == self._warm_key:
-                    pick = offset
-                    break
-        if pick:
-            tenant.queue.rotate(-pick)
-            job = tenant.queue.popleft()
-            tenant.queue.rotate(pick)
-        else:
-            job = tenant.queue.popleft()
-        tenant.served_cost += job.cost
-        tenant.last_served = next(self._seq)
-        job._finished_seq = tenant.last_served
-        return job
+        return tenant.queue.popleft()
 
     def _dispatch_loop(self) -> None:
+        """Run jobs until shutdown.  An error outside a job's own run
+        (selection, accounting, banking) FAILs the job in hand with it —
+        or, with none in hand, every queued job, so none stalls — and the
+        loop serves on."""
         while True:
-            with self._cond:
-                job = self._select_locked()
-                while job is None:
-                    if self._shutdown:
-                        return
-                    self._cond.wait()
+            job = None
+            try:
+                with self._cond:
                     job = self._select_locked()
-                job._state = RUNNING
-                tenant = self._tenants[job.tenant]
-                tenant.queue_wait_seconds += time.monotonic() - job._submitted
-                self._warm_key = job._exec_key
-                self._cond.notify_all()
-            self._run_job(job, tenant)
+                    while job is None:
+                        if self._shutdown:
+                            return
+                        self._cond.wait()
+                        job = self._select_locked()
+                    tenant = self._tenants[job.tenant]
+                    self._virtual_time = max(
+                        self._virtual_time, tenant.served_cost / tenant.quota
+                    )
+                    tenant.served_cost += job.cost
+                    tenant.last_served = job._finished_seq = next(self._seq)
+                    job._state = RUNNING
+                    tenant.queue_wait_seconds += time.monotonic() - job._submitted
+                    self._cond.notify_all()
+                self._run_job(job, tenant)
+            except Exception as exc:
+                with self._cond:
+                    self._fail_locked(job, exc)
+
+    def _fail_locked(self, job: Optional[JobHandle], error: Exception) -> None:
+        jobs = [job]
+        if job is None:
+            jobs = [j for t in self._tenants.values() for j in t.queue]
+            for tenant in self._tenants.values():
+                tenant.queue.clear()
+        for failed in jobs:
+            if self._store.pop(failed.job_id, None) is not None:
+                self._store_bytes -= failed._nbytes
+            failed._state = FAILED
+            failed._error = error
+            self._tenants[failed.tenant].jobs_failed += 1
+        self._cond.notify_all()
 
     def _run_job(self, job: JobHandle, tenant: _Tenant) -> None:
-        manager = getattr(self.executor, "pool_manager", None)
-        inits_before = manager.stats["inits"] if manager is not None else 0
         error: Optional[BaseException] = None
         cancelled = False
         stream = None
@@ -641,21 +626,17 @@ class SamplingService:
                 # pending work and release their shm planes here.
                 stream.close()
         with self._cond:
-            if manager is not None:
-                tenant.reinits += manager.stats["inits"] - inits_before
             if cancelled or (error is None and job._cancel.is_set()):
                 job._state = CANCELLED
                 job._results = []
                 tenant.jobs_cancelled += 1
             elif error is not None:
-                job._state = FAILED
-                job._error = error
-                tenant.jobs_failed += 1
+                self._fail_locked(job, error)
             else:
+                self._bank_locked(job)
                 job._state = DONE
                 job._result_count = len(job._results)
                 tenant.jobs_completed += 1
-                self._bank_locked(job)
             self._cond.notify_all()
 
     # -- bounded result store ----------------------------------------------

@@ -4,28 +4,22 @@ Every pooled call — a one-point ``run``, a sweep, or a heterogeneous
 batch — is one contract: a deterministic task list that may run on any
 worker.  This module runs it:
 
-* :class:`PoolManager` owns one process pool and keeps it — workers,
-  shipped compiled units, restored initial state and all — alive across
-  calls.  Workers are re-initialized **only when the execution key
-  changes**: the key combines the identities of the compiled units (the
-  worker's *unit table*: Programs, or an already specialized
-  :class:`~repro.sampler.plan.ExecutionPlan`), the initial-state payload
-  (the registry ``snapshot`` payload for backends that declare one,
-  object identity otherwise), the simulator configuration, and the pool
-  geometry.  Because :meth:`Program.specialize` memoizes per resolved
-  parameter tuple and the Program cache is process-wide, repeated runs of
-  the same circuit reach the manager with the *same* unit objects and
-  reuse the warm pool with zero re-initializations.
+* :class:`PoolManager` keeps one process pool per (initial state,
+  simulator config, pool geometry) alive across calls: the *execution
+  key* holds the initial-state payload (the registry ``snapshot`` payload
+  where declared, object identity otherwise), the config and the
+  geometry.  Compiled units (Programs or specialized plans) travel with
+  the tasks, so a fresh circuit ensemble runs on the warm workers.
 * :meth:`PoolManager.submit` is the one dispatch entry.  It puts ``(run_id,
-  task_id, args)`` items on the pool's shared task queue and hands each
-  worker a :func:`_pull_tasks` loop: idle workers pull the next task, run
-  the one task body :func:`_run_task`, and report ``(run_id, task_id,
-  error, payload)`` on the shared result queue.  Placement is
-  dynamic; the task list (geometry and seeds) is whatever the caller
-  built, so output never depends on which worker ran what.  Results are
-  routed by run id, so several runs (threads) can share one pool, and
-  closing an abandoned run (:meth:`PoolManager.close`) makes workers skip
-  its leftover items without tearing the warm pool down.
+  task_id, unit_ref, args)`` items on the pool's shared task queue and
+  hands each worker a :func:`_pull_tasks` loop: idle workers pull the
+  next task, run the one task body :func:`_run_task`, and report
+  ``(run_id, task_id, error, payload)`` on the shared result queue.
+  Placement is dynamic; the task list (geometry and seeds) is whatever
+  the caller built, so output never depends on which worker ran what.
+  Results are routed by run id, so several runs (threads) can share one
+  pool, and closing an abandoned run (:meth:`PoolManager.close`) makes
+  workers skip its leftover items without tearing the warm pool down.
 * :func:`shared_pool_manager` is the default process-wide manager used by
   ``ProcessPoolExecutor(reuse_pool=True)``; it is shut down automatically
   at interpreter exit (``atexit``), and :class:`PoolManager` doubles as a
@@ -54,6 +48,7 @@ from __future__ import annotations
 
 import atexit
 import collections
+import hashlib
 import multiprocessing
 import os
 import pickle
@@ -196,7 +191,7 @@ def _pool_context(start_method: Optional[str]):
 # ----------------------------------------------------------------------
 
 class _WorkerPayload:
-    """Everything a pool worker needs, shipped once per worker.
+    """Everything a pool worker needs for its whole life, shipped once.
 
     The initial state travels as its registry ``snapshot`` payload when
     the backend declares one *for exactly this type* (restored via the
@@ -204,15 +199,10 @@ class _WorkerPayload:
     descriptor falls back to object pickling so the worker state keeps
     the subclass type), else as the state object itself; either way it is
     pickled once per *worker* by the pool initializer — never per task.
-    ``units`` is the worker's *unit table*: the compiled Programs of a
-    whole (possibly heterogeneous) batch, or the one specialized plan of
-    a ``run``.  Tasks select a unit by index and specialize it per
-    resolver inside the worker (memoized for Programs; a plan is its own
-    specialization).
+    Compiled units ride the tasks instead (:func:`_unit_ref`).
     """
 
     __slots__ = (
-        "units",
         "state_payload",
         "restore",
         "apply_op",
@@ -224,7 +214,7 @@ class _WorkerPayload:
         "trajectory_tile",
     )
 
-    def __init__(self, simulator, units: Sequence):
+    def __init__(self, simulator):
         caps = capabilities_for(type(simulator.initial_state))
         if (
             caps.snapshot is not None
@@ -237,7 +227,6 @@ class _WorkerPayload:
         else:
             self.state_payload = simulator.initial_state
             self.restore = None
-        self.units = tuple(units)
         self.apply_op = simulator.apply_op
         self.compute_probability = simulator.compute_probability
         self.user_candidates = simulator.user_candidate_function
@@ -266,8 +255,8 @@ class _WorkerPayload:
         )
 
 
-# The worker's ``(simulator, units)``, built once by the pool initializer.
-_WORKER: Optional[Tuple[object, Tuple]] = None
+# The worker's simulator, built once by the pool initializer.
+_WORKER = None
 
 # The worker's end of the pool's channels — ``(task_queue, result_queue,
 # cancelled)`` — shipped by the initializer alongside the payload.
@@ -282,12 +271,34 @@ _WORKER_CHANNELS: Optional[Tuple[object, object, object]] = None
 #: wasted work whose results are dropped anyway.
 _RUN_SLOTS = 64
 
+#: How many unpickled units a worker keeps, least recently used first out.
+_UNIT_CACHE_SIZE = 64
+_UNITS: "collections.OrderedDict[bytes, object]" = collections.OrderedDict()
+
 
 def _init_pool_worker(payload: _WorkerPayload, channels) -> None:
-    """Pool initializer: build the worker-local simulator + unit table."""
+    """Pool initializer: build the worker-local simulator."""
     global _WORKER, _WORKER_CHANNELS
-    _WORKER = (payload.build_simulator(), payload.units)
+    _WORKER = payload.build_simulator()
     _WORKER_CHANNELS = channels
+
+
+def _unit_ref(unit) -> Tuple[bytes, bytes]:
+    """``(unit_key, blob)``: a unit pickled for a task, keyed by digest
+    (so a key can never name a stale unit of an earlier run)."""
+    blob = pickle.dumps(unit, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.blake2b(blob, digest_size=16).digest(), blob
+
+
+def _load_unit(unit_key: bytes, blob: bytes):
+    """The unit a task names, unpickled at most once per cache stay."""
+    unit = _UNITS.pop(unit_key, None)
+    if unit is None:
+        unit = pickle.loads(blob)
+    _UNITS[unit_key] = unit
+    if len(_UNITS) > _UNIT_CACHE_SIZE:
+        _UNITS.popitem(last=False)
+    return unit
 
 
 def _run_task(
@@ -342,9 +353,10 @@ def _pull_tasks() -> int:
     """Worker loop: pull tasks off the shared queue until a sentinel.
 
     Each submission hands every worker one of these.  It pulls ``(run_id,
-    task_id, args)`` items — *placement* is whichever worker gets there
-    first — skips items of closed runs, runs :func:`_run_task`, and
-    reports ``(run_id, task_id, error, payload)`` on the result queue.
+    task_id, unit_ref, args)`` items — *placement* is whichever worker gets
+    there first — skips items of closed runs, runs :func:`_run_task` on
+    the item's own unit, and reports ``(run_id, task_id, error,
+    payload)`` on the result queue.
     A ``None`` sentinel (one per puller, enqueued after the run's tasks)
     ends the loop; the return value is how many tasks this worker ran.
     Task errors are reported per task, never raised — the parent decides
@@ -356,13 +368,15 @@ def _pull_tasks() -> int:
         item = task_queue.get()
         if item is None:
             return ran
-        run_id, task_id, args = item
+        run_id, task_id, unit_ref, args = item
         if cancelled[run_id % _RUN_SLOTS] == run_id:
             continue
         error = None
         payload = None
         try:
-            payload = _run_task(*_WORKER, *args)
+            # The task's unit, under the index it has in the parent's table.
+            units = {args[0]: _load_unit(*unit_ref)}
+            payload = _run_task(_WORKER, units, *args)
         except BaseException as exc:
             error = _picklable_error(exc)
         result_queue.put((run_id, task_id, error, payload))
@@ -413,19 +427,14 @@ def _state_token(state) -> Tuple:
     return ("object", id(state))
 
 
-def execution_key(simulator, units: Sequence) -> Tuple:
-    """The warm-pool reuse key for one simulator + unit table.
+def execution_key(simulator) -> Tuple:
+    """The warm-pool reuse key of one simulator.
 
-    Combines the identities of the table's compiled units, in order (the
-    memoized ``specialize`` / Program caches make repeated identical work
-    arrive as the *same* objects), the initial-state payload token, and
-    every simulator knob the worker payload ships.  ``run_batch`` over N
-    circuits is therefore one key (one pool init) and re-initializes only
-    when the table's content changes.  Any change re-initializes workers;
-    equal keys reuse them untouched.
+    Combines the initial-state payload token and every simulator knob the
+    worker payload ships: what lives as long as a worker, never the
+    circuits.  Any change re-initializes workers; equal keys reuse them.
     """
     return (
-        tuple(id(unit) for unit in units),
         _state_token(simulator.initial_state),
         simulator.apply_op,
         simulator.compute_probability,
@@ -465,13 +474,11 @@ class PoolManager:
 
     The manager lazily builds a pool for the first execution key it sees
     and keeps it warm: subsequent calls with an equal key submit straight
-    to the live workers (``stats["reuses"]``), while a different key —
-    new compiled unit, new initial-state payload, changed simulator
-    config or pool geometry — shuts the old pool down cleanly and builds
-    a fresh one (``stats["key_changes"]`` + ``stats["inits"]``).  The
-    worker-initialization counter the lifecycle tests pin is
-    ``stats["inits"]``: two consecutive ``run_sweep`` calls over one
-    compiled Program must leave it at 1.
+    to the live workers (``stats["reuses"]``) whatever circuits they
+    carry, while a different key — new initial-state payload, changed
+    simulator config or pool geometry — or a dead worker (even an idle
+    one) shuts the old pool down cleanly and builds a fresh one
+    (``stats["key_changes"]`` + ``stats["inits"]``).
 
     Lifecycle: use as a context manager for scoped pools, call
     :meth:`shutdown` explicitly, or rely on the shared manager's
@@ -599,16 +606,17 @@ class PoolManager:
         num_workers: int,
         start_method: Optional[str],
         payload_factory: Callable[[], _WorkerPayload],
-        argses: Sequence[Tuple],
+        tasks: Sequence[Tuple],
         planes: Sequence = (),
     ) -> _Run:
         """Queue one task list on the (warm) pool; return its run handle.
 
-        Every args tuple becomes a ``(run_id, task_id, args)`` item on the
-        pool's shared task queue, followed by one ``None`` sentinel per
-        worker, and every worker is handed one :func:`_pull_tasks` loop.
-        The caller drains ``len(argses)`` results with :meth:`receive`
-        and then passes the run to :meth:`close` — also when it abandons
+        Every ``(unit_ref, args)`` task becomes a ``(run_id, task_id,
+        unit_ref, args)`` item on the pool's shared task queue, followed
+        by one ``None`` sentinel per worker, and every worker is handed
+        one :func:`_pull_tasks` loop.  The caller drains ``len(tasks)``
+        results with :meth:`receive` and then passes the run to
+        :meth:`close` — also when it abandons
         the run early, which makes workers skip its leftover items.  A
         submission failure shuts the pool down fail-safe.
 
@@ -618,8 +626,8 @@ class PoolManager:
         explicit reset) before a plane is retired, :meth:`shutdown`
         releases it and no segment outlives the pool filling it.
         Adoption happens after :meth:`_ensure` (still under the lock):
-        a key change tears the *previous* pool and its leftovers down
-        without touching this call's fresh planes.
+        a key change or a rebuild tears the *previous* pool and its
+        leftovers down without touching this call's fresh planes.
         """
         with self._lock:
             pool = self._ensure(key, num_workers, start_method, payload_factory)
@@ -632,8 +640,8 @@ class PoolManager:
                 self._runs[run.id] = run
             try:
                 task_queue = self._channels[0]
-                for task_id, args in enumerate(argses):
-                    task_queue.put((run.id, task_id, args))
+                for task_id, (unit_ref, args) in enumerate(tasks):
+                    task_queue.put((run.id, task_id, unit_ref, args))
                 for _ in range(num_workers):
                     task_queue.put(None)
                 # In place: live runs hold this list.  Failed pullers stay
@@ -716,10 +724,16 @@ class PoolManager:
     ) -> _cf.ProcessPoolExecutor:
         full_key = (key, num_workers, start_method)
         if self._pool is not None:
-            if full_key == self._key:
+            # A worker that died between calls breaks the pool (the pool
+            # may not have noticed yet): rebuild, do not fail the run.
+            processes = list((self._pool._processes or {}).values())
+            broken = self._pool._broken or not all(
+                proc.is_alive() for proc in processes
+            )
+            if full_key == self._key and not broken:
                 self.stats["reuses"] += 1
                 return self._pool
-            self.stats["key_changes"] += 1
+            self.stats["key_changes"] += int(full_key != self._key)
             self.shutdown()
         payload = payload_factory()
         ctx = _pool_context(start_method)
@@ -732,9 +746,8 @@ class PoolManager:
             initializer=_init_pool_worker,
             initargs=(payload, self._channels),
         )
-        # The payload ref keeps every id()-keyed object (every unit of
-        # the table, initial state) alive while the key is current, so
-        # ids in the key cannot alias recycled addresses.
+        # The payload ref keeps an id()-keyed initial state alive while
+        # the key is current, so its id cannot alias a recycled address.
         self._payload = payload
         self._key = full_key
         self._pullers = []

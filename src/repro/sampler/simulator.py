@@ -310,11 +310,10 @@ class Simulator:
         ``SeedSequence([user_seed, index])`` exactly like :meth:`run_sweep`.
 
         With a pooled executor the whole heterogeneous batch is **one
-        schedulable unit**: every distinct compiled Program ships to the
-        warm pool's workers in a single program table, so N different
-        circuits cost one worker initialization instead of N, tasks
-        select their program in-worker, and the executor's scheduling
-        mode may reorder or split points
+        schedulable unit** on the warm pool: each task carries its
+        compiled Program, so N different circuits cost no worker
+        initialization, and the executor's scheduling mode may reorder
+        or split points
         (:func:`repro.sampler.schedule.schedule`).  With the default
         ``"fifo"`` mode the output is bit-for-bit identical to the
         executor-free ``run_batch``; ``"adaptive"`` or ``"stealing"``

@@ -20,7 +20,12 @@ from repro.sampler.executors import (
     _WorkerPayload,
 )
 from repro.sampler.result_planes import live_segment_names
-from repro.sampler.service import _base_seed, _chunk_seeds_from_base
+from repro.sampler.service import (
+    _base_seed,
+    _chunk_seeds_from_base,
+    _load_unit,
+    _unit_ref,
+)
 from repro.states import StateVectorSimulationState
 
 QUBITS = cirq.LineQubit.range(2)
@@ -210,15 +215,21 @@ class TestPooledExecutor:
         assert len(pickle.dumps(chunk)) < 100
 
     def test_worker_payload_ships_plan_and_state_once(self):
+        """The state ships once per worker; the plan travels with each
+        task as ``(unit_key, blob)`` and is unpickled once per worker."""
         sim = make_sim(seed=31)
         plan = sim.compile(noisy_bell_circuit()).specialize(None)
-        payload = _WorkerPayload(sim, (plan,))
-        assert payload.units == (plan,)
+        payload = _WorkerPayload(sim)
+        assert "units" not in _WorkerPayload.__slots__
         rebuilt = payload.build_simulator()
         assert type(rebuilt.initial_state) is StateVectorSimulationState
-        # The rebuilt simulator runs the shared plan without recompiling.
+        unit_key, blob = _unit_ref(plan)
+        assert _unit_ref(plan)[0] == unit_key
+        shipped = _load_unit(unit_key, blob)
+        assert _load_unit(unit_key, blob) is shipped
+        # The rebuilt simulator runs the shipped plan without recompiling.
         records, bits = rebuilt._run_trajectories(
-            plan, 5, rng=np.random.default_rng(0)
+            shipped, 5, rng=np.random.default_rng(0)
         )
         assert bits.shape == (5, 2)
         assert records["z"].shape == (5, 2)

@@ -5,11 +5,11 @@ The contracts pinned here (the PR's acceptance criteria):
 * **Point parity** — pooled ``run_sweep`` output is bit-for-bit
   identical to a serial, executor-free ``run_sweep`` for the same seed,
   on all five shipped backends.
-* **Warm reuse** — consecutive ``run_sweep`` calls over one compiled
-  Program reuse the pool with **zero** worker re-initializations
-  (``PoolManager.stats["inits"]`` stays 1), and re-initialize exactly
-  when the execution key changes (new program, new initial-state
-  payload, changed geometry).
+* **Warm reuse** — consecutive ``run_sweep`` and ``run_batch`` calls
+  reuse the pool with **zero** worker re-initializations
+  (``PoolManager.stats["inits"]`` stays 1), whatever programs they run,
+  and re-initialize exactly when the execution key changes (new
+  initial-state payload, changed config or geometry).
 * **Warm/cold equality** — ``reuse_pool=True`` and ``reuse_pool=False``
   produce identical samples; reuse changes only where startup is paid.
 * **Clean shutdown** — context-manager and ``atexit`` paths join every
@@ -276,19 +276,32 @@ class TestWarmReuse:
         assert_sweeps_equal(first, third)
 
     def test_program_change_reinitializes(self, manager):
+        """A new program does not re-initialize: it travels with its
+        tasks to the warm workers, and its output is the serial one."""
         executor = ProcessPoolExecutor(
             num_workers=2, start_method=START_METHODS[0], pool_manager=manager
         )
         sim = sv_sim(3, executor=executor)
-        sim.run_sweep(parameterized_circuit(), PARAM_POINTS, repetitions=8)
+        first = sim.run_sweep(
+            parameterized_circuit(), PARAM_POINTS, repetitions=8
+        )
         other = cirq.Circuit(
             cirq.X(QUBITS[0]),
             cirq.Rx(THETA).on(QUBITS[1]),
             cirq.measure(*QUBITS, key="m"),
         )
-        sim.run_sweep(other, PARAM_POINTS, repetitions=8)
-        assert manager.stats["inits"] == 2
-        assert manager.stats["key_changes"] == 1
+        second = sim.run_sweep(other, PARAM_POINTS, repetitions=8)
+        assert manager.stats["inits"] == 1
+        assert manager.stats["key_changes"] == 0
+        assert_sweeps_equal(
+            first,
+            sv_sim(3).run_sweep(
+                parameterized_circuit(), PARAM_POINTS, repetitions=8
+            ),
+        )
+        assert_sweeps_equal(
+            second, sv_sim(3).run_sweep(other, PARAM_POINTS, repetitions=8)
+        )
 
     def test_initial_state_payload_change_reinitializes(self, manager):
         """Snapshot backends key on payload content: |0..0> vs |+0..0>."""
@@ -425,28 +438,43 @@ class TestHeterogeneousBatch:
         assert_sweeps_equal(first, second)
 
     def test_program_table_content_change_reinitializes(self, manager):
-        """Any change to the batch's program table is a new execution key."""
+        """A changed program table runs on the warm workers (no new
+        execution key), bit-for-bit equal to the serial run_batch."""
         sim = sv_sim(
             29,
             executor=ProcessPoolExecutor(
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             ),
         )
-        sim.run_batch(distinct_clifford_circuits(4), repetitions=8)
-        sim.run_batch(distinct_clifford_circuits(5), repetitions=8)
-        assert manager.stats["inits"] == 2
-        assert manager.stats["key_changes"] == 1
+        for count in (4, 5):
+            circuits = distinct_clifford_circuits(count)
+            pooled = sim.run_batch(circuits, repetitions=8)
+            assert_sweeps_equal(
+                pooled, sv_sim(29).run_batch(circuits, repetitions=8)
+            )
+        assert manager.stats["inits"] == 1
+        assert manager.stats["key_changes"] == 0
 
-    def test_batch_key_covers_table_order_and_content(self):
-        """execution_key keys the whole unit table, in order."""
-        sim = sv_sim(0)
-        programs = [
-            sim.compile(circuit) for circuit in distinct_clifford_circuits(3)
-        ]
-        key_all = execution_key(sim, tuple(programs))
-        assert key_all == execution_key(sim, tuple(programs))
-        assert key_all != execution_key(sim, tuple(programs[:2]))
-        assert key_all != execution_key(sim, tuple(reversed(programs)))
+    def test_batch_key_covers_table_order_and_content(self, manager):
+        """The execution key leaves the unit table out: tables that differ
+        in order and content share one warm pool, each bit-for-bit equal
+        to its serial run_batch."""
+        circuits = distinct_clifford_circuits(3)
+        sim = sv_sim(
+            47,
+            executor=ProcessPoolExecutor(
+                num_workers=2, start_method=START_METHODS[0], pool_manager=manager
+            ),
+        )
+        key = execution_key(sim)
+        for batch in (circuits, circuits[:2], circuits[::-1]):
+            pooled = sim.run_batch(batch, repetitions=10)
+            assert_sweeps_equal(
+                pooled, sv_sim(47).run_batch(batch, repetitions=10)
+            )
+            assert execution_key(sim) == key
+        assert manager.stats["inits"] == 1
+        assert manager.stats["reuses"] == 2
 
     def test_batch_with_repeated_circuits_matches_serial(self, manager):
         """Duplicate circuits dedupe to one table entry (same Program

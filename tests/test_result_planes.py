@@ -395,12 +395,11 @@ class TestSegmentLifecycle:
 
         plane = PointPlanes({"m": (0, 1, 2)}, N, 8)
         simulator = sv_sim(1)
-        program = simulator.compile(parameterized_circuit())
         run = manager.submit(
-            execution_key(simulator, (program,)),
+            execution_key(simulator),
             1,
             START_METHODS[0],
-            lambda: _WorkerPayload(simulator, (program,)),
+            lambda: _WorkerPayload(simulator),
             [],
             planes=(plane,),
         )

@@ -8,19 +8,21 @@ The service contracts pinned here (the PR's acceptance criteria):
   types; ``stream()`` yields per-point ``Result``s as they land.
 * **Determinism** — every job's streamed output is bit-for-bit equal to
   a direct ``run_sweep`` of the same ``(circuit, params, repetitions,
-  seed)``, regardless of tenant interleaving or pool grouping.
+  seed)``, regardless of tenant interleaving.
 * **Fair share** — quota-weighted fair queueing: under contention a
   quota-2 tenant completes ~2x the jobs of a quota-1 tenant, and a
   newly-arriving light tenant is served promptly (start-time clamping:
   no banked credit, no monopolization).
-* **Warm-pool grouping** — interleaved same-key jobs across tenants
-  cost one pool init per distinct execution key, not one per job.
+* **Warm-pool sharing** — interleaved jobs over distinct circuits
+  across tenants cost one pool init in total.
 * **Bounded result store** — LRU + max-entries/max-bytes eviction;
   ``result()`` after eviction raises ``ResultExpired``; reads refresh
   recency.
 * **Failure isolation** — a job that poisons the pool FAILs alone,
   its planes are released (shm audit stays clean), and other tenants'
-  queued jobs complete on a rebuilt pool.
+  queued jobs complete on a rebuilt pool.  An error in the dispatcher's
+  own bookkeeping FAILs the affected jobs with its cause, and the same
+  dispatcher thread keeps serving.
 
 Pooled tests take their start method from ``BGLS_POOL_START_METHODS``
 (comma-separated; default ``fork``) like the rest of the lifecycle
@@ -500,11 +502,9 @@ class TestWarmPoolGrouping:
                         )
             for handle in handles:
                 assert len(handle.result(timeout=120)) == len(POINTS)
-            # 8 jobs over 2 distinct execution keys: grouping must keep
-            # pool initializations at the number of keys, not jobs.
-            assert manager.stats["inits"] <= len(circuits)
-            reinits = sum(t["reinits"] for t in service.stats().values())
-            assert reinits == manager.stats["inits"]
+            # 8 jobs over 2 distinct circuits: the circuits travel with
+            # their tasks, so one pool serves every job.
+            assert manager.stats["inits"] == 1
         assert live_segment_names() == []
 
     def test_pooled_results_bit_for_bit(self):
@@ -621,6 +621,117 @@ class TestFailureIsolation:
             assert manager.stats["inits"] >= 1
         # Lifecycle contracts: no leaked shm segments, workers joined.
         assert live_segment_names() == []
+
+    def test_dispatcher_error_fails_the_job_and_serves_on(self, monkeypatch):
+        """An error outside a job's own run (here: banking its results)
+        FAILs that job with the cause; the dispatcher survives and the
+        job queued behind it completes without another submit."""
+        gate = threading.Event()
+
+        def gated_apply(op, state):
+            gate.wait(10)
+            return bgls.act_on(op, state)
+
+        service = SamplingService(
+            StateVectorSimulationState(QUBITS),
+            gated_apply,
+            born.compute_probability_state_vector,
+            executor=SerialExecutor(),
+        )
+        boom = RuntimeError("injected bank failure")
+        bank = service._bank_locked
+        calls = []
+
+        def bank_fails_once(job):
+            calls.append(job.job_id)
+            if len(calls) == 1:
+                raise boom
+            return bank(job)
+
+        monkeypatch.setattr(service, "_bank_locked", bank_fails_once)
+        with service:
+            first = service.submit(
+                sweep_circuit(), POINTS, tenant="a", repetitions=4, seed=1
+            )
+            second = service.submit(
+                sweep_circuit(), POINTS, tenant="a", repetitions=4, seed=2
+            )
+            dispatcher = service._dispatcher
+            gate.set()
+            with pytest.raises(RuntimeError, match="injected bank failure"):
+                first.result(timeout=30)
+            assert first.status() == jobs_mod.FAILED
+            assert first.exception() is boom
+            assert second.result(timeout=30) == bgls.Simulator(
+                StateVectorSimulationState(QUBITS),
+                gated_apply,
+                born.compute_probability_state_vector,
+                seed=2,
+            ).run_sweep(sweep_circuit(), POINTS, 4)
+            assert service._dispatcher is dispatcher
+            assert dispatcher.is_alive()
+            stats = service.stats()["a"]
+            assert stats["jobs_failed"] == 1
+            assert stats["jobs_completed"] == 1
+            assert service.result_store_entries == 1
+
+    def test_selection_error_fails_queued_jobs_and_serves_on(
+        self, monkeypatch
+    ):
+        """An error while picking the next job FAILs every queued job with
+        the cause (none can be scheduled, none may stall); the same
+        dispatcher then serves the next submission."""
+        gate = threading.Event()
+
+        def gated_apply(op, state):
+            gate.wait(10)
+            return bgls.act_on(op, state)
+
+        service = SamplingService(
+            StateVectorSimulationState(QUBITS),
+            gated_apply,
+            born.compute_probability_state_vector,
+            executor=SerialExecutor(),
+        )
+        boom = RuntimeError("injected selection failure")
+        select = service._select_locked
+        calls = []
+
+        def select_fails_once():
+            calls.append(None)
+            if len(calls) == 1:
+                raise boom
+            return select()
+
+        with service:
+            running = service.submit(
+                sweep_circuit(), POINTS, tenant="a", repetitions=2, seed=1
+            )
+            deadline = time.monotonic() + 30
+            while running.status() != jobs_mod.RUNNING:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            monkeypatch.setattr(service, "_select_locked", select_fails_once)
+            queued = [
+                service.submit(
+                    sweep_circuit(), POINTS, tenant=t, repetitions=2, seed=2
+                )
+                for t in ("a", "b")
+            ]
+            dispatcher = service._dispatcher
+            gate.set()
+            assert len(running.result(timeout=30)) == len(POINTS)
+            for handle in queued:
+                with pytest.raises(RuntimeError, match="injected selection"):
+                    handle.result(timeout=30)
+                assert handle.exception() is boom
+            later = service.submit(
+                sweep_circuit(), POINTS, tenant="b", repetitions=2, seed=3
+            )
+            assert len(later.result(timeout=30)) == len(POINTS)
+            assert service._dispatcher is dispatcher
+            stats = service.stats()
+            assert stats["a"]["jobs_failed"] == stats["b"]["jobs_failed"] == 1
 
     def test_failed_job_does_not_enter_result_store(self):
         with serial_service() as service:
