@@ -2,7 +2,7 @@
 
 The production engines store their GF(2) matrices as ``uint64`` words
 (:mod:`repro.states.bitpack`); the pre-packing implementations are
-retained in :mod:`repro.states.reference`.  This module times the kernels
+retained in ``tests/reference_engines.py``.  This module times the kernels
 the BGLS hot loop leans on — measurement collapse (the batched
 ``_rowsum_many`` pass), probability queries (the flat-stabilizer
 membership test), and batched candidate enumeration — on identical
@@ -16,17 +16,20 @@ The printed/JSON series record actual speedups per width so the perf
 trajectory is tracked across PRs.
 """
 
+import os
+import sys
+
 import numpy as np
 
 from repro.states import bitpack as bp
 from repro.states.chform import StabilizerChForm
-from repro.states.reference import (
-    UnpackedCliffordTableau,
-    UnpackedStabilizerChForm,
-)
 from repro.states.tableau import CliffordTableau
 
 from conftest import print_series, wall_time
+
+# The unpacked engines are test oracles and live with the tests.
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from reference_engines import UnpackedCliffordTableau, UnpackedStabilizerChForm  # noqa: E402
 
 _ONE_QUBIT = ["h", "s", "sdg", "x", "y", "z"]
 _TWO_QUBIT = ["cx", "cz"]

@@ -5,7 +5,8 @@ record of every PR's headline win.  This script keeps them honest: it
 re-runs the warm-pool, fresh-ensemble, adaptive-scheduling,
 program-cache, batched-oracle, batched-trajectory,
 result-plane-transport, streaming-latency, service-fair-share,
-work-stealing, and XEB-supremacy-batch series and compares each fresh
+work-stealing, XEB-supremacy-batch and state-vector-kernel series and
+compares each fresh
 ``speedup`` (or byte-reduction ratio) against the committed baseline with a *generous* tolerance —
 the fresh ratio must stay at or above ``tolerance`` (default 0.5) times
 the recorded win, so shared-runner noise passes but a genuinely lost
@@ -132,6 +133,13 @@ SERIES = {
         "speedup_columns": ("speedup",),
         "exact_columns": ("circuits", "reps", "pool_inits", "streamed_equal"),
         "min_ratio": 1.2,
+    },
+    # The contiguous state-vector kernel against the old tensordot +
+    # moveaxis kernel, one row per gate class on a 20-qubit state.
+    "BENCH_sv_kernel_contiguous_vs_tensordot_20q.json": {
+        "module": "bench_sv_kernels.py",
+        "speedup_columns": ("speedup",),
+        "exact_columns": ("gate", "qubits"),
     },
 }
 

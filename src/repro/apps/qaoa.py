@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from ..circuits import (
@@ -33,6 +32,9 @@ from ..circuits import (
     measure,
 )
 from .sampling import sample_bits as _sample_bits
+
+if TYPE_CHECKING:  # imported on use, to keep `import repro` light
+    import networkx as nx
 
 SamplerFn = Callable[[Circuit, int], np.ndarray]
 """A function ``(resolved_circuit, repetitions) -> (reps, n) bit array``.
@@ -57,6 +59,8 @@ def random_graph(
     random_state: Union[int, np.random.Generator, None] = None,
 ) -> nx.Graph:
     """Erdős–Rényi G(n, p) graph (paper: n=10, p=0.3), guaranteed non-empty."""
+    import networkx as nx
+
     rng = (
         random_state
         if isinstance(random_state, np.random.Generator)

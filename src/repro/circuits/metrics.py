@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict
 
 from .circuit import Circuit
 from .qubits import Qid
+
+if TYPE_CHECKING:  # imported on use, to keep `import repro` light
+    import networkx as nx
 
 
 @dataclass
@@ -91,6 +92,8 @@ def interaction_graph(circuit: Circuit) -> nx.Graph:
     Edge weight = number of multi-qubit operations coupling the pair.
     Its connectivity predicts MPS bond structure and routing cost.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(circuit.all_qubits())
     for op in circuit.all_operations():

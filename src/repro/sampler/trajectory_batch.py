@@ -14,8 +14,9 @@ computation** instead:
 * every plan record applies across the batch axis in one call, through
   the scalar backends' own kernels: unitaries via
   :func:`~repro.states.state_vector.apply_matrix` on the tile's shifted
-  axes, Clifford primitives via the engines' ``...``-indexed gate
-  updates, candidate probabilities as one batched gather;
+  axes (diagonal ones in place), Clifford primitives via the engines'
+  ``...``-indexed gate updates, candidate probabilities as one batched
+  gather;
 * bit resampling replaces ``B`` scalar multinomials with one vectorized
   cumulative-sum/searchsorted pass over a ``(B, 2^k)`` probability matrix;
 * Kraus branching draws all ``B`` branch choices at once and applies each
@@ -179,7 +180,9 @@ class BatchedStateVector:
         for sub in subs:
             # Tile axis 0 is the batch, so qubit a lives on axis a + 1.
             axes = [a + 1 for a in sub.support]
-            self.tensor = apply_matrix(self.tensor, sub.unitary, axes)
+            self.tensor = apply_matrix(
+                self.tensor, sub.unitary, axes, overwrite=True
+            )
 
     def candidate_probabilities(
         self, bits: np.ndarray, support: Sequence[int]
@@ -242,7 +245,10 @@ class BatchedStateVector:
             mask = choice == j
             if not mask.any():
                 continue
-            out[mask] = apply_matrix(self.tensor[mask], kraus[j], axes)
+            # Boolean indexing copies, so the sub-stack is ours to overwrite.
+            out[mask] = apply_matrix(
+                self.tensor[mask], kraus[j], axes, overwrite=True
+            )
         self.tensor = out
         flat = self.tensor.reshape(self.batch, -1)
         norms = np.linalg.norm(flat, axis=1)

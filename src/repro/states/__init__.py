@@ -14,7 +14,6 @@ from .density_matrix import DensityMatrixSimulationState
 from .chform import StabilizerChForm
 from .stabilizer import StabilizerChFormSimulationState
 from .tableau import CliffordTableau, CliffordTableauSimulationState
-from .reference import UnpackedCliffordTableau, UnpackedStabilizerChForm
 
 __all__ = [
     "registry",
@@ -30,8 +29,6 @@ __all__ = [
     "StabilizerChFormSimulationState",
     "CliffordTableau",
     "CliffordTableauSimulationState",
-    "UnpackedCliffordTableau",
-    "UnpackedStabilizerChForm",
     "bits_to_index",
     "index_to_bits",
 ]

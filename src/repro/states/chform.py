@@ -22,9 +22,9 @@ arrays with column ``c`` at bit ``c & 63`` of word ``c >> 6`` — and the
 ``O(n/64)`` word XORs; parity counts are word popcounts; phase powers are
 tracked as integers mod 4 rather than complex scalars.  ``F``/``G``/``M``
 /``v``/``s`` properties unpack to the textbook ``bool`` form.  The
-pre-packing implementation is retained as
-:class:`repro.states.reference.UnpackedStabilizerChForm` and property
-tests assert exact agreement gate-for-gate.
+pre-packing implementation is retained as the test oracle
+``UnpackedStabilizerChForm`` in ``tests/reference_engines.py``, and
+property tests assert exact agreement gate-for-gate.
 
 Every gate update except the Hadamard indexes rows with ``...`` and
 reduces over the last axis, and the candidate routine broadcasts over a

@@ -61,15 +61,22 @@ class DensityMatrixSimulationState(SimulationState):
         self.tensor = rho.reshape((2,) * (2 * n))
 
     # -- internals ---------------------------------------------------------
-    def _left_right_apply(self, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-        """Return ``op rho op^dag`` on the given qubit axes."""
+    def _left_right_apply(
+        self, op: np.ndarray, axes: Sequence[int], overwrite: bool = False
+    ) -> np.ndarray:
+        """Return ``op rho op^dag`` on the given qubit axes.
+
+        ``overwrite`` lets the row pass update ``self.tensor`` in place;
+        the column pass always owns its input.
+        """
         n = self.num_qubits
-        out = apply_matrix(self.tensor, op, list(axes))
-        return apply_matrix(out, np.conj(op), [a + n for a in axes])
+        out = apply_matrix(self.tensor, op, axes, overwrite=overwrite)
+        cols = [a + n for a in axes]
+        return apply_matrix(out, np.conj(op), cols, overwrite=True)
 
     # -- mutations ------------------------------------------------------------
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
-        self.tensor = self._left_right_apply(u, axes)
+        self.tensor = self._left_right_apply(u, axes, overwrite=True)
 
     def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
         """Exact channel application: rho <- sum_k K rho K^dag."""

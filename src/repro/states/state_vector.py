@@ -2,16 +2,56 @@
 
 The workhorse general-purpose representation (and the exact reference all
 other representations are tested against).  The state is stored as a
-``(2,)*n`` complex tensor; gates and Kraus operators are applied by
-:func:`apply_matrix` — ``tensordot`` over the support axes followed by
-``moveaxis``, fully vectorized, no Python loop over amplitudes.  The
-batched trajectory engine runs the same kernel on its ``(B, 2, ..., 2)``
-tiles.
+C-contiguous ``(2,)*n`` complex tensor, so the Born oracle's flat gather
+is a view.  :func:`apply_matrix` is the one kernel that applies gates and
+Kraus operators to it; the density matrix (row, then column axes) and the
+batched trajectory tile (a leading batch axis) run the same kernel.
+
+**Kernel classes.**  A ``2^k x 2^k`` matrix on ``k`` axes splits the
+tensor into ``2^k`` blocks, one per value of those axes.  The matrix's
+nonzero pattern picks the path (one ``count_nonzero`` settles a dense
+matrix):
+
+* *diagonal* (Z, S, CZ, projectors): each block is multiplied by its
+  phase, in place for a caller that owns the buffer; unit phases are
+  skipped;
+* *one nonzero per row* (X, Y, CNOT, SWAP, ``sqrt(p)`` times a Pauli):
+  each output block is one input block times its entry, written once (a
+  plain copy for a unit entry);
+* *dense*, and any matrix with an entry that has both a real and an
+  imaginary part (T, Z-powers, phased permutations): one ``np.matmul``
+  over ``(L, 2^k, R)`` slices when the axes are adjacent and ascending
+  and the slices are few or long, else ``tensordot`` plus ``moveaxis``,
+  made contiguous.
+
+A gate whose axes all lie in the last five (ascending, if it is dense)
+instead runs as one ``matmul`` with the gate expanded to those axes, in
+all three classes, once the tensor holds at least 64 rows of it: there,
+block views have contiguous runs too short for fast elementwise loops.
+
+**Purity.**  ``apply_matrix`` writes into its input only when called
+with ``overwrite=True``.  Only buffer owners pass it (``apply_unitary``
+here and in the density matrix, the batched tile's ``apply_record``):
+Kraus branching applies several operators to one input.
+
+**Bit identity.**  Every path returns exactly the ``tensordot`` result
+with OpenBLAS on x86-64, so seeded samples do not depend on the path
+(``tests/test_sv_kernels.py`` pins it).  A BLAS ``zgemm`` rounds both
+real products of ``(ur*ar - ui*ai)`` before subtracting, while NumPy's
+SIMD complex multiply fuses one of them, so the elementwise paths only
+take entries whose products are exact either way (purely real or purely
+imaginary).  Zero entries add exact zeros to a BLAS sum, so the expanded
+gate sums the same terms in the same order when the axes ascend (or
+when there is one term per row).  BLAS rounds the last rows of a count
+that is not a multiple of 4 differently, so a tensor with such a block
+size takes the ``tensordot`` path.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+import math
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,19 +59,114 @@ from ..circuits.qubits import Qid
 from .base import SimulationState, candidate_index_matrix, check_basis_index
 
 
+@lru_cache(maxsize=4096)
+def _block_index(ndim: int, axes: Tuple[int, ...]) -> Tuple[tuple, ...]:
+    """Index of each of the ``2^k`` blocks, big-endian over ``axes``.
+
+    The trailing ``...`` keeps a block a view when ``axes`` covers every
+    axis; fixing all of them would otherwise yield a scalar.
+    """
+    k = len(axes)
+    blocks = []
+    for j in range(1 << k):
+        index: List[Union[slice, int]] = [slice(None)] * ndim
+        for pos, axis in enumerate(axes):
+            index[axis] = (j >> (k - 1 - pos)) & 1
+        blocks.append(tuple(index) + (Ellipsis,))
+    return tuple(blocks)
+
+
+#: Largest expanded gate (``2^5``, the last five axes) the kernel builds
+#: to apply a gate on a tensor's trailing axes with one ``matmul``.
+_TAIL = 32
+
+#: Fewest rows of that operator (or most per-slice BLAS calls) a tensor
+#: must hold for one ``matmul`` to beat ``tensordot``'s fixed cost.
+_ROWS = 64
+
+
+def _tensordot(tensor: np.ndarray, u: np.ndarray, axes: Sequence[int]):
+    """The reference path: ``tensordot`` then ``moveaxis``, contiguous."""
+    k = len(axes)
+    moved = np.tensordot(
+        u.reshape((2,) * (2 * k)), tensor, axes=(range(k, 2 * k), axes)
+    )
+    return np.ascontiguousarray(np.moveaxis(moved, range(k), axes))
+
+
+def _one_per_row(u: np.ndarray) -> Optional[Dict[int, Tuple[int, complex]]]:
+    """``{row: (column, entry)}`` if ``u`` has at most one nonzero per row."""
+    if np.count_nonzero(u) > len(u):
+        return None
+    terms = {}
+    for r, row in enumerate(u.tolist()):
+        nonzero = [(c, x) for c, x in enumerate(row) if x]
+        if len(nonzero) > 1:
+            return None
+        if nonzero:
+            terms[r] = nonzero[0]
+    return terms
+
+
 def apply_matrix(
-    tensor: np.ndarray, u: np.ndarray, axes: Sequence[int]
+    tensor: np.ndarray,
+    u: np.ndarray,
+    axes: Sequence[int],
+    overwrite: bool = False,
 ) -> np.ndarray:
     """The ``2^k x 2^k`` matrix ``u`` applied to ``axes`` of ``tensor``.
 
     ``axes`` are absolute tensor axes, so a batched ``(B, 2, ..., 2)``
-    tile passes its qubit support shifted by one.  Returns a new tensor
-    (``tensordot`` over the axes, then ``moveaxis`` back into place).
+    tile passes its qubit support shifted by one.  Returns a C-contiguous
+    array equal bit for bit to ``tensordot`` over the axes followed by
+    ``moveaxis`` (see the module docstring for the kernel classes).
+    ``tensor`` is left unchanged unless ``overwrite`` is set; then a
+    diagonal ``u`` may update it in place and it is returned.
     """
     k = len(axes)
-    u = np.asarray(u, dtype=np.complex128).reshape((2,) * (2 * k))
-    moved = np.tensordot(u, tensor, axes=(range(k, 2 * k), axes))
-    return np.moveaxis(moved, range(k), axes)
+    d = 1 << k
+    u = np.asarray(u, dtype=np.complex128).reshape(d, d)
+    axes = tuple(axes)
+    if (tensor.size >> k) % 4:
+        return _tensordot(tensor, u, axes)
+    terms = _one_per_row(u)
+    first = min(axes)
+    tail = math.prod(tensor.shape[first:])
+    ascending = all(x < y for x, y in zip(axes, axes[1:]))
+    if (terms is not None or ascending) and (
+        4 <= tail <= _TAIL and _ROWS * tail <= tensor.size
+    ):
+        # A single term per entry (``terms``) has no summation order.
+        span = tail.bit_length() - 1
+        eye = np.eye(tail, dtype=np.complex128).reshape((2,) * span + (tail,))
+        op = _tensordot(eye, u, [x - first for x in axes]).reshape(tail, tail)
+        flat = tensor.reshape(-1, tail)
+        out = np.empty(tensor.shape, dtype=np.complex128)
+        np.matmul(flat, op.T, out=out.reshape(flat.shape))
+        return out
+    if terms is not None and all(
+        x.real == 0 or x.imag == 0 for _, x in terms.values()
+    ):
+        blocks = _block_index(tensor.ndim, axes)
+        if all(r == col for r, (col, _) in terms.items()):  # diagonal
+            out = src = tensor if overwrite else tensor.copy()
+        else:
+            out, src = np.empty(tensor.shape, dtype=np.complex128), tensor
+        for r in range(d):
+            col, x = terms.get(r, (r, 0))
+            if x != 1:
+                np.multiply(src[blocks[col]], x, out=out[blocks[r]])
+            elif out is not src:
+                out[blocks[r]] = src[blocks[col]]
+        return out
+    right = tail >> k
+    if ascending and axes[-1] == first + k - 1 and right >= 4:
+        slices = tensor.reshape(-1, d, right)
+        if slices.shape[0] <= _ROWS or right >= _TAIL:
+            out = np.empty(tensor.shape, dtype=np.complex128)
+            np.matmul(u, slices, out=out.reshape(slices.shape))
+            return out
+    return _tensordot(tensor, u, axes)
 
 
 class StateVectorSimulationState(SimulationState):
@@ -71,7 +206,7 @@ class StateVectorSimulationState(SimulationState):
 
     # -- mutations ---------------------------------------------------------
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
-        self.tensor = apply_matrix(self.tensor, u, axes)
+        self.tensor = apply_matrix(self.tensor, u, axes, overwrite=True)
 
     def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
         """Quantum-trajectory Kraus application: pick branch ~ its weight."""

@@ -39,8 +39,9 @@ tableau ``(2n+1, W)`` or a batch stack ``(B, 2n+1, W)``:
 per-trajectory views for the batched trajectory engine.
 
 The pre-packing one-bit-per-byte implementation is retained verbatim as
-:class:`repro.states.reference.UnpackedCliffordTableau`; property tests
-assert bit-exact agreement gate-for-gate.
+the test oracle ``UnpackedCliffordTableau`` in
+``tests/reference_engines.py``; property tests assert bit-exact agreement
+gate-for-gate.
 """
 
 from __future__ import annotations

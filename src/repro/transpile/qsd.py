@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from ..circuits.circuit import Circuit
 from ..circuits.operations import GateOperation
@@ -43,6 +42,8 @@ def _demultiplex(
 
     Returns ``(global_phase, ops)``.
     """
+    import scipy.linalg  # on use, to keep `import repro` light
+
     product = w1 @ w2.conj().T
     # Unitary => normal => complex Schur form is diagonal with unitary Q.
     t, v = scipy.linalg.schur(product, output="complex")
@@ -70,6 +71,8 @@ def _decompose(
     n = len(qubits)
     if n == 1:
         return decompose_single_qubit(u, qubits[0])
+    import scipy.linalg
+
     half = u.shape[0] // 2
     (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(
         u, p=half, q=half, separate=True

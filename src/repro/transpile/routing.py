@@ -13,14 +13,15 @@ circuit's state exactly (tested property).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..circuits import gates
 from ..circuits.circuit import Circuit
 from ..circuits.operations import GateOperation
 from ..circuits.qubits import GridQubit, LineQubit, Qid
+
+if TYPE_CHECKING:  # imported on use, to keep `import repro` light
+    import networkx as nx
 
 
 class Topology:
@@ -29,6 +30,8 @@ class Topology:
     def __init__(self, graph: nx.Graph):
         if graph.number_of_nodes() == 0:
             raise ValueError("Topology needs at least one qubit")
+        import networkx as nx
+
         if not nx.is_connected(graph):
             raise ValueError("Topology graph must be connected")
         self.graph = graph
@@ -37,6 +40,8 @@ class Topology:
     @classmethod
     def line(cls, n: int) -> "Topology":
         """A 1-D chain of ``LineQubit``s — the MPS-native layout."""
+        import networkx as nx
+
         graph = nx.Graph()
         qubits = LineQubit.range(n)
         graph.add_nodes_from(qubits)
@@ -56,6 +61,8 @@ class Topology:
     @classmethod
     def grid(cls, rows: int, cols: int) -> "Topology":
         """A 2-D grid of ``GridQubit``s — the superconducting-chip layout."""
+        import networkx as nx
+
         graph = nx.Graph()
         for r in range(rows):
             for c in range(cols):
@@ -72,6 +79,8 @@ class Topology:
 
     def shortest_path(self, a: Qid, b: Qid) -> List[Qid]:
         """A shortest physical path from a to b (inclusive)."""
+        import networkx as nx
+
         return nx.shortest_path(self.graph, a, b)
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ PR 2 gave all five state backends batched candidate-probability oracles
 (``candidate_probabilities`` / ``candidate_probabilities_many``).  Nothing
 structural forces those fast paths to stay consistent with each other, so
 this suite pins them to the executable specifications in
-:mod:`repro.states.reference`:
+:mod:`reference_engines` (``tests/reference_engines.py``):
 
 * Random Clifford circuits drive the state-vector, tableau, CH-form,
   density-matrix, and MPS backends; every backend's single and batched
@@ -38,11 +38,9 @@ from repro.states import (
     StateVectorSimulationState,
 )
 from repro.states.chform import StabilizerChForm
-from repro.states.reference import (
-    UnpackedCliffordTableau,
-    UnpackedStabilizerChForm,
-)
 from repro.states.tableau import CliffordTableau
+
+from reference_engines import UnpackedCliffordTableau, UnpackedStabilizerChForm
 
 ATOL = 1e-9
 

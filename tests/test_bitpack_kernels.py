@@ -2,7 +2,7 @@
 
 The production engines (:class:`CliffordTableau`, :class:`StabilizerChForm`)
 store their binary matrices as ``uint64`` words; the pre-packing
-implementations are retained verbatim in :mod:`repro.states.reference`.
+implementations are retained verbatim in :mod:`reference_engines` (``tests/reference_engines.py``).
 These tests drive both through identical random Clifford programs —
 including measurement/collapse and forced projections — and assert
 *bit-exact* agreement gate-for-gate, plus agreement with the dense
@@ -16,11 +16,9 @@ from hypothesis import strategies as st
 
 from repro.states import bitpack as bp
 from repro.states.chform import StabilizerChForm
-from repro.states.reference import (
-    UnpackedCliffordTableau,
-    UnpackedStabilizerChForm,
-)
 from repro.states.tableau import CliffordTableau
+
+from reference_engines import UnpackedCliffordTableau, UnpackedStabilizerChForm
 
 _ONE_QUBIT = ["h", "s", "sdg", "x", "y", "z"]
 _TWO_QUBIT = ["cx", "cz", "swap"]

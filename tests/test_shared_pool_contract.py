@@ -192,8 +192,9 @@ class TestSharedPoolContract:
         assert live_segment_names() == []
 
 
-def test_import_repro_leaves_scipy_stats_unloaded():
-    code = "import sys, repro; print('scipy.stats' in sys.modules)"
+def _loaded_after_import_repro(modules):
+    """Which of ``modules`` a fresh interpreter holds after ``import repro``."""
+    code = f"import sys, repro; print([m for m in {list(modules)!r} if m in sys.modules])"
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -202,4 +203,14 @@ def test_import_repro_leaves_scipy_stats_unloaded():
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_repro_leaves_scipy_stats_unloaded():
+    assert _loaded_after_import_repro(["scipy.stats"]) == "[]"
+
+
+def test_import_repro_leaves_networkx_and_scipy_unloaded():
+    """Every process, pool workers included, pays for ``import repro``;
+    networkx and scipy load only when a helper that needs them runs."""
+    assert _loaded_after_import_repro(["networkx", "scipy", "scipy.linalg"]) == "[]"

@@ -7,7 +7,7 @@ These tests pin the hook contract:
 
 * **Round-trip fidelity** — after a random Clifford prefix, restoring the
   payload reproduces the exact engine state, validated against the
-  retained unpacked reference engines in :mod:`repro.states.reference`
+  retained unpacked reference engines in :mod:`reference_engines` (``tests/reference_engines.py``)
   (the same oracles the bit-packing kernels are pinned to), at widths
   63/64/65 spanning the ``uint64`` word boundary.
 * **Independence** — the restored state owns writable copies; mutating it
@@ -32,12 +32,10 @@ from repro import circuits as cirq
 from repro.sampler.service import _WorkerPayload
 from repro.states import capabilities_for
 from repro.states.chform import StabilizerChForm
-from repro.states.reference import (
-    UnpackedCliffordTableau,
-    UnpackedStabilizerChForm,
-)
 from repro.states.stabilizer import StabilizerChFormSimulationState
 from repro.states.tableau import CliffordTableau, CliffordTableauSimulationState
+
+from reference_engines import UnpackedCliffordTableau, UnpackedStabilizerChForm
 
 WORD_BOUNDARY_WIDTHS = (63, 64, 65)
 
