@@ -169,7 +169,7 @@ def test_mps_environment_cached_fronts(benchmark):
     )
     t_loop = wall_time(
         lambda: np.array(
-            [state.candidate_probabilities(b, support) for b in bits_list]
+            [np.abs(state.candidate_amplitudes(b, support)) ** 2 for b in bits_list]
         ),
         repeats=3,
     )

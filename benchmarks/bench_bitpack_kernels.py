@@ -182,7 +182,7 @@ def test_tableau_candidate_probabilities(benchmark):
     support = [3, 11]
 
     def batched():
-        return packed.candidate_probabilities(bits, support)
+        return packed.candidate_probabilities_many([bits], support)[0]
 
     def chained():
         out = np.empty(4)

@@ -1,26 +1,27 @@
 """Born-rule probability functions (the ``bgls.born`` module).
 
 Each ``compute_probability_*`` has signature ``(state, bitstring) -> float``
-and is what users hand to :class:`repro.sampler.Simulator`.  For the states
-shipped here, batched *candidate* versions exist that compute all ``2^k``
-candidate probabilities of a gate's support in one vectorized slice or
-contraction; :func:`candidate_function_for` maps the scalar function to its
-batched sibling so the Simulator can use the fast path automatically.
+and is what users hand to :class:`repro.sampler.Simulator`.  The sampler
+itself asks one *candidate oracle* per gate: ``(state, bits_list,
+support) -> (B, 2^k)``, the probabilities of all ``2^k`` candidates of
+each of ``B`` tracked bitstrings, answered by one vectorized gather or
+contraction.  :func:`many_candidate_function_for` maps a scalar function
+to its backend's oracle, so the Simulator takes the fast path
+automatically.
 
 Dispatch flows through the backend capability registry
 (:mod:`repro.states.registry`): importing this module registers the five
-shipped backends, binding each scalar function to its batched siblings and
-declaring the application fast paths the execution planner may use.  User
-backends get identical treatment by calling
-:func:`repro.states.registry.register_backend` — there is no privileged
-shipped-backend table anymore.
+shipped backends, binding each scalar function to its backend (whose
+candidate oracle defaults to the state's own
+``candidate_probabilities_many``) and declaring the application fast
+paths the execution planner may use.  User backends get identical
+treatment by calling :func:`repro.states.registry.register_backend` —
+there is no privileged shipped-backend table.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from ..mps import state as _mps
 from ..mps.state import MPSState
@@ -78,65 +79,6 @@ def mps_bitstring_probability(mps: MPSState, btstr: Sequence[int]) -> float:
     return compute_probability_mps(mps, btstr)
 
 
-# -- batched candidate probabilities -----------------------------------------
-
-def candidates_state_vector(state, bits, support) -> np.ndarray:
-    """All candidate probabilities over ``support`` via one tensor slice."""
-    return state.candidate_probabilities(bits, support)
-
-
-def candidates_density_matrix(state, bits, support) -> np.ndarray:
-    """All candidate probabilities from the density-matrix diagonal block."""
-    return state.candidate_probabilities(bits, support)
-
-
-def candidates_mps(state, bits, support) -> np.ndarray:
-    """All candidate probabilities via one reduced-network contraction."""
-    return state.candidate_probabilities(bits, support)
-
-
-def candidates_stabilizer_state(state, bits, support) -> np.ndarray:
-    """All candidate probabilities via one shared CH-form generator
-    accumulation (the 2^k inner products differ only in the support rows)."""
-    return state.candidate_probabilities(bits, support)
-
-
-def candidates_tableau(state, bits, support) -> np.ndarray:
-    """All candidate probabilities via one shared tableau forced-measurement
-    chain (the off-support projections run once, then candidates branch)."""
-    return state.candidate_probabilities(bits, support)
-
-
-def candidates_stabilizer_state_many(state, bits_list, support) -> np.ndarray:
-    """A ``(B, 2^k)`` candidate-probability matrix for ``B`` tracked
-    bitstrings — one GF(2) matvec for a whole parallel resampling step."""
-    return state.candidate_probabilities_many(bits_list, support)
-
-
-def candidates_state_vector_many(state, bits_list, support) -> np.ndarray:
-    """A ``(B, 2^k)`` candidate-probability matrix via one gather over the
-    flat amplitude tensor — the whole bitstring front in one indexing op."""
-    return state.candidate_probabilities_many(bits_list, support)
-
-
-def candidates_density_matrix_many(state, bits_list, support) -> np.ndarray:
-    """A ``(B, 2^k)`` candidate-probability matrix gathered from the
-    density-matrix diagonal in one fancy-indexed load."""
-    return state.candidate_probabilities_many(bits_list, support)
-
-
-def candidates_tableau_many(state, bits_list, support) -> np.ndarray:
-    """A ``(B, 2^k)`` candidate-probability matrix whose off-support
-    forced-measurement chains are shared across common bitstring prefixes."""
-    return state.candidate_probabilities_many(bits_list, support)
-
-
-def candidates_mps_many(state, bits_list, support) -> np.ndarray:
-    """A ``(B, 2^k)`` candidate-probability matrix with left/right
-    environment tensors cached across the front's shared prefixes."""
-    return state.candidate_probabilities_many(bits_list, support)
-
-
 # -- batched-trajectory adapters ----------------------------------------------
 #
 # Zero-argument factories, not classes: the adapters live in
@@ -167,7 +109,7 @@ def batched_trajectories_tableau():
 
 
 # Shipped-backend registrations: one descriptor per backend, declaring the
-# scalar oracle, both batched siblings, and (by introspection) the
+# scalar oracle and (by introspection) the candidate oracle and the
 # application fast paths.  Every later lookup — the Simulator's candidate
 # resolution, the planner's fast-path flags, the pooled executor's
 # snapshots — reads these descriptors; there is no other dispatch table.
@@ -175,23 +117,17 @@ registry.register_backend(
     StateVectorSimulationState,
     name="state_vector",
     compute_probability=compute_probability_state_vector,
-    candidates=candidates_state_vector,
-    candidates_many=candidates_state_vector_many,
     batched_trajectories=batched_trajectories_state_vector,
 )
 registry.register_backend(
     DensityMatrixSimulationState,
     name="density_matrix",
     compute_probability=compute_probability_density_matrix,
-    candidates=candidates_density_matrix,
-    candidates_many=candidates_density_matrix_many,
 )
 registry.register_backend(
     StabilizerChFormSimulationState,
     name="stabilizer_ch_form",
     compute_probability=compute_probability_stabilizer_state,
-    candidates=candidates_stabilizer_state,
-    candidates_many=candidates_stabilizer_state_many,
     # Warm-pool workers receive the CH form as raw uint64 words instead
     # of a pickled state object (see the snapshot-hook contract in the
     # README); the payload is also the pool's re-initialization key.
@@ -203,8 +139,6 @@ registry.register_backend(
     CliffordTableauSimulationState,
     name="clifford_tableau",
     compute_probability=compute_probability_tableau,
-    candidates=candidates_tableau,
-    candidates_many=candidates_tableau_many,
     snapshot=_tableau.snapshot_tableau_state,
     restore=_tableau.restore_tableau_state,
     batched_trajectories=batched_trajectories_tableau,
@@ -214,8 +148,6 @@ registry.register_backend(
     name="mps",
     compute_probability=compute_probability_mps,
     scalar_aliases=(mps_bitstring_probability,),
-    candidates=candidates_mps,
-    candidates_many=candidates_mps_many,
     # Wide MPS sweeps ship the network as raw tensor bytes + bond
     # metadata instead of a pickled state object (no RNG, no qubit-index
     # dict, no per-tensor ndarray envelopes); the payload doubles as the
@@ -225,28 +157,16 @@ registry.register_backend(
 )
 
 
-def candidate_function_for(
-    compute_probability: Callable,
-) -> Optional[Callable]:
-    """The batched candidate function matching a registered scalar function.
-
-    Returns None for unregistered (user-supplied) probability functions, in
-    which case the Simulator falls back to a per-candidate loop (still
-    correct, just not vectorized).  Registering a backend via
-    :func:`repro.states.registry.register_backend` makes its functions
-    resolvable here exactly like the shipped ones.
-    """
-    caps = registry.capabilities_for_probability_fn(compute_probability)
-    return caps.candidates if caps is not None else None
-
-
 def many_candidate_function_for(
     compute_probability: Callable,
 ) -> Optional[Callable]:
-    """The cross-bitstring batched candidate function, or None.
+    """The candidate oracle of the backend registered for a scalar function.
 
     Signature of the returned function:
     ``(state, bits_list, support) -> (len(bits_list), 2^k) ndarray``.
+    Returns None for unregistered (user-supplied) probability functions,
+    in which case the Simulator loops over ``compute_probability`` per
+    candidate (still correct, just not vectorized).
     """
     caps = registry.capabilities_for_probability_fn(compute_probability)
     return caps.candidates_many if caps is not None else None
@@ -259,17 +179,6 @@ __all__ = [
     "compute_probability_tableau",
     "compute_probability_mps",
     "mps_bitstring_probability",
-    "candidates_state_vector",
-    "candidates_state_vector_many",
-    "candidates_density_matrix",
-    "candidates_density_matrix_many",
-    "candidates_stabilizer_state",
-    "candidates_stabilizer_state_many",
-    "candidates_tableau",
-    "candidates_tableau_many",
-    "candidates_mps",
-    "candidates_mps_many",
-    "candidate_function_for",
     "many_candidate_function_for",
     "batched_trajectories_state_vector",
     "batched_trajectories_stabilizer_state",

@@ -302,12 +302,6 @@ class MPSState(SimulationState):
         result = result.transpose_to(out_inds)
         return result.data.reshape(-1)
 
-    def candidate_probabilities(
-        self, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """Born probabilities of candidates over ``support`` (unnormalized)."""
-        return np.abs(self.candidate_amplitudes(bits, support)) ** 2
-
     def candidate_probabilities_many(
         self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
     ) -> np.ndarray:

@@ -5,6 +5,7 @@ from .baseline import ExactDistributionSampler, QubitByQubitSimulator
 from .executors import (
     Executor,
     ProcessPoolExecutor,
+    ResultTransportError,
     SerialExecutor,
     TaskTimeoutError,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "SerialExecutor",
     "ProcessPoolExecutor",
     "TaskTimeoutError",
+    "ResultTransportError",
     "ScheduledTask",
     "estimate_cost",
     "estimate_job_cost",

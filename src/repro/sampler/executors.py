@@ -90,6 +90,17 @@ class TaskTimeoutError(RuntimeError):
     """
 
 
+class ResultTransportError(OSError):
+    """The shared-memory result planes of a pooled call could not be
+    allocated (e.g. ``ENOSPC`` on ``/dev/shm``).
+
+    Raised before any task is submitted, chained from the allocation's
+    ``OSError``.  The planes already made are released and the warm pool
+    is left untouched, so a retry through an executor with
+    ``result_transport="pickle"`` on the same pool manager reuses it.
+    """
+
+
 # ----------------------------------------------------------------------
 # the executor interface
 # ----------------------------------------------------------------------
@@ -212,6 +223,10 @@ class ProcessPoolExecutor(Executor):
             requesting ``"shm"`` explicitly on a platform without it
             raises.  The two transports are bit-for-bit identical —
             only the number of bytes crossing the result queue changes.
+            A call whose planes cannot be allocated (``/dev/shm`` full)
+            raises :class:`ResultTransportError` before submitting
+            anything; it releases the planes it made and leaves the warm
+            pool as it was, so a retry with ``"pickle"`` reuses it.
 
     The total chunk count is ``num_workers * chunks_per_worker``; given
     the same simulator seed and total chunk count,
@@ -339,7 +354,9 @@ class ProcessPoolExecutor(Executor):
         workers skip the leftovers, the warm pool stays — and releases
         every unviewed plane; a task failure or dead worker also shuts the
         pool down, and a completion gap exceeding ``task_timeout`` kills
-        it and raises :class:`TaskTimeoutError`.
+        it and raises :class:`TaskTimeoutError`.  Planes are allocated
+        before anything is submitted; failing that raises
+        :class:`ResultTransportError` with the pool untouched.
         """
         collector = _PointCollector(tasks)
         if self.num_workers == 1 or len(tasks) <= 1:
@@ -349,10 +366,10 @@ class ProcessPoolExecutor(Executor):
             return
         # Each distinct unit is pickled once; every task carries it.
         refs = [_unit_ref(unit) for unit in units]
-        planes: Dict[int, PointPlanes] = {}
+        shm = self.result_transport == "shm"
+        planes = _allocate_planes(units, tasks, repetitions) if shm else {}
         manager = self.pool_manager if self.reuse_pool else PoolManager()
         run = None
-        shm = self.result_transport == "shm"
 
         def finalize(point, chunks):
             if shm:
@@ -361,12 +378,6 @@ class ProcessPoolExecutor(Executor):
 
         try:
             if shm:
-                for task in tasks:
-                    if task.point_index not in planes:
-                        unit = units[task.program_index]
-                        planes[task.point_index] = PointPlanes(
-                            unit.key_axes, unit.num_qubits, repetitions
-                        )
                 argses = [
                     args
                     + (planes[task.point_index].slot(_row_offset(task, repetitions)),)
@@ -374,7 +385,7 @@ class ProcessPoolExecutor(Executor):
                 ]
             run = manager.submit(
                 execution_key(simulator),
-                min(self.num_workers, len(tasks)),
+                self.num_workers,
                 self.start_method,
                 lambda: _WorkerPayload(simulator),
                 [(refs[args[0]], args) for args in argses],
@@ -421,6 +432,32 @@ class ProcessPoolExecutor(Executor):
                 manager.shutdown()
             for plane in planes.values():
                 plane.release()
+
+
+def _allocate_planes(units, tasks, repetitions) -> Dict[int, PointPlanes]:
+    """One shared-memory result plane per point of ``tasks``.
+
+    All-or-nothing: when an allocation fails, the planes already made
+    are released and :class:`ResultTransportError` is raised, chained
+    from the ``OSError``.
+    """
+    planes: Dict[int, PointPlanes] = {}
+    try:
+        for task in tasks:
+            if task.point_index not in planes:
+                unit = units[task.program_index]
+                planes[task.point_index] = PointPlanes(
+                    unit.key_axes, unit.num_qubits, repetitions
+                )
+    except OSError as exc:
+        for plane in planes.values():
+            plane.release()
+        raise ResultTransportError(
+            f"could not allocate shared-memory result planes ({exc}); "
+            'use result_transport="pickle" to return results through the '
+            "pool's result queue"
+        ) from exc
+    return planes
 
 
 def _merge_chunks(point, chunks) -> RunParts:
@@ -569,6 +606,7 @@ __all__ = [
     "SerialExecutor",
     "ProcessPoolExecutor",
     "PoolManager",
+    "ResultTransportError",
     "TaskTimeoutError",
     "shared_pool_manager",
 ]

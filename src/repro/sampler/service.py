@@ -613,8 +613,11 @@ class PoolManager:
 
         Every ``(unit_ref, args)`` task becomes a ``(run_id, task_id,
         unit_ref, args)`` item on the pool's shared task queue, followed
-        by one ``None`` sentinel per worker, and every worker is handed
-        one :func:`_pull_tasks` loop.  The caller drains ``len(tasks)``
+        by one ``None`` sentinel per puller, and ``min(num_workers,
+        len(tasks))`` workers are each handed one :func:`_pull_tasks`
+        loop.  ``num_workers`` is the pool's size and part of its key, so
+        a batch with fewer tasks than workers reuses the warm pool.  The
+        caller drains ``len(tasks)``
         results with :meth:`receive` and then passes the run to
         :meth:`close` — also when it abandons
         the run early, which makes workers skip its leftover items.  A
@@ -642,7 +645,8 @@ class PoolManager:
                 task_queue = self._channels[0]
                 for task_id, (unit_ref, args) in enumerate(tasks):
                     task_queue.put((run.id, task_id, unit_ref, args))
-                for _ in range(num_workers):
+                pullers = min(num_workers, len(tasks))
+                for _ in range(pullers):
                     task_queue.put(None)
                 # In place: live runs hold this list.  Failed pullers stay
                 # so that every run still waiting sees the failure.
@@ -651,7 +655,7 @@ class PoolManager:
                     if not p.done() or p.exception() is not None
                 ]
                 self._pullers.extend(
-                    pool.submit(_pull_tasks) for _ in range(num_workers)
+                    pool.submit(_pull_tasks) for _ in range(pullers)
                 )
             except BaseException:
                 self.close(run)

@@ -24,7 +24,7 @@ Implemented features from the paper:
   works; ``apply_op`` and ``compute_probability`` are user-supplied
   functions, exactly like the reference API.  Backends registered through
   :func:`repro.states.registry.register_backend` additionally get the
-  batched candidate fast paths, exactly like the shipped states.
+  row-block candidate oracle, exactly like the shipped states.
 
 Execution is layered:
 
@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..born import candidate_function_for, many_candidate_function_for
+from ..born import many_candidate_function_for
 from ..circuits.circuit import Circuit
 from ..circuits.parameters import ParamResolver
 from ..states.registry import capabilities_for
@@ -80,10 +80,12 @@ class Simulator:
         compute_probability: Function ``(state, bitstring) -> float``
             returning the Born probability of a full bitstring, e.g. the
             functions in :mod:`repro.born`.
-        compute_candidate_probabilities: Optional batched version
+        compute_candidate_probabilities: Optional single-row oracle
             ``(state, bitstring, support) -> ndarray`` of all ``2^k``
-            candidate probabilities.  Defaults to the registered sibling of
-            a known ``compute_probability``, else a per-candidate loop.
+            candidate probabilities of one bitstring; the sampler calls it
+            once per tracked bitstring.  When omitted, a registered
+            ``compute_probability`` brings its backend's ``(B, 2^k)``
+            row-block oracle, and any other one is called per candidate.
         seed: RNG seed/generator for all sampling decisions.  An integer
             seed also anchors the deterministic per-point streams of
             :meth:`run_sweep`/:meth:`run_batch` and chunked executors.
@@ -135,25 +137,13 @@ class Simulator:
         self.apply_op = apply_op
         self.compute_probability = compute_probability
         self.user_candidate_function = compute_candidate_probabilities
+        # The one candidate oracle ``(state, bits_list, support) -> (B,
+        # 2^k)``, resolved once: a user row function wins over the
+        # registered oracle, which wins over the per-candidate loop.
+        oracle = None
         if compute_candidate_probabilities is None:
-            compute_candidate_probabilities = candidate_function_for(
-                compute_probability
-            )
-        # Resolve the candidate backend once; the run loops never branch on
-        # "is there a batched function?" per gate.
-        self._candidates = (
-            compute_candidate_probabilities
-            if compute_candidate_probabilities is not None
-            else self._candidate_loop
-        )
-        # Cross-bitstring batching: one call per gate answers the whole
-        # {bitstring: multiplicity} front of parallel mode.  Only used for
-        # registered backends, and never overrides a user candidate fn.
-        self._candidates_many = (
-            None
-            if self.user_candidate_function is not None
-            else many_candidate_function_for(compute_probability)
-        )
+            oracle = many_candidate_function_for(compute_probability)
+        self._oracle = oracle or self._candidate_rows
         # All argument validation lives in sampler.requests — one shared
         # normalizer for the whole run* surface, pinned by
         # tests/test_error_contracts.py.
@@ -456,6 +446,15 @@ class Simulator:
             return None
         return adapter_cls
 
+    def _candidate_rows(
+        self, state, bits_list: Sequence[Sequence[int]], support: Sequence[int]
+    ) -> List[np.ndarray]:
+        """The candidate oracle without a registered one: each row from
+        the user's ``compute_candidate_probabilities``, else from
+        :meth:`_candidate_loop`."""
+        row_fn = self.user_candidate_function or self._candidate_loop
+        return [row_fn(state, bits, support) for bits in bits_list]
+
     def _candidate_loop(
         self, state, bits: Sequence[int], support: Sequence[int]
     ) -> np.ndarray:
@@ -469,36 +468,20 @@ class Simulator:
             out[idx] = self.compute_probability(state, candidate)
         return out
 
-    def _candidate_probabilities(
-        self, state, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """All ``2^k`` candidate probabilities for ``bits`` over ``support``."""
-        return np.asarray(self._candidates(state, bits, support), dtype=float)
-
     @staticmethod
-    def _normalize_probs(probs: np.ndarray) -> np.ndarray:
-        """Clean float dust (tiny negatives, off-by-eps sums) and normalize."""
-        probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-        total = probs.sum()
-        if not np.isfinite(total) or total <= 0:
-            raise ValueError(
-                "All candidate probabilities vanished; state and bitstring "
-                "are inconsistent (is compute_probability correct?)"
-            )
-        probs /= total
-        return probs
-
-    @staticmethod
-    def _normalize_prob_rows(probs: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`_normalize_probs` for a ``(B, 2^k)`` matrix."""
-        probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    def _normalize_prob_rows(probs) -> np.ndarray:
+        """Clean float dust (tiny negatives, off-by-eps sums) and normalize
+        each row of a ``(B, m)`` matrix."""
+        probs = np.asarray(probs, dtype=float).clip(0.0, None)
         totals = probs.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(totals)) or np.any(totals <= 0):
+        # False for a zero, infinite or NaN total (NaN fails every test).
+        if not 0 < totals.min() <= totals.max() < np.inf:
             raise ValueError(
                 "All candidate probabilities vanished; state and bitstring "
                 "are inconsistent (is compute_probability correct?)"
             )
-        return probs / totals
+        probs /= totals
+        return probs
 
     # -- parallel (dict-of-bitstrings) mode --------------------------------
     def _run_parallel(
@@ -511,11 +494,10 @@ class Simulator:
         state = self.initial_state.copy(seed=int(rng.integers(2**62)))
         n = plan.num_qubits
         counts: Dict[BitTuple, int] = {(0,) * n: repetitions}
-        candidates = self._candidates
+        oracle = self._oracle
         apply_op = self.apply_op
         skip_diagonal = self.skip_diagonal_updates
 
-        candidates_many = self._candidates_many
         for rec in plan.records:
             if rec.is_measurement:
                 continue
@@ -525,11 +507,7 @@ class Simulator:
             support = rec.support
             k = len(support)
             bit_keys = list(counts.keys())
-            if candidates_many is not None:
-                prob_rows = candidates_many(state, bit_keys, support)
-            else:
-                prob_rows = [candidates(state, bits, support) for bits in bit_keys]
-            prob_rows = self._normalize_prob_rows(np.asarray(prob_rows, dtype=float))
+            prob_rows = self._normalize_prob_rows(oracle(state, bit_keys, support))
             mults = np.fromiter(
                 (counts[bits] for bits in bit_keys), dtype=np.int64
             )
@@ -567,7 +545,7 @@ class Simulator:
         n = plan.num_qubits
         per_key: Dict[str, List[List[int]]] = {}
         all_bits = np.empty((repetitions, n), dtype=np.int8)
-        candidates = self._candidates
+        oracle = self._oracle
         apply_op = self.apply_op
         skip_diagonal = self.skip_diagonal_updates
 
@@ -589,7 +567,7 @@ class Simulator:
                     plan.apply(rec, state, apply_op)
                     if skip_diagonal and rec.is_diagonal():
                         continue
-                    probs = candidates(state, bits, support)
+                    probs = oracle(state, [bits], support)
                 self._assign_support(bits, support, probs, rng)
             all_bits[rep] = bits
 
@@ -602,11 +580,12 @@ class Simulator:
         self,
         bits: List[int],
         support: Sequence[int],
-        probs: np.ndarray,
+        probs,
         rng: np.random.Generator,
     ) -> None:
-        """Resample the support bits of ``bits`` from candidate ``probs``."""
-        draws = rng.multinomial(1, self._normalize_probs(probs))
+        """Resample the support bits of ``bits`` from the one-row
+        candidate block ``probs``."""
+        draws = rng.multinomial(1, self._normalize_prob_rows(probs)[0])
         idx = int(np.flatnonzero(draws)[0])
         for pos, axis in enumerate(support):
             bits[axis] = (idx >> (len(support) - 1 - pos)) & 1
@@ -642,12 +621,12 @@ class Simulator:
         for k_op in kraus:
             trial = state.copy(seed=int(rng.integers(2**62)))
             trial.apply_unitary(np.asarray(k_op), support)  # linear map
-            probs = self._candidate_probabilities(trial, bits, support)
+            probs = np.asarray(self._oracle(trial, [bits], support), dtype=float)
             trials.append(trial)
             probses.append(probs)
-            weights.append(float(probs.sum()))
+            weights.append(float(probs[0].sum()))
         try:
-            branch_probs = self._normalize_probs(np.asarray(weights))
+            branch_probs = self._normalize_prob_rows([weights])[0]
         except ValueError as exc:
             raise ValueError(
                 "Channel branches all annihilated the tracked bitstring; "

@@ -68,7 +68,7 @@ def categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     row: row ``b``'s choice is the first index whose cumulative
     (normalized) probability reaches ``u[b]``.  Rows are clipped of float
     dust and normalized; a vanished row raises like
-    :meth:`Simulator._normalize_probs`.
+    :meth:`Simulator._normalize_prob_rows`.
     """
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     totals = probs.sum(axis=1)
@@ -318,9 +318,9 @@ class BatchedTableaus(_StackedStabilizerAdapter):
         # the word-op gate passes stay batched.
         out = np.empty((self.batch, 2 ** len(support)))
         for b in range(self.batch):
-            out[b] = self.stack.view(b).candidate_probabilities(
-                bits[b], support
-            )
+            out[b] = self.stack.view(b).candidate_probabilities_many(
+                bits[b : b + 1], support
+            )[0]
         return out
 
     def project(self, support: Sequence[int], outcomes: np.ndarray) -> None:
@@ -346,7 +346,7 @@ class BatchedChForms(_StackedStabilizerAdapter):
     def candidate_probabilities(
         self, bits: np.ndarray, support: Sequence[int]
     ) -> np.ndarray:
-        return self.stack.candidate_probabilities(bits, support)
+        return self.stack.candidate_probabilities_many(bits, support)
 
     def project(self, support: Sequence[int], outcomes: np.ndarray) -> None:
         # The scalar CH kernels rebind sw/omega, so each per-trajectory

@@ -14,6 +14,7 @@ sampler owns measurement bookkeeping).
 from __future__ import annotations
 
 import abc
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -157,18 +158,34 @@ def candidate_index_matrix(
     base = np.asarray(bits_list, dtype=np.int64)
     if base.ndim != 2 or base.shape[1] != n:
         raise ValueError(f"Expected (B, {n}) bitstrings, got {base.shape}")
-    support = [int(a) for a in support]
+    off_weights, offsets = _candidate_tables(tuple(map(int, support)), n)
+    return np.add.outer(base @ off_weights, offsets)
+
+
+@lru_cache(maxsize=512)
+def _candidate_tables(
+    support: Tuple[int, ...], n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(support, n)`` tables of :func:`candidate_index_matrix`.
+
+    ``off_weights`` are the big-endian bit weights with the support's
+    zeroed, so ``bits @ off_weights`` is a row's base index; ``offsets``
+    are the ``2^k`` candidate offsets added to it.  Cached because a
+    circuit revisits few supports, and a one-row query (trajectory mode)
+    would otherwise spend most of its time rebuilding them.  Read-only:
+    every caller shares them.
+    """
     k = len(support)
     weights = np.left_shift(np.int64(1), n - 1 - np.arange(n, dtype=np.int64))
-    masked = base.copy()
-    masked[:, support] = 0
-    base_idx = masked @ weights
     patterns = (
         np.arange(2**k, dtype=np.int64)[:, None]
         >> np.arange(k - 1, -1, -1, dtype=np.int64)[None, :]
     ) & 1
-    offsets = patterns @ weights[support]
-    return base_idx[:, None] + offsets[None, :]
+    offsets = patterns @ weights[list(support)]
+    weights[list(support)] = 0
+    weights.flags.writeable = False
+    offsets.flags.writeable = False
+    return weights, offsets
 
 
 def bits_to_index(bits: Sequence[int]) -> int:

@@ -30,9 +30,9 @@ Every gate update except the Hadamard indexes rows with ``...`` and
 reduces over the last axis, and the candidate routine broadcasts over a
 leading axis, so the same code runs on one CH form and on a
 ``(B, n, W)`` batch stack.  :class:`StackedChForms` inherits them and
-only adds stacking, per-trajectory views, a batch-shape check on its
-candidate query, and the per-trajectory Hadamard (whose ``update_sum``
-case split depends on each trajectory's own ``v`` and ``s``).
+only adds stacking, per-trajectory views, and the per-trajectory
+Hadamard (whose ``update_sum`` case split depends on each trajectory's
+own ``v`` and ``s``).
 
 Why BGLS cares: computing one bitstring amplitude costs O(n^2) and is
 *independent of circuit depth* — the property behind the paper's Fig. 3.
@@ -517,16 +517,6 @@ class StabilizerChForm:
         flat = np.asarray(self._nonzero_probability())[..., None]
         return np.where(mismatch, 0.0, flat)
 
-    def candidate_probabilities(
-        self, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """All ``2^k`` candidate probabilities over ``support`` at once.
-
-        Candidate ``idx`` encodes ``support[pos]`` at bit ``k - 1 - pos``,
-        the BGLS resampling convention.
-        """
-        return self.candidate_probabilities_many([bits], support)[0]
-
     def candidate_probabilities_many(
         self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
     ) -> np.ndarray:
@@ -688,14 +678,3 @@ class StackedChForms(StabilizerChForm):
             st = self.view(b)
             st.apply_h(q)
             self.store(b, st)
-
-    def candidate_probabilities(
-        self, bits: np.ndarray, support: Sequence[int]
-    ) -> np.ndarray:
-        """A ``(B, 2^k)`` candidate matrix, row ``b`` from trajectory ``b``."""
-        if np.shape(bits) != (self.batch, self.n):
-            raise ValueError(
-                f"Expected ({self.batch}, {self.n}) bitstrings, "
-                f"got {np.shape(bits)}"
-            )
-        return self.candidate_probabilities_many(bits, support)

@@ -132,25 +132,6 @@ class DensityMatrixSimulationState(SimulationState):
         idx = tuple(int(b) for b in bits)
         return float(np.real(self.tensor[idx + idx]))
 
-    def candidate_probabilities(
-        self, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """Diagonal probabilities of all candidates over ``support``."""
-        n = self.num_qubits
-        index: List[Union[slice, int]] = [int(b) for b in bits] * 2
-        for axis in support:
-            index[axis] = slice(None)
-            index[axis + n] = slice(None)
-        block = self.tensor[tuple(index)]
-        k = len(support)
-        # Block axes: sorted support (rows) then sorted support (cols).
-        ranks = list(np.argsort(np.argsort(support)))
-        block = np.transpose(block, axes=ranks + [r + k for r in ranks])
-        diag = np.einsum(
-            block.reshape(2**k, 2**k), [0, 0], [0]
-        )
-        return np.real(diag)
-
     def candidate_probabilities_many(
         self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
     ) -> np.ndarray:

@@ -12,9 +12,9 @@ reach the batched candidate paths because the maps were closed.
 This registry is the single seam.  Each backend registers one
 :class:`BackendCapabilities` descriptor naming
 
-* its scalar Born oracle(s) and the batched single-front /
-  many-front candidate functions (``candidate_probabilities`` /
-  ``candidate_probabilities_many``),
+* its scalar Born oracle(s) and its candidate oracle, which answers a
+  ``(B, 2^k)`` row block of candidate probabilities for ``B`` tracked
+  bitstrings (by default the state's ``candidate_probabilities_many``),
 * which *application* fast paths are sound (stabilizer-sequence
   dispatch, fused single-qubit moments, base unitary dispatch),
 * bookkeeping flags (``renormalize`` support, exact channel
@@ -30,7 +30,7 @@ This registry is the single seam.  Each backend registers one
 
 Shipped backends register at import time (see :mod:`repro.born`); user
 backends call :func:`register_backend` and immediately get the same fast
-paths as built-ins — including parallel mode's whole-front batched oracle.
+paths as built-ins — including the row-block candidate oracle.
 States that never register still work: :func:`capabilities_for` derives a
 descriptor by introspecting the class once and caches it, which preserves
 the old ``hasattr`` behavior without re-probing per compile.
@@ -43,13 +43,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .base import SimulationState
 
 
-def _candidates_via_state(state, bits, support):
-    """Default batched oracle: delegate to the state's own method."""
-    return state.candidate_probabilities(bits, support)
-
-
 def _candidates_many_via_state(state, bits_list, support):
-    """Default many-front oracle: delegate to the state's own method."""
+    """Default candidate oracle: delegate to the state's own method."""
     return state.candidate_probabilities_many(bits_list, support)
 
 
@@ -61,11 +56,12 @@ class BackendCapabilities:
         name: Human-readable backend name (diagnostics, README tables).
         compute_probability: The canonical scalar Born oracle
             ``(state, bits) -> float`` for this backend, or None.
-        candidates: Batched oracle ``(state, bits, support) -> ndarray[2^k]``
-            answering all candidates of one tracked bitstring, or None.
-        candidates_many: Cross-bitstring batched oracle
-            ``(state, bits_list, support) -> ndarray[(B, 2^k)]`` answering
-            parallel mode's whole front in one call, or None.
+        candidates_many: The candidate oracle
+            ``(state, bits_list, support) -> ndarray[(B, 2^k)]``: row ``b``
+            holds the ``2^k`` candidate probabilities of ``bits_list[b]``
+            over ``support``.  Parallel mode asks it for the whole front,
+            trajectory mode for one row.  None means the sampler loops
+            over the scalar oracle per candidate.
         stabilizer_sequences: The state applies cached
             ``(phase, primitives)`` decompositions via
             ``apply_stabilizer_sequence`` (the plan's ``fast_stab`` path).
@@ -98,7 +94,6 @@ class BackendCapabilities:
         "state_type",
         "name",
         "compute_probability",
-        "candidates",
         "candidates_many",
         "stabilizer_sequences",
         "fused_moments",
@@ -115,7 +110,6 @@ class BackendCapabilities:
         state_type: type,
         name: str,
         compute_probability: Optional[Callable],
-        candidates: Optional[Callable],
         candidates_many: Optional[Callable],
         stabilizer_sequences: bool,
         fused_moments: bool,
@@ -129,7 +123,6 @@ class BackendCapabilities:
         self.state_type = state_type
         self.name = name
         self.compute_probability = compute_probability
-        self.candidates = candidates
         self.candidates_many = candidates_many
         self.stabilizer_sequences = stabilizer_sequences
         self.fused_moments = fused_moments
@@ -180,11 +173,6 @@ def _derive(state_type: type, **overrides) -> BackendCapabilities:
     derived = dict(
         name=state_type.__name__,
         compute_probability=None,
-        candidates=(
-            _candidates_via_state
-            if hasattr(state_type, "candidate_probabilities")
-            else None
-        ),
         candidates_many=(
             _candidates_many_via_state
             if hasattr(state_type, "candidate_probabilities_many")
@@ -212,7 +200,6 @@ def register_backend(
     *,
     compute_probability: Optional[Callable] = None,
     scalar_aliases: Iterable[Callable] = (),
-    candidates: Optional[Callable] = None,
     candidates_many: Optional[Callable] = None,
     stabilizer_sequences: Optional[bool] = None,
     fused_moments: Optional[bool] = None,
@@ -232,12 +219,13 @@ def register_backend(
 
         register_backend(MyState, compute_probability=my_born_fn)
 
-    which is enough for :class:`repro.sampler.Simulator` to route
-    ``my_born_fn`` to ``MyState.candidate_probabilities`` /
-    ``candidate_probabilities_many`` when those methods exist — the same
-    batched fast paths the shipped backends use.  ``scalar_aliases`` maps
-    additional scalar functions (e.g. a paper-listing alias) to the same
-    descriptor.
+    which is enough for :class:`repro.sampler.Simulator` to send
+    ``my_born_fn``'s candidate queries to
+    ``MyState.candidate_probabilities_many`` when that method exists — the
+    row-block oracle the shipped backends use.  ``candidates_many``
+    overrides that default with any ``(state, bits_list, support) ->
+    (B, 2^k)`` function.  ``scalar_aliases`` maps additional scalar
+    functions (e.g. a paper-listing alias) to the same descriptor.
 
     Returns the registered descriptor.
     """
@@ -247,7 +235,6 @@ def register_backend(
         state_type,
         name=name,
         compute_probability=compute_probability,
-        candidates=candidates,
         candidates_many=candidates_many,
         stabilizer_sequences=stabilizer_sequences,
         fused_moments=fused_moments,
@@ -316,7 +303,6 @@ def capabilities_for(state_or_type) -> BackendCapabilities:
                     tp,
                     caps.name,
                     caps.compute_probability,
-                    caps.candidates,
                     caps.candidates_many,
                     caps.stabilizer_sequences,
                     caps.fused_moments,

@@ -82,12 +82,6 @@ class StabilizerChFormSimulationState(SimulationState):
         """Born probability of a full bitstring (O(n^2), depth-free)."""
         return self.ch_form.probability_of(bits)
 
-    def candidate_probabilities(
-        self, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """All ``2^k`` candidate probabilities in one batched membership test."""
-        return self.ch_form.candidate_probabilities(bits, support)
-
     def candidate_probabilities_many(
         self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
     ) -> np.ndarray:

@@ -266,29 +266,6 @@ class StateVectorSimulationState(SimulationState):
         """Born probability |<bits|psi>|^2 of a full bitstring."""
         return float(np.abs(self.tensor[tuple(int(b) for b in bits)]) ** 2)
 
-    def candidate_probabilities(
-        self, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """Probabilities of all ``2^k`` candidates varying over ``support``.
-
-        This is the vectorized inner loop of BGLS for state vectors: fixing
-        the non-support bits of ``bits`` and slicing the tensor yields every
-        candidate amplitude in one view, no per-candidate recomputation.
-        Returned in candidate index order (support bits big-endian).
-        """
-        index: List[Union[slice, int]] = [int(b) for b in bits]
-        for axis in support:
-            index[axis] = slice(None)
-        block = self.tensor[tuple(index)]
-        # Block axes follow ascending state-axis order; permute so axis i
-        # corresponds to support[i] (candidate bits are big-endian in the
-        # order the support was given).
-        if block.ndim > 1:
-            ranks = np.argsort(np.argsort(support))
-            block = np.transpose(block, axes=ranks)
-        probs = np.abs(block) ** 2
-        return probs.reshape(-1)
-
     def candidate_probabilities_many(
         self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
     ) -> np.ndarray:

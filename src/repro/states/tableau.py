@@ -28,9 +28,10 @@ Kernel complexities with ``W = ceil(n/64)`` words per row:
 * ``_rowsum_many`` — the measurement-collapse kernel — multiplies one
   pivot row into *all* anticommuting rows in a single 2-D vectorized pass:
   ``O(n * W)`` with no Python loop over rows.
-* ``candidate_probabilities`` answers all ``2^k`` BGLS candidate queries
-  of a gate's support from one shared scratch tableau (the off-support
-  projection chain is done once, not ``2^k`` times).
+* ``candidate_probabilities_many`` answers all ``2^k`` BGLS candidate
+  queries of a gate's support from one shared scratch tableau per
+  off-support pattern (the projection chain is done once, not ``2^k``
+  times, and shared across common prefixes).
 
 Gate updates (and the fused single-qubit layer) index the word axis with
 ``...`` and reduce over the last axis, so the same code updates one
@@ -447,22 +448,16 @@ class CliffordTableau:
             prob *= factor
         return prob
 
-    def candidate_probabilities(
+    def _candidate_row(
         self, bits: Sequence[int], support: Sequence[int]
     ) -> np.ndarray:
-        """All ``2^k`` candidate probabilities over ``support`` at once.
+        """The one-row step of :meth:`candidate_probabilities_many`.
 
-        Candidate ``idx`` agrees with ``bits`` off ``support`` and encodes
-        ``support[pos]`` at bit ``k - 1 - pos`` of ``idx`` — the BGLS
-        resampling convention.  The off-support forced-measurement chain
-        runs once on one shared scratch tableau; the candidates then branch
-        from it (at most ``2^k - 1`` extra copies, none when every support
-        outcome is pinned), instead of ``2^k`` full chains on ``2^k``
-        copies.
+        The off-support forced-measurement chain runs once on one shared
+        scratch tableau; the candidates then branch from it (at most
+        ``2^k - 1`` extra copies, none when every support outcome is
+        pinned), instead of ``2^k`` full chains on ``2^k`` copies.
         """
-        if len(bits) != self.n:
-            raise ValueError(f"Expected {self.n} bits, got {len(bits)}")
-        support = [int(a) for a in support]
         out = np.zeros(2 ** len(support))
         support_set = set(support)
         scratch = self.copy()
@@ -533,7 +528,7 @@ class CliffordTableau:
             )
         if base.shape[0] == 1:
             # Trajectory-mode hot path: skip dedup/grouping for one string.
-            return self.candidate_probabilities(list(base[0]), support)[None, :]
+            return self._candidate_row(base[0], support)[None, :]
         support_set = set(support)
         off_axes = [a for a in range(self.n) if a not in support_set]
         off_bits = base[:, off_axes]
@@ -764,12 +759,6 @@ class CliffordTableauSimulationState(SimulationState):
     def probability_of(self, bits: Sequence[int]) -> float:
         """Born probability of a full bitstring (see module note)."""
         return self.tableau.probability_of(bits)
-
-    def candidate_probabilities(
-        self, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """All ``2^k`` candidate probabilities from one shared scratch chain."""
-        return self.tableau.candidate_probabilities(bits, support)
 
     def candidate_probabilities_many(
         self, bits_list: Sequence[Sequence[int]], support: Sequence[int]

@@ -1,15 +1,17 @@
 """Backend-conformance property suite: every backend vs the reference oracles.
 
-PR 2 gave all five state backends batched candidate-probability oracles
-(``candidate_probabilities`` / ``candidate_probabilities_many``).  Nothing
-structural forces those fast paths to stay consistent with each other, so
-this suite pins them to the executable specifications in
-:mod:`reference_engines` (``tests/reference_engines.py``):
+All five state backends answer candidate queries through one row-block
+oracle, ``candidate_probabilities_many(bits_list, support) -> (B, 2^k)``.
+Nothing structural forces those fast paths to stay consistent with the
+scalar Born oracles, so this suite pins them to the executable
+specifications in :mod:`reference_engines` (``tests/reference_engines.py``):
 
 * Random Clifford circuits drive the state-vector, tableau, CH-form,
-  density-matrix, and MPS backends; every backend's single and batched
-  candidate oracles must agree with a per-candidate loop over the unpacked
-  reference engines' ``probability_of`` to 1e-9.
+  density-matrix, and MPS backends; every backend's oracle must agree
+  with a per-candidate loop over the unpacked reference engines'
+  ``probability_of`` to 1e-9, and every row with the backend's own
+  scalar ``probability_of`` — for one-row queries, duplicate rows and
+  unsorted supports too.
 * Widths 63/64/65 — spanning the uint64 word boundary of the bit-packed
   engines — run the same check for the two stabilizer backends.
 * Random near-Clifford (Clifford+Rz) circuits drive the CH-form backend
@@ -69,6 +71,27 @@ def scalar_candidates(state, bits, support):
     return out
 
 
+def check_rows(state, bits_list, support, expected):
+    """The row-block oracle against ``expected`` and against the state's
+    own scalar ``probability_of`` of every candidate: the whole block,
+    each row asked alone (B = 1), and the block with a duplicated row."""
+    many = state.candidate_probabilities_many(bits_list, support)
+    np.testing.assert_allclose(many, expected, atol=ATOL, err_msg=repr(state))
+    for row, bits in zip(many, bits_list):
+        np.testing.assert_allclose(
+            row, scalar_candidates(state, bits, support), atol=ATOL,
+            err_msg=repr(state),
+        )
+        alone = state.candidate_probabilities_many([bits], support)
+        assert alone.shape == (1, 2 ** len(support))
+        np.testing.assert_allclose(alone[0], row, atol=ATOL, err_msg=repr(state))
+    doubled = state.candidate_probabilities_many(
+        [bits_list[-1]] + list(bits_list), support
+    )
+    np.testing.assert_array_equal(doubled[0], doubled[-1])
+    np.testing.assert_allclose(doubled[1:], many, atol=ATOL, err_msg=repr(state))
+
+
 def random_clifford_program(n, length, seed):
     """Engine-level (name, qubits) Clifford program (no SWAP: CH lacks it)."""
     rng = np.random.default_rng(seed)
@@ -110,7 +133,8 @@ class TestStabilizerEnginesAgainstReference:
             for engine in (tab, ch, ref_tab, ref_ch):
                 getattr(engine, f"apply_{name}")(*qs)
         bits_list = interesting_bitstrings(n, rng)
-        for support in supports_for(n, rng):
+        single, pair = supports_for(n, rng)
+        for support in (single, pair, pair[::-1]):
             expected = np.array(
                 [reference_candidates(ref_ch, b, support) for b in bits_list]
             )
@@ -119,12 +143,7 @@ class TestStabilizerEnginesAgainstReference:
             )
             np.testing.assert_allclose(expected, expected_tab, atol=ATOL)
             for engine in (tab, ch):
-                many = engine.candidate_probabilities_many(bits_list, support)
-                np.testing.assert_allclose(many, expected, atol=ATOL)
-                singles = np.array(
-                    [engine.candidate_probabilities(b, support) for b in bits_list]
-                )
-                np.testing.assert_allclose(singles, expected, atol=ATOL)
+                check_rows(engine, bits_list, support, expected)
 
     @pytest.mark.parametrize("n", [63, 64, 65])
     def test_word_boundary_widths_match_reference(self, n):
@@ -160,7 +179,7 @@ class TestStabilizerEnginesAgainstReference:
         # Spot-check the tableau reference on the sampled (nonzero) string.
         support = [0, n - 1]
         np.testing.assert_allclose(
-            tab.candidate_probabilities(sampled, support),
+            tab.candidate_probabilities_many([sampled], support)[0],
             reference_candidates(ref_tab, sampled, support),
             atol=ATOL,
         )
@@ -173,8 +192,8 @@ class TestStabilizerEnginesAgainstReference:
         tab = CliffordTableau(n)
         tab.apply_h(0)
         tab.apply_cx(0, n - 1)
-        single = tab.candidate_probabilities([0] * n, [0])
-        np.testing.assert_allclose(single, [0.5, 0.0])
+        single = tab.candidate_probabilities_many([[0] * n], [0])
+        np.testing.assert_allclose(single, [[0.5, 0.0]])
         front = [[0] * n, [0] * (n - 1) + [1], [1] * n]
         many = tab.candidate_probabilities_many(front, [0])
         np.testing.assert_allclose(
@@ -211,24 +230,12 @@ class TestAllBackendsAgainstReference:
         ]
         rng = np.random.default_rng(200 + seed)
         bits_list = interesting_bitstrings(n, rng)
-        for support in ([1], [0, 3], [4, 2], [0, 2, 4]):
+        for support in ([1], [0, 3], [4, 2], [0, 2, 4], [3, 0, 1]):
             expected = np.array(
                 [reference_candidates(ref, b, support) for b in bits_list]
             )
             for state in backends:
-                many = state.candidate_probabilities_many(bits_list, support)
-                np.testing.assert_allclose(
-                    many, expected, atol=ATOL, err_msg=repr(state)
-                )
-                singles = np.array(
-                    [
-                        state.candidate_probabilities(b, support)
-                        for b in bits_list
-                    ]
-                )
-                np.testing.assert_allclose(
-                    singles, expected, atol=ATOL, err_msg=repr(state)
-                )
+                check_rows(state, bits_list, support, expected)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_near_clifford_dense_backends_agree(self, seed):

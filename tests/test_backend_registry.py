@@ -59,7 +59,6 @@ class TestShippedRegistrations:
         assert caps.base_unitary_dispatch == base_unitary
         assert caps.renormalize == renorm
         assert caps.exact_channels == exact_ch
-        assert caps.candidates is not None
         assert caps.candidates_many is not None
 
     def test_instance_and_type_resolve_identically(self, qubits):
@@ -73,8 +72,9 @@ class TestShippedRegistrations:
             born.compute_probability_state_vector
         )
         assert caps is capabilities_for(StateVectorSimulationState)
-        assert caps.candidates is born.candidates_state_vector
-        assert caps.candidates_many is born.candidates_state_vector_many
+        assert caps.candidates_many is born.many_candidate_function_for(
+            born.compute_probability_state_vector
+        )
 
     def test_mps_alias_resolves_to_same_descriptor(self):
         assert capabilities_for_probability_fn(
@@ -99,9 +99,15 @@ class TestDerivedCapabilities:
             def candidate_probabilities(self, bits, support):
                 return np.ones(2)
 
+        class Rows(Bare):
+            def candidate_probabilities_many(self, bits_list, support):
+                return np.ones((len(bits_list), 2))
+
         caps = capabilities_for(Bare)
-        assert caps.candidates is not None
+        # A single-row method is not an oracle: only row blocks are.
+        assert not hasattr(caps, "candidates")
         assert caps.candidates_many is None
+        assert capabilities_for(Rows).candidates_many is not None
         assert not caps.stabilizer_sequences
         assert not caps.base_unitary_dispatch  # no SimulationState._act_on_
         # Cached: second lookup returns the identical derived descriptor.
@@ -119,8 +125,10 @@ class TestDerivedCapabilities:
 
         caps = capabilities_for(Intercepting)
         assert not caps.base_unitary_dispatch
-        # Oracle functions still inherit from the parent registration.
-        assert caps.candidates is born.candidates_state_vector
+        # The oracle still inherits from the parent registration.
+        assert caps.candidates_many is capabilities_for(
+            StateVectorSimulationState
+        ).candidates_many
         assert capabilities_for(Intercepting) is caps  # cached copy
         circuit = cirq.Circuit(
             cirq.H(qubits[0]), cirq.CNOT(qubits[0], qubits[1])
@@ -175,7 +183,7 @@ class TestDerivedCapabilities:
 
 # -- custom user backend through the public hook ---------------------------
 
-CALLS = {"single": 0, "many": 0}
+CALLS = {"many": 0, "rows": []}
 
 
 class UserVectorState(StateVectorSimulationState):
@@ -186,13 +194,9 @@ def user_probability(state, bits):
     return state.probability_of(bits)
 
 
-def user_candidates(state, bits, support):
-    CALLS["single"] += 1
-    return state.candidate_probabilities(bits, support)
-
-
 def user_candidates_many(state, bits_list, support):
     CALLS["many"] += 1
+    CALLS["rows"].append(len(bits_list))
     return state.candidate_probabilities_many(bits_list, support)
 
 
@@ -202,10 +206,10 @@ def user_backend():
         UserVectorState,
         name="user_vector",
         compute_probability=user_probability,
-        candidates=user_candidates,
         candidates_many=user_candidates_many,
     )
-    CALLS["single"] = CALLS["many"] = 0
+    CALLS["many"] = 0
+    CALLS["rows"] = []
     yield caps
     unregister_backend(UserVectorState)
 
@@ -216,7 +220,6 @@ class TestUserBackendRegistration:
         assert capabilities_for(UserVectorState).name == "user_vector"
 
     def test_born_lookups_resolve_user_functions(self, user_backend):
-        assert born.candidate_function_for(user_probability) is user_candidates
         assert (
             born.many_candidate_function_for(user_probability)
             is user_candidates_many
@@ -244,6 +247,27 @@ class TestUserBackendRegistration:
         assert set(np.unique(as_ints)) == {0, 7}
         frac = float(np.mean(as_ints == 0))
         assert 0.35 < frac < 0.65
+
+    def test_trajectory_mode_asks_the_oracle_for_one_row(
+        self, qubits, user_backend
+    ):
+        """Trajectory mode (here: a mid-circuit measurement) is served by
+        the same registered oracle, one tracked bitstring per call."""
+        circuit = cirq.Circuit(
+            cirq.H(qubits[0]),
+            cirq.measure(qubits[0], key="mid"),
+            cirq.CNOT(qubits[0], qubits[1]),
+            cirq.measure(*qubits, key="z"),
+        )
+        sim = bgls.Simulator(
+            UserVectorState(qubits), bgls.act_on, user_probability, seed=7
+        )
+        result = sim.run(circuit, repetitions=20)
+        assert CALLS["many"] == 2 * 20  # H and CNOT, every repetition
+        assert set(CALLS["rows"]) == {1}
+        rows = result.measurements["z"]
+        np.testing.assert_array_equal(rows[:, 0], result.measurements["mid"][:, 0])
+        np.testing.assert_array_equal(rows[:, 0], rows[:, 1])
 
     def test_introspected_capability_defaults(self, qubits, user_backend):
         # Unspecified flags were derived from the class surface.

@@ -177,7 +177,7 @@ class TestPackedTableauAgainstReference:
         rng = np.random.default_rng(11)
         bits = list(rng.integers(0, 2, size=n))
         for support in ([0], [n - 1], list({0, n - 1}), list(range(min(n, 2)))):
-            got = packed.candidate_probabilities(bits, support)
+            (got,) = packed.candidate_probabilities_many([bits], support)
             k = len(support)
             expected = np.empty(2**k)
             cand = list(bits)
@@ -241,7 +241,7 @@ class TestPackedChFormAgainstReference:
         rng = np.random.default_rng(5)
         bits = list(rng.integers(0, 2, size=n))
         for support in ([0], [n - 1], list({0, n - 1})):
-            got = packed.candidate_probabilities(bits, support)
+            (got,) = packed.candidate_probabilities_many([bits], support)
             k = len(support)
             expected = np.empty(2**k)
             cand = list(bits)
@@ -305,7 +305,7 @@ class TestCrossWordBoundaries:
         _assert_tableaus_equal(packed, ref)
         bits = [packed.copy().measure(a, np.random.default_rng(1)) for a in range(n)]
         support = [62, 65] if n > 65 else [0, n - 1]
-        got = packed.candidate_probabilities(bits, support)
+        (got,) = packed.candidate_probabilities_many([bits], support)
         cand = list(bits)
         for idx in range(4):
             cand[support[0]] = (idx >> 1) & 1
@@ -332,7 +332,7 @@ class TestCrossWordBoundaries:
             )
         support = [62, 65] if n > 65 else [0, n - 1]
         bits = list(rng.integers(0, 2, size=n))
-        got = packed.candidate_probabilities(bits, support)
+        (got,) = packed.candidate_probabilities_many([bits], support)
         cand = list(bits)
         for idx in range(4):
             cand[support[0]] = (idx >> 1) & 1

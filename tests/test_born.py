@@ -1,5 +1,6 @@
-"""Tests for the born module: scalar/batched probability functions."""
+"""Tests for the born module: scalar functions and their candidate oracles."""
 
+import numpy as np
 import pytest
 
 import repro as bgls
@@ -7,9 +8,11 @@ from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
 from repro.states import (
+    CliffordTableauSimulationState,
     DensityMatrixSimulationState,
     StabilizerChFormSimulationState,
     StateVectorSimulationState,
+    registry,
 )
 
 
@@ -64,36 +67,60 @@ class TestBatchedFunctions:
     @pytest.mark.parametrize(
         "scalar,batched",
         [
-            (born.compute_probability_state_vector, born.candidates_state_vector),
-            (born.compute_probability_density_matrix, born.candidates_density_matrix),
-            (born.compute_probability_stabilizer_state, born.candidates_stabilizer_state),
-            (born.compute_probability_mps, born.candidates_mps),
-            (born.mps_bitstring_probability, born.candidates_mps),
+            (born.compute_probability_state_vector,
+             StateVectorSimulationState.candidate_probabilities_many),
+            (born.compute_probability_density_matrix,
+             DensityMatrixSimulationState.candidate_probabilities_many),
+            (born.compute_probability_stabilizer_state,
+             StabilizerChFormSimulationState.candidate_probabilities_many),
+            (born.compute_probability_mps, MPSState.candidate_probabilities_many),
+            (born.mps_bitstring_probability, MPSState.candidate_probabilities_many),
         ],
     )
-    def test_candidate_function_mapping(self, scalar, batched):
-        assert born.candidate_function_for(scalar) is batched
+    def test_candidate_function_mapping(
+        self, scalar, batched, qubits, clifford_circuit
+    ):
+        """A shipped scalar function brings its backend's own row-block
+        oracle: the mapped function answers exactly as the state method."""
+        state_type = registry.capabilities_for_probability_fn(scalar).state_type
+        assert state_type.candidate_probabilities_many is batched
+        state = evolved(state_type, clifford_circuit, qubits)
+        bits_list = [[1, 0, 1], [0, 1, 1], [1, 0, 1]]
+        oracle = born.many_candidate_function_for(scalar)
+        np.testing.assert_array_equal(
+            oracle(state, bits_list, [2, 0]), batched(state, bits_list, [2, 0])
+        )
 
     def test_unknown_function_maps_to_none(self):
-        assert born.candidate_function_for(lambda s, b: 0.0) is None
+        assert born.many_candidate_function_for(lambda s, b: 0.0) is None
 
     def test_batched_matches_scalar_all_backends(self, qubits, clifford_circuit):
+        """Every row of every backend's oracle is the scalar Born oracle of
+        each candidate: one row, duplicate rows, unsorted support."""
         backends = [
-            (StateVectorSimulationState, born.compute_probability_state_vector,
-             born.candidates_state_vector),
-            (DensityMatrixSimulationState, born.compute_probability_density_matrix,
-             born.candidates_density_matrix),
-            (StabilizerChFormSimulationState, born.compute_probability_stabilizer_state,
-             born.candidates_stabilizer_state),
-            (MPSState, born.compute_probability_mps, born.candidates_mps),
+            (StateVectorSimulationState, born.compute_probability_state_vector),
+            (DensityMatrixSimulationState, born.compute_probability_density_matrix),
+            (StabilizerChFormSimulationState, born.compute_probability_stabilizer_state),
+            (CliffordTableauSimulationState, born.compute_probability_tableau),
+            (MPSState, born.compute_probability_mps),
         ]
-        bits = [1, 0, 1]
-        support = [0, 2]
-        for cls, scalar, batched in backends:
+        queries = [
+            ([[1, 0, 1]], [0, 2]),
+            ([[1, 0, 1], [0, 1, 0], [1, 0, 1]], [2, 0]),
+            ([[0, 1, 1], [1, 1, 0]], [1]),
+        ]
+        for cls, scalar in backends:
             state = evolved(cls, clifford_circuit, qubits)
-            fast = batched(state, bits, support)
-            for idx in range(4):
-                full = list(bits)
-                full[0] = (idx >> 1) & 1
-                full[2] = idx & 1
-                assert fast[idx] == pytest.approx(scalar(state, full), abs=1e-9), cls
+            oracle = born.many_candidate_function_for(scalar)
+            for bits_list, support in queries:
+                rows = oracle(state, bits_list, support)
+                k = len(support)
+                assert rows.shape == (len(bits_list), 2**k), cls
+                for row, bits in zip(rows, bits_list):
+                    for idx in range(2**k):
+                        full = list(bits)
+                        for pos, axis in enumerate(support):
+                            full[axis] = (idx >> (k - 1 - pos)) & 1
+                        assert row[idx] == pytest.approx(
+                            scalar(state, full), abs=1e-9
+                        ), cls

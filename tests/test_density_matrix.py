@@ -101,7 +101,7 @@ class TestProbabilities:
         act_on(cirq.depolarize(0.2)(qs[1]), dm)
         bits = [1, 0, 0, 1]
         for support in ([0], [1, 3], [2, 0]):
-            fast = dm.candidate_probabilities(bits, support)
+            (fast,) = dm.candidate_probabilities_many([bits], support)
             for idx, cand in enumerate(
                 itertools.product([0, 1], repeat=len(support))
             ):

@@ -101,8 +101,8 @@ class TestAmplitudes:
         circ = cirq.generate_random_circuit(qs, 8, random_state=7)
         mps = evolve(MPSState(qs), circ)
         amps = mps.candidate_amplitudes([0, 0, 0], [1])
-        probs = mps.candidate_probabilities([0, 0, 0], [1])
-        np.testing.assert_allclose(probs, np.abs(amps) ** 2, atol=1e-12)
+        probs = mps.candidate_probabilities_many([[0, 0, 0]], [1])
+        np.testing.assert_allclose(probs, [np.abs(amps) ** 2], atol=1e-12)
 
 
 class TestBondStructure:

@@ -10,7 +10,9 @@ The contracts pinned here (this PR's acceptance criteria):
   exactly the list APIs' per-point Results, in order.
 * **Segment lifecycle** — no shared-memory segment survives a completed
   run, a poisoned pool, or an abandoned (mid-iteration ``close()``)
-  streaming iterator; the parent allocates and the parent unlinks.
+  streaming iterator; the parent allocates and the parent unlinks.  A
+  failed allocation (``ENOSPC``) raises ``ResultTransportError``, keeps
+  the warm pool, and a ``"pickle"`` retry on that pool is exact.
 * **Zero-copy Results** — plane-backed ``Result``s adopt the read-only
   views without copying, every helper works on them, and the views
   outlive the segment's unlink.
@@ -20,6 +22,7 @@ The pooled start method comes from ``BGLS_POOL_START_METHODS``
 ``forkserver`` and ``spawn`` without duplicating tests.
 """
 
+import errno
 import gc
 import multiprocessing
 import os
@@ -31,7 +34,12 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import PoolManager, ProcessPoolExecutor, SerialExecutor
+from repro.sampler import (
+    PoolManager,
+    ProcessPoolExecutor,
+    ResultTransportError,
+    SerialExecutor,
+)
 from repro.sampler import result_planes
 from repro.sampler.result_planes import (
     PointPlanes,
@@ -407,6 +415,44 @@ class TestSegmentLifecycle:
         assert plane.name in live_segment_names()
         manager.shutdown()
         assert live_segment_names() == []
+
+    def test_allocation_failure_keeps_the_warm_pool(self, manager, monkeypatch):
+        """ENOSPC on the second plane: a typed error naming the pickle
+        transport, no live segment, the warm pool neither shut down nor
+        re-initialized, and a pickle retry on it equals the serial path."""
+        circuit = parameterized_circuit()
+        expected = sv_sim(6).run_sweep(circuit, PARAM_POINTS, 16)
+        simulator = sv_sim(6, pool_exec(manager))
+        assert_sweeps_equal(
+            simulator.run_sweep(circuit, PARAM_POINTS, 16), expected
+        )
+        inits = manager.stats["inits"]
+        real = result_planes._shared_memory.SharedMemory
+        creations = []
+
+        def no_space_on_second(*args, **kwargs):
+            if kwargs.get("create"):
+                creations.append(kwargs)
+                if len(creations) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            result_planes._shared_memory, "SharedMemory", no_space_on_second
+        )
+        with pytest.raises(ResultTransportError, match='"pickle"') as info:
+            simulator.run_sweep(circuit, PARAM_POINTS, 16)
+        monkeypatch.undo()
+        assert info.value.__cause__.errno == errno.ENOSPC
+        assert len(creations) == 2
+        assert live_segment_names() == []
+        assert manager._pool is not None
+        assert manager.stats["inits"] == inits
+        simulator.executor = pool_exec(manager, transport="pickle")
+        assert_sweeps_equal(
+            simulator.run_sweep(circuit, PARAM_POINTS, 16), expected
+        )
+        assert manager.stats["inits"] == inits
 
     def test_completed_runs_leave_no_segments(self, manager):
         simulator = sv_sim(8, pool_exec(manager))

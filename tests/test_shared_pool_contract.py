@@ -14,6 +14,9 @@ compiled units travel with the tasks.  Pinned here:
 * **Abandoned run, then a different batch** — a stream closed after its
   first point leaves pullers behind; the next, different batch still
   comes out exact, because every task names its own unit.
+* **Fewer tasks than workers** — a batch smaller than the pool reuses
+  it, and the next full batch does too: the pool is keyed on its size,
+  not on the task count.
 * **Light workers** — ``import repro``, which every worker runs, does
   not load ``scipy.stats`` (~45 MB per process).
 
@@ -188,6 +191,23 @@ class TestSharedPoolContract:
             sim.run_batch(other, repetitions=16),
             make_sim(3).run_batch(other, repetitions=16),
         )
+        assert manager.stats["inits"] == 1
+        assert live_segment_names() == []
+
+    def test_small_batch_then_full_batch_share_one_pool(self, manager):
+        """A 2-point batch on 3 workers, then a 6-point one: one init,
+        both outputs serial."""
+        sim = make_sim(
+            5,
+            ProcessPoolExecutor(
+                num_workers=3, start_method=START_METHODS[0], pool_manager=manager
+            ),
+        )
+        for batch in (ensemble(40, count=2), ensemble(41, count=6)):
+            assert_results_equal(
+                sim.run_batch(batch, repetitions=16),
+                make_sim(5).run_batch(batch, repetitions=16),
+            )
         assert manager.stats["inits"] == 1
         assert live_segment_names() == []
 

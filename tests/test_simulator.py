@@ -270,15 +270,22 @@ class TestCustomComputeProbability:
         assert calls["n"] > 0  # loop fallback was used
 
     def test_explicit_candidate_function(self, qubits, ghz):
+        rows = []
+
+        def candidates(state, bits, support):
+            rows.append(tuple(bits))
+            return state.candidate_probabilities_many([bits], support)[0]
+
         sim = bgls.Simulator(
             StateVectorSimulationState(qubits),
             bgls.act_on,
             born.compute_probability_state_vector,
-            compute_candidate_probabilities=born.candidates_state_vector,
+            compute_candidate_probabilities=candidates,
             seed=0,
         )
         result = sim.run(ghz, repetitions=50)
         assert set(result.histogram("z")) <= {0, 3}
+        assert rows  # the user's single-row oracle served every front row
 
 
 class TestSkipDiagonalUpdates:

@@ -99,7 +99,7 @@ class TestCandidateProbabilities:
     def test_matches_per_candidate_loop(self, support):
         s = self._random_state(4, seed=2)
         bits = [1, 0, 1, 1]
-        fast = s.candidate_probabilities(bits, support)
+        (fast,) = s.candidate_probabilities_many([bits], support)
         for idx, cand_bits in enumerate(
             itertools.product([0, 1], repeat=len(support))
         ):
@@ -112,13 +112,13 @@ class TestCandidateProbabilities:
         qs = cirq.LineQubit.range(2)
         s = StateVectorSimulationState(qs, initial_state=0b01)
         # support (1, 0): candidate index 0b10 means qubit1=1, qubit0=0.
-        probs = s.candidate_probabilities([0, 0], [1, 0])
+        (probs,) = s.candidate_probabilities_many([[0, 0]], [1, 0])
         assert probs[0b10] == pytest.approx(1.0)
 
     def test_sums_to_marginal(self):
         s = self._random_state(4, seed=3)
         bits = [0, 1, 0, 0]
-        probs = s.candidate_probabilities(bits, [1, 2])
+        (probs,) = s.candidate_probabilities_many([bits], [1, 2])
         # Marginal of the fixed complement bits:
         full = np.abs(s.state_vector()) ** 2
         total = sum(

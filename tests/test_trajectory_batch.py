@@ -174,7 +174,7 @@ class TestCapabilityAndValidation:
 
     def test_user_candidate_function_falls_back_to_serial(self):
         def candidates(state, bits, support):
-            return born.candidates_state_vector(state, bits, support)
+            return state.candidate_probabilities_many([bits], support)[0]
 
         serial = bgls.Simulator(
             StateVectorSimulationState(QUBITS),

@@ -319,12 +319,12 @@ def test_stacked_ch_forms_match_scalar_engines_gate_by_gate(case):
         bits = rng.integers(0, 2, size=(batch, n)).astype(np.uint8)
         k = int(rng.integers(1, min(n, 3) + 1))
         support = [int(a) for a in rng.choice(n, size=k, replace=False)]
-        probs = stack.candidate_probabilities(bits, support)
+        probs = stack.candidate_probabilities_many(bits, support)
         for b, state in enumerate(scalars):
             form = state.ch_form
             np.testing.assert_allclose(
                 probs[b],
-                form.candidate_probabilities(bits[b], support),
+                form.candidate_probabilities_many(bits[b : b + 1], support)[0],
                 rtol=1e-12,
                 atol=1e-15,
             )
