@@ -89,19 +89,20 @@ def test_warm_pool_vs_cold_pool_sweep():
         assert manager.stats["inits"] == 1, manager.stats
         assert manager.stats["reuses"] >= 3
 
-    cold_sim = make_sim(
-        qubits,
-        ProcessPoolExecutor(num_workers=2, start_method="fork", reuse_pool=False),
-    )
+    def cold_point(resolver):
+        with PoolManager() as cold_manager:
+            cold_sim = make_sim(
+                qubits,
+                ProcessPoolExecutor(
+                    num_workers=2, start_method="fork", pool_manager=cold_manager
+                ),
+            )
+            cold_sim.sample_bitstrings(template, REPS, param_resolver=resolver)
+            assert cold_manager.stats["inits"] == 1
+
     # One call per point on a cold pool = the PR-3 cost model: every
     # sweep point spins up (and tears down) its own fully-initialized pool.
-    cold_seconds = wall_time(
-        lambda: [
-            cold_sim.sample_bitstrings(template, REPS, param_resolver=p)
-            for p in params
-        ],
-        repeats=1,
-    )
+    cold_seconds = wall_time(lambda: [cold_point(p) for p in params], repeats=1)
 
     serial = make_sim(qubits).sample_bitstrings_sweep(
         template, params, repetitions=REPS

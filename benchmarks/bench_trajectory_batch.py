@@ -10,7 +10,8 @@ record once across the batch.
 
 Correctness stays pinned before any timing: the batched output is
 bit-for-bit invariant under the tile width (the engine's only internal
-geometry knob) and bit-for-bit reproducible for a fixed seed.
+geometry knob, forced here through its memory-budget constant) and
+bit-for-bit reproducible for a fixed seed.
 
 Acceptance bar: batched beats serial by >= 3x on the headline wall time
 (``BENCH_batched_vs_serial_trajectories.json``; enforced with
@@ -23,6 +24,7 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.circuits import channels
+from repro.sampler import trajectory_batch
 from repro.states import StateVectorSimulationState
 
 from conftest import assert_timing_win, print_series, wall_time
@@ -51,25 +53,38 @@ def noisy_circuit(seed=11):
     return circuit
 
 
-def make_sim(mode, seed=19, tile=None):
+def make_sim(mode, seed=19):
     return bgls.Simulator(
         StateVectorSimulationState(QUBITS),
         bgls.act_on,
         born.compute_probability_state_vector,
         seed=seed,
         trajectory_mode=mode,
-        trajectory_tile=tile,
     )
 
 
-def test_batched_vs_serial_trajectories():
+def test_batched_vs_serial_trajectories(monkeypatch):
     circuit = noisy_circuit()
 
     # Correctness before timing: the batched output is a pure function
     # of (seed, repetition index) — the tile width must not show.
     reference = make_sim("batched").run(circuit, repetitions=REPS)
     for tile in (7, 64):
-        tiled = make_sim("batched", tile=tile).run(circuit, repetitions=REPS)
+        with monkeypatch.context() as patch:
+            # The dense budget holds two tiles of 16 * 2**WIDTH bytes each.
+            patch.setattr(
+                trajectory_batch,
+                "DENSE_TILE_BUDGET_BYTES",
+                2 * 16 * 2**WIDTH * tile,
+            )
+            sim = make_sim("batched")
+            assert (
+                trajectory_batch.BatchedStateVector.tile_size(
+                    sim.initial_state, REPS
+                )
+                == tile
+            )
+            tiled = sim.run(circuit, repetitions=REPS)
         np.testing.assert_array_equal(
             reference.measurements["m"],
             tiled.measurements["m"],

@@ -80,7 +80,7 @@ def test_xeb_supremacy_batch():
         )
         # One simulator for every pass: per-call seeding is deterministic
         # (streamed == blocking is a replay, not a coincidence), and the
-        # pool's execution key stays fixed across both passes.
+        # pool's key stays fixed across both passes.
         sim = make_sim(qubits, executor)
         streamed = list(
             stream_xeb_workload(sim, split, REPS, probabilities=probs)

@@ -437,8 +437,8 @@ class MPSState(SimulationState):
         evolving the restored state (the bond-name counter, so new bonds
         never collide with shipped ones, and the truncation-fidelity
         estimate).  Every component is a plain hashable value, so whole
-        payloads compare with ``==`` — the property the warm-pool
-        execution key relies on.  Environment caches are per-run scratch
+        payloads compare with ``==`` — the property the warm-pool key
+        relies on.  Environment caches are per-run scratch
         and intentionally do not ship.
         """
         tensors = tuple(

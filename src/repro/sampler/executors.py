@@ -18,11 +18,11 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
   packed initial state and the simulator config ship to each worker once,
   through the pool *initializer*; each task carries its compiled unit
   (one plan, or one Program of a batch) pickled, plus ``(resolver, size,
-  seed, ctx)`` and an optional result-plane slot.  By default
-  (``reuse_pool=True``) the pool is **warm**: one pool per (initial
-  state, simulator config, pool geometry) lives across calls, whatever
-  circuits they run.  ``reuse_pool=False`` uses a private manager closed
-  when the call ends.
+  seed, ctx)`` and an optional result-plane slot.  The pool is **warm**:
+  one pool per (initial state, simulator config, pool geometry) lives
+  across calls, whatever circuits they run.  A caller wanting a cold pool
+  passes its own :class:`~repro.sampler.service.PoolManager` and shuts it
+  down after the call.
 
 Every sweep and batch is built by one task builder, :func:`_point_tasks`.
 Under the default ``"fifo"`` mode each point is one stream seeded from
@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
-import os
 import pickle
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .requests import normalize_repetitions
+from .requests import normalize_num_workers, normalize_repetitions
 from .result_planes import PointPlanes, shm_available
 from .schedule import (
     BatchEntry,
@@ -72,7 +71,6 @@ from .service import (
     _merge_parts,
     _run_task,
     _unit_ref,
-    execution_key,
     shared_pool_manager,
 )
 
@@ -167,8 +165,9 @@ class ProcessPoolExecutor(Executor):
     """Fan repetition chunks or whole sweep points over a process pool.
 
     Args:
-        num_workers: Pool size; defaults to ``os.cpu_count()``.
-        chunks_per_worker: >1 gives smaller tasks (better load balance).
+        num_workers: Pool size, and the chunk count of a pooled ``run``;
+            None (default) means ``os.cpu_count()``.  Anything below 1
+            raises ``ValueError``.
         start_method: ``"fork"``, ``"forkserver"``, or ``"spawn"``.  An
             *explicitly requested* method the platform does not provide
             raises at pool construction (no silent substitution; see
@@ -179,17 +178,14 @@ class ProcessPoolExecutor(Executor):
             every platform.  With ``fork`` the packed state is inherited
             copy-on-write; with ``forkserver``/``spawn`` it is pickled
             once per worker by the initializer.
-        reuse_pool: True (default) keeps the pool **warm** through a
-            :class:`~repro.sampler.service.PoolManager`: consecutive
-            calls with an unchanged execution key submit straight to the
+        pool_manager: The :class:`~repro.sampler.service.PoolManager`
+            keeping the pool **warm**: consecutive calls with an
+            unchanged worker payload submit straight to the
             already-initialized workers, whatever circuits they carry.
-            False runs each call on a
-            private manager closed when the call ends — same output,
-            more startup cost.
-        pool_manager: The manager owning the warm pool.  None (default)
-            uses the process-wide shared manager; pass a dedicated
-            :class:`~repro.sampler.service.PoolManager` for scoped
-            lifetimes or isolated init counters.
+            None (default) uses the process-wide shared manager; pass a
+            dedicated manager for scoped lifetimes or isolated init
+            counters (a fresh one shut down after the call is a cold
+            pool — same output, more startup cost).
         scheduler: How batch/sweep points map to pool tasks (see
             :func:`repro.sampler.schedule.schedule`).  ``"fifo"``
             (default) is one task per point in point order, bit-for-bit
@@ -228,9 +224,9 @@ class ProcessPoolExecutor(Executor):
             anything; it releases the planes it made and leaves the warm
             pool as it was, so a retry with ``"pickle"`` reuses it.
 
-    The total chunk count is ``num_workers * chunks_per_worker``; given
-    the same simulator seed and total chunk count,
-    :class:`SerialExecutor` produces bit-for-bit identical output.  Warm
+    A ``run`` splits into ``num_workers`` chunks; given the same
+    simulator seed and chunk count, :class:`SerialExecutor` produces
+    bit-for-bit identical output.  Warm
     and cold pools are bit-for-bit identical too — reuse changes only
     where the startup cost is paid.
 
@@ -246,21 +242,17 @@ class ProcessPoolExecutor(Executor):
     def __init__(
         self,
         num_workers: Optional[int] = None,
-        chunks_per_worker: int = 1,
         start_method: Optional[str] = "auto",
-        reuse_pool: bool = True,
         pool_manager: Optional[PoolManager] = None,
         scheduler: str = "fifo",
         result_transport: str = "auto",
         task_timeout: Optional[float] = None,
     ):
-        self.num_workers = max(1, int(num_workers or (os.cpu_count() or 1)))
-        self.chunks_per_worker = max(1, int(chunks_per_worker))
+        self.num_workers = normalize_num_workers(num_workers)
         if start_method == "auto":
             available = multiprocessing.get_all_start_methods()
             start_method = "forkserver" if "forkserver" in available else None
         self.start_method = start_method
-        self.reuse_pool = reuse_pool
         self._pool_manager = pool_manager
         self.scheduler = check_mode(scheduler)
         if result_transport not in ("auto", "shm", "pickle"):
@@ -300,11 +292,9 @@ class ProcessPoolExecutor(Executor):
 
     def execute(self, simulator, plan, repetitions):
         """Run ``repetitions`` of ``plan`` as a one-point batch of
-        ``num_workers * chunks_per_worker`` seeded chunks."""
+        ``num_workers`` seeded chunks."""
         normalize_repetitions(repetitions)
-        tasks, argses = _chunk_tasks(
-            simulator, repetitions, self.num_workers * self.chunks_per_worker
-        )
+        tasks, argses = _chunk_tasks(simulator, repetitions, self.num_workers)
         (parts,) = self._stream(simulator, (plan,), tasks, argses, repetitions)
         return parts
 
@@ -368,7 +358,7 @@ class ProcessPoolExecutor(Executor):
         refs = [_unit_ref(unit) for unit in units]
         shm = self.result_transport == "shm"
         planes = _allocate_planes(units, tasks, repetitions) if shm else {}
-        manager = self.pool_manager if self.reuse_pool else PoolManager()
+        manager = self.pool_manager
         run = None
 
         def finalize(point, chunks):
@@ -384,10 +374,9 @@ class ProcessPoolExecutor(Executor):
                     for task, args in zip(tasks, argses)
                 ]
             run = manager.submit(
-                execution_key(simulator),
+                _WorkerPayload(simulator),
                 self.num_workers,
                 self.start_method,
-                lambda: _WorkerPayload(simulator),
                 [(refs[args[0]], args) for args in argses],
                 planes=tuple(planes.values()),
             )
@@ -428,8 +417,6 @@ class ProcessPoolExecutor(Executor):
         finally:
             if run is not None:
                 manager.close(run)
-            if not self.reuse_pool:
-                manager.shutdown()
             for plane in planes.values():
                 plane.release()
 

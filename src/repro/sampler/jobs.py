@@ -52,6 +52,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from .executors import ProcessPoolExecutor
+from .requests import normalize_num_workers
 from .results import Result
 from .schedule import estimate_job_cost
 from .service import PoolManager
@@ -319,6 +320,7 @@ class SamplingService:
             raise ValueError(
                 f"default_quota must be > 0, got {default_quota}"
             )
+        num_workers = normalize_num_workers(num_workers)
         self._initial_state = initial_state
         self._apply_op = apply_op
         self._compute_probability = compute_probability

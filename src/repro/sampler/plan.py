@@ -35,10 +35,9 @@ batched column pass over the packed GF(2) words
 support once.  Treating the fused group as one ``k``-qubit gate is exactly
 as sound as BGLS itself — the group only acts on its union support, so the
 off-support marginals are untouched — and the candidate count stays small
-because the union is capped.  Fusion only engages on the default
-``act_on`` fast paths and can be disabled via ``fuse_moments=False``
-(``Simulator(..., fuse_moments=False)``), which reproduces the historical
-per-gate record stream (and its RNG draw sequence) exactly.
+because the union is capped.  Fusion engages exactly when the backend's
+registry capabilities allow it on the default ``act_on`` fast paths; every
+other configuration compiles per-gate records.
 """
 
 from __future__ import annotations
@@ -207,16 +206,14 @@ class ExecutionPlan:
             apply_op(rec.op, state)
 
 
-def compile_plan(
-    circuit: Circuit, state, apply_op, *, fuse_moments: bool = True
-) -> ExecutionPlan:
+def compile_plan(circuit: Circuit, state, apply_op) -> ExecutionPlan:
     """Compile a resolved circuit into an :class:`ExecutionPlan`.
 
     Validates the circuit against the state register (unknown qubits,
     duplicate measurement keys) and decides up front whether execution
     needs trajectory mode (stochastic ``apply_op``, non-unitary operations,
-    or non-terminal measurements).  With ``fuse_moments`` (the default),
-    each moment's disjoint single-qubit Clifford gates compile into
+    or non-terminal measurements).  Where the backend allows fusion, each
+    moment's disjoint single-qubit Clifford gates compile into
     :class:`FusedOpRecord` groups of at most :data:`MAX_FUSED_SUPPORT`
     qubits; groups of one stay plain records.
 
@@ -229,6 +226,4 @@ def compile_plan(
     """
     from .program import Program
 
-    return Program(
-        circuit, state, apply_op, fuse_moments=fuse_moments
-    ).specialize(None)
+    return Program(circuit, state, apply_op).specialize(None)

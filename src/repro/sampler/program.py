@@ -12,13 +12,13 @@ unitaries, while every Hadamard, CNOT and measurement record (and every
 fully parameter-free moment, pre-fused) is shared by all 20 plans.
 
 Programs are cached process-wide, keyed by (circuit fingerprint, qubit
-register, state type, ``apply_op``, fuse flag).  The fingerprint is
-structural — every gate and qubit of every moment — so mutating a circuit
-in place or toggling ``fuse_moments`` misses the cache and recompiles,
-while re-running an identical circuit (even a separately-built equal one)
-hits.  Cache traffic is observable through :func:`program_cache_info`,
-which the plan-cache tests and ``benchmarks/bench_program_cache.py`` use
-to assert the compile-once behavior.
+register, state type, ``apply_op``).  The fingerprint is structural —
+every gate and qubit of every moment — so mutating a circuit in place
+misses the cache and recompiles, while re-running an identical circuit
+(even a separately-built equal one) hits.  Cache traffic is observable
+through :func:`program_cache_info`, which the plan-cache tests and
+``benchmarks/bench_program_cache.py`` use to assert the compile-once
+behavior.
 """
 
 from __future__ import annotations
@@ -141,7 +141,6 @@ class Program:
         "num_qubits",
         "state_type",
         "apply_op",
-        "fuse_moments",
         "key_axes",
         "fast_stab",
         "fast_unitary",
@@ -159,7 +158,7 @@ class Program:
         "_plan_cache_stats",
     )
 
-    def __init__(self, circuit: Circuit, state, apply_op, *, fuse_moments: bool = True):
+    def __init__(self, circuit: Circuit, state, apply_op):
         _require_register(state)
         qubit_index = state.qubit_index
         missing = [q for q in circuit.all_qubits() if q not in qubit_index]
@@ -169,15 +168,13 @@ class Program:
         self.num_qubits = len(state.qubits)
         self.state_type = type(state)
         self.apply_op = apply_op
-        self.fuse_moments = fuse_moments
         self._handles_channels = getattr(apply_op, "_bgls_handles_channels_", False)
         self._exact_channels = caps.exact_channels
         default_apply = apply_op is act_on
         self.fast_stab = default_apply and caps.stabilizer_sequences
         self.fast_unitary = default_apply and caps.base_unitary_dispatch
-        self._can_fuse = fuse_moments and (
-            (self.fast_stab and caps.fused_moments)
-            or (not self.fast_stab and self.fast_unitary)
+        self._can_fuse = (self.fast_stab and caps.fused_moments) or (
+            not self.fast_stab and self.fast_unitary
         )
 
         key_axes: Dict[str, Tuple[int, ...]] = {}
@@ -430,14 +427,12 @@ _PROGRAM_CACHE_MAX = 128
 _STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def compiled_program(
-    circuit: Circuit, state, apply_op, fuse_moments: bool = True
-) -> Program:
-    """The cached :class:`Program` for (circuit, backend, apply_op, fuse).
+def compiled_program(circuit: Circuit, state, apply_op) -> Program:
+    """The cached :class:`Program` for (circuit, backend, apply_op).
 
     The key is (structural fingerprint, qubit register, state type,
-    ``apply_op``, fuse flag): any in-place circuit mutation, backend swap,
-    or fuse toggle misses and recompiles; identical re-runs and sweeps hit.
+    ``apply_op``): any in-place circuit mutation or backend swap misses
+    and recompiles; identical re-runs and sweeps hit.
     Entries are evicted least-recently-used beyond ``_PROGRAM_CACHE_MAX``.
 
     A bare backend state without a qubit register raises ``TypeError``
@@ -449,7 +444,6 @@ def compiled_program(
         tuple(state.qubits),
         type(state),
         apply_op,
-        fuse_moments,
     )
     program = _PROGRAM_CACHE.get(key)
     if program is not None:
@@ -457,7 +451,7 @@ def compiled_program(
         _PROGRAM_CACHE.move_to_end(key)
         return program
     _STATS["misses"] += 1
-    program = Program(circuit, state, apply_op, fuse_moments=fuse_moments)
+    program = Program(circuit, state, apply_op)
     _PROGRAM_CACHE[key] = program
     if len(_PROGRAM_CACHE) > _PROGRAM_CACHE_MAX:
         _PROGRAM_CACHE.popitem(last=False)

@@ -4,14 +4,17 @@ Six entry points feed user input into the execution stack — ``run``,
 ``run_sweep``, ``run_sweep_iter``, ``run_batch``, ``run_batch_iter``, and
 ``sample_bitstrings_sweep``.  This module is the single source of truth
 for their ``seed``/``repetitions``/``trajectory_mode`` validation and
-defaults: every error message below is part of the API contract pinned
-by ``tests/test_error_contracts.py``, so the service tier (and any other
-caller feeding untrusted input into a Simulator) sees one typed, named
-error per bad argument regardless of which entry point it hit.
+defaults, and for the ``num_workers`` of ``ProcessPoolExecutor`` and
+``SamplingService``: every error message below is part of the API
+contract pinned by ``tests/test_error_contracts.py``, so the service tier
+(and any other caller feeding untrusted input into a Simulator) sees one
+typed, named error per bad argument regardless of which entry point it
+hit.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Union
 
 import numpy as np
@@ -54,12 +57,12 @@ def normalize_trajectory_mode(trajectory_mode: str) -> str:
     return trajectory_mode
 
 
-def normalize_trajectory_tile(trajectory_tile: Optional[int]) -> Optional[int]:
-    """Validate the batched-engine tile cap; returns ``None`` or an int."""
-    if trajectory_tile is None:
-        return None
-    if int(trajectory_tile) < 1:
+def normalize_num_workers(num_workers: Optional[int]) -> int:
+    """A pool size: ``None`` means ``os.cpu_count()``, below 1 raises."""
+    if num_workers is None:
+        return os.cpu_count() or 1
+    if num_workers < 1:
         raise ValueError(
-            f"trajectory_tile must be >= 1, got {trajectory_tile}"
+            f"num_workers must be >= 1 or None, got {num_workers}"
         )
-    return int(trajectory_tile)
+    return int(num_workers)

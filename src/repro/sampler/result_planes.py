@@ -46,6 +46,7 @@ Lifecycle contract (pinned by ``tests/test_result_planes.py`` and the
 
 from __future__ import annotations
 
+import os
 import threading
 import weakref
 from typing import Dict, List, Optional, Tuple
@@ -198,6 +199,12 @@ class PointPlanes:
             self.key_axes, self.num_qubits, self.rows
         )
         self._shm = _shared_memory.SharedMemory(create=True, size=self.nbytes)
+        # POSIX: the mapping holds its own duplicate of the segment's fd
+        # and unlink works by name, so close the fd now — a kept result
+        # then costs one descriptor, not two (``close`` skips ``-1``).
+        if getattr(self._shm, "_fd", -1) >= 0:
+            os.close(self._shm._fd)
+            self._shm._fd = -1
         self._unlinked = False
         with _LIVE_LOCK:
             _LIVE[self._shm.name] = self

@@ -4,12 +4,14 @@ Every pooled call — a one-point ``run``, a sweep, or a heterogeneous
 batch — is one contract: a deterministic task list that may run on any
 worker.  This module runs it:
 
-* :class:`PoolManager` keeps one process pool per (initial state,
-  simulator config, pool geometry) alive across calls: the *execution
-  key* holds the initial-state payload (the registry ``snapshot`` payload
-  where declared, object identity otherwise), the config and the
-  geometry.  Compiled units (Programs or specialized plans) travel with
-  the tasks, so a fresh circuit ensemble runs on the warm workers.
+* :class:`PoolManager` keeps one process pool per (worker payload, pool
+  geometry) alive across calls.  The :class:`_WorkerPayload` is the one
+  record of what a worker is built from — the initial state (the
+  registry ``snapshot`` payload where declared, the object otherwise)
+  and the simulator config — and :meth:`_WorkerPayload.key` derives the
+  pool key from exactly those fields.  Compiled units (Programs or
+  specialized plans) travel with the tasks, so a fresh circuit ensemble
+  runs on the warm workers.
 * :meth:`PoolManager.submit` is the one dispatch entry.  It puts ``(run_id,
   task_id, unit_ref, args)`` items on the pool's shared task queue and
   hands each worker a :func:`_pull_tasks` loop: idle workers pull the
@@ -20,11 +22,11 @@ worker.  This module runs it:
   Results are routed by run id, so several runs (threads) can share one
   pool, and closing an abandoned run (:meth:`PoolManager.close`) makes
   workers skip its leftover items without tearing the warm pool down.
-* :func:`shared_pool_manager` is the default process-wide manager used by
-  ``ProcessPoolExecutor(reuse_pool=True)``; it is shut down automatically
-  at interpreter exit (``atexit``), and :class:`PoolManager` doubles as a
-  context manager for scoped lifetimes.  ``shutdown()`` joins every
-  worker, so no child processes outlive the manager.
+* :func:`shared_pool_manager` is the default process-wide manager of
+  every ``ProcessPoolExecutor`` not given its own; it is shut down
+  automatically at interpreter exit (``atexit``), and :class:`PoolManager`
+  doubles as a context manager for scoped lifetimes.  ``shutdown()``
+  joins every worker, so no child processes outlive the manager.
 
 Determinism contracts (pinned by ``tests/test_pool_service.py``):
 
@@ -56,7 +58,7 @@ import queue as _queue
 import threading
 import weakref
 from concurrent import futures as _cf
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -209,9 +211,7 @@ class _WorkerPayload:
         "compute_probability",
         "user_candidates",
         "skip_diagonal_updates",
-        "fuse_moments",
         "trajectory_mode",
-        "trajectory_tile",
     )
 
     def __init__(self, simulator):
@@ -231,9 +231,21 @@ class _WorkerPayload:
         self.compute_probability = simulator.compute_probability
         self.user_candidates = simulator.user_candidate_function
         self.skip_diagonal_updates = simulator.skip_diagonal_updates
-        self.fuse_moments = simulator.fuse_moments
         self.trajectory_mode = simulator.trajectory_mode
-        self.trajectory_tile = simulator.trajectory_tile
+
+    def key(self) -> Tuple:
+        """The warm-pool reuse key: every field this payload ships.
+
+        A snapshot-backed state keys on its payload *content* (two
+        equal-content states share a warm pool); any other state keys on
+        object identity.  Identity is safe from id-reuse aliasing because
+        the manager holds the payload — and therefore the state — alive
+        for as long as its key is current.
+        """
+        fields = [getattr(self, name) for name in self.__slots__]
+        if self.restore is None:
+            fields[0] = id(self.state_payload)
+        return tuple(fields)
 
     def build_simulator(self):
         from .simulator import Simulator
@@ -249,9 +261,7 @@ class _WorkerPayload:
             self.compute_probability,
             compute_candidate_probabilities=self.user_candidates,
             skip_diagonal_updates=self.skip_diagonal_updates,
-            fuse_moments=self.fuse_moments,
             trajectory_mode=self.trajectory_mode,
-            trajectory_tile=self.trajectory_tile,
         )
 
 
@@ -383,11 +393,7 @@ def _pull_tasks() -> int:
         ran += 1
 
 
-# ----------------------------------------------------------------------
-# execution keys: when may a warm pool be reused?
-# ----------------------------------------------------------------------
-
-# Snapshot payloads memoized per state object: building the execution key
+# Snapshot payloads memoized per state object: building the worker payload
 # on every pooled call must not re-serialize the state each time.  Keyed
 # weakly — a collected state drops its entry — and sound because the
 # initial state is immutable by contract while in sampler hands (the
@@ -410,40 +416,6 @@ def _snapshot_payload(state, caps) -> Tuple:
         except TypeError:  # pragma: no cover - unweakrefable state
             pass
     return payload
-
-
-def _state_token(state) -> Tuple:
-    """The initial-state component of an execution key.
-
-    Backends with registry ``snapshot`` hooks key on the payload *content*
-    (two equal-content states share a warm pool); everything else keys on
-    object identity.  Identity is safe from id-reuse aliasing because the
-    manager holds the keyed payload — and therefore the state — alive for
-    as long as the key is current.
-    """
-    caps = capabilities_for(type(state))
-    if caps.snapshot is not None and caps.state_type is type(state):
-        return ("payload", type(state), _snapshot_payload(state, caps))
-    return ("object", id(state))
-
-
-def execution_key(simulator) -> Tuple:
-    """The warm-pool reuse key of one simulator.
-
-    Combines the initial-state payload token and every simulator knob the
-    worker payload ships: what lives as long as a worker, never the
-    circuits.  Any change re-initializes workers; equal keys reuse them.
-    """
-    return (
-        _state_token(simulator.initial_state),
-        simulator.apply_op,
-        simulator.compute_probability,
-        simulator.user_candidate_function,
-        simulator.skip_diagonal_updates,
-        simulator.fuse_moments,
-        simulator.trajectory_mode,
-        simulator.trajectory_tile,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -472,13 +444,14 @@ class _Run:
 class PoolManager:
     """Owns one process pool and reuses its initialized workers.
 
-    The manager lazily builds a pool for the first execution key it sees
-    and keeps it warm: subsequent calls with an equal key submit straight
-    to the live workers (``stats["reuses"]``) whatever circuits they
-    carry, while a different key — new initial-state payload, changed
-    simulator config or pool geometry — or a dead worker (even an idle
-    one) shuts the old pool down cleanly and builds a fresh one
-    (``stats["key_changes"]`` + ``stats["inits"]``).
+    The manager lazily builds a pool for the first worker payload it sees
+    and keeps it warm: subsequent calls whose payload and geometry key
+    equal (:meth:`_WorkerPayload.key`) submit straight to the live
+    workers (``stats["reuses"]``) whatever circuits they carry, while a
+    different key — new initial-state payload, changed simulator config
+    or pool geometry — or a dead worker (even an idle one) shuts the old
+    pool down cleanly and builds a fresh one (``stats["key_changes"]`` +
+    ``stats["inits"]``).
 
     Lifecycle: use as a context manager for scoped pools, call
     :meth:`shutdown` explicitly, or rely on the shared manager's
@@ -521,11 +494,6 @@ class PoolManager:
         self.stats = {"inits": 0, "reuses": 0, "key_changes": 0}
 
     # -- lifecycle ---------------------------------------------------------
-    @property
-    def init_count(self) -> int:
-        """How many times a pool (and its workers) was initialized."""
-        return self.stats["inits"]
-
     def worker_pids(self) -> List[int]:
         """PIDs of the current pool's workers (last pool's if shut down)."""
         if self._pool is not None and getattr(self._pool, "_processes", None):
@@ -602,14 +570,17 @@ class PoolManager:
     # -- execution ---------------------------------------------------------
     def submit(
         self,
-        key: Tuple,
+        payload: _WorkerPayload,
         num_workers: int,
         start_method: Optional[str],
-        payload_factory: Callable[[], _WorkerPayload],
         tasks: Sequence[Tuple],
         planes: Sequence = (),
     ) -> _Run:
         """Queue one task list on the (warm) pool; return its run handle.
+
+        The pool is the warm one when ``payload``'s key and the geometry
+        match it, else a fresh pool whose workers are built from
+        ``payload``.
 
         Every ``(unit_ref, args)`` task becomes a ``(run_id, task_id,
         unit_ref, args)`` item on the pool's shared task queue, followed
@@ -633,7 +604,7 @@ class PoolManager:
         leftovers down without touching this call's fresh planes.
         """
         with self._lock:
-            pool = self._ensure(key, num_workers, start_method, payload_factory)
+            pool = self._ensure(payload, num_workers, start_method)
             self._planes.update(planes)
             self._next_run += 1
             run = _Run(self._next_run, self._channels, self._pullers)
@@ -724,9 +695,9 @@ class PoolManager:
             owner.inbox.append(item[1:])
 
     def _ensure(
-        self, key, num_workers, start_method, payload_factory
+        self, payload, num_workers, start_method
     ) -> _cf.ProcessPoolExecutor:
-        full_key = (key, num_workers, start_method)
+        full_key = (payload.key(), num_workers, start_method)
         if self._pool is not None:
             # A worker that died between calls breaks the pool (the pool
             # may not have noticed yet): rebuild, do not fail the run.
@@ -739,7 +710,6 @@ class PoolManager:
                 return self._pool
             self.stats["key_changes"] += int(full_key != self._key)
             self.shutdown()
-        payload = payload_factory()
         ctx = _pool_context(start_method)
         # The channels are born with the pool (same mp context, shipped
         # through the initializer — the one channel they may travel).
@@ -789,7 +759,6 @@ def shutdown_shared_pool() -> None:
 
 __all__ = [
     "PoolManager",
-    "execution_key",
     "shared_pool_manager",
     "shutdown_shared_pool",
 ]

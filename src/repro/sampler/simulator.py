@@ -61,7 +61,6 @@ from .requests import (
     normalize_repetitions,
     normalize_seed,
     normalize_trajectory_mode,
-    normalize_trajectory_tile,
 )
 from .results import Result
 
@@ -92,11 +91,6 @@ class Simulator:
         skip_diagonal_updates: When True, candidate resampling is skipped
             for gates whose unitary is diagonal (their conditional output
             distribution is unchanged); an optimization ablation.
-        fuse_moments: When True (default), moments of disjoint single-qubit
-            Clifford gates compile into fused records: one batched state
-            update and one union-support resampling round per group.  The
-            sampled distribution is identical; the RNG draw sequence is
-            not, so pass False to reproduce historical per-gate streams.
         executor: Optional :class:`~repro.sampler.executors.Executor`
             deciding where repetitions run (serial chunks, process pool).
             None (default) runs in-process off this simulator's RNG.
@@ -114,9 +108,6 @@ class Simulator:
             bit-for-bit reproducible and independent of tile size and
             worker count — but (by construction) not bit-for-bit equal to
             serial mode's interleaved draw order.
-        trajectory_tile: Optional cap on the batched engine's tile width
-            (trajectories simulated per stacked pass).  None uses the
-            built-in memory budget; output never depends on the tile.
     """
 
     def __init__(
@@ -128,10 +119,8 @@ class Simulator:
         compute_candidate_probabilities: Optional[Callable] = None,
         seed: Union[int, np.random.Generator, None] = None,
         skip_diagonal_updates: bool = False,
-        fuse_moments: bool = True,
         executor=None,
         trajectory_mode: str = "serial",
-        trajectory_tile: Optional[int] = None,
     ):
         self.initial_state = initial_state
         self.apply_op = apply_op
@@ -154,10 +143,8 @@ class Simulator:
             else np.random.default_rng(seed)
         )
         self.skip_diagonal_updates = skip_diagonal_updates
-        self.fuse_moments = fuse_moments
         self.executor = executor
         self.trajectory_mode = normalize_trajectory_mode(trajectory_mode)
-        self.trajectory_tile = normalize_trajectory_tile(trajectory_tile)
 
     # ------------------------------------------------------------------
     # public API
@@ -188,16 +175,13 @@ class Simulator:
         """The cached :class:`Program` for ``circuit`` on this backend.
 
         Keyed by (circuit fingerprint, qubit register, backend type,
-        ``apply_op``, fuse flag) in a process-wide LRU cache
+        ``apply_op``) in a process-wide LRU cache
         (:func:`repro.sampler.program.program_cache_info` exposes the
-        counters).  Mutating the circuit, switching backend type, or
-        toggling ``fuse_moments`` misses and recompiles; repeated runs and
-        sweeps of an identical circuit hit and share all
-        resolver-independent op records.
+        counters).  Mutating the circuit or switching backend type misses
+        and recompiles; repeated runs and sweeps of an identical circuit
+        hit and share all resolver-independent op records.
         """
-        return compiled_program(
-            circuit, self.initial_state, self.apply_op, self.fuse_moments
-        )
+        return compiled_program(circuit, self.initial_state, self.apply_op)
 
     def run_sweep(
         self,

@@ -43,13 +43,13 @@ fall back to the serial loop unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..states.base import candidate_index_matrix
 from ..states.state_vector import apply_matrix
-from .plan import ExecutionPlan, FusedOpRecord, OpRecord
+from .plan import ExecutionPlan, FusedOpRecord
 
 #: Soft cap on the dense tile's amplitude memory (bytes).  The engine
 #: splits a repetition chunk into tiles no larger than this; Kraus
@@ -123,7 +123,7 @@ class BatchedStateVector:
     * ``supports_plan(plan)`` — classmethod; static plan eligibility.
     * ``from_state(state, batch)`` — classmethod; stack ``batch`` copies
       of a scalar simulation state.
-    * ``tile_size(state, repetitions, override)`` — classmethod; the
+    * ``tile_size(state, repetitions)`` — classmethod; the
       memory-budgeted tile width.
     * ``apply_record(plan, rec)`` — apply one non-branching,
       non-measurement record across the batch.
@@ -163,11 +163,7 @@ class BatchedStateVector:
         return cls(tensor, state.num_qubits)
 
     @classmethod
-    def tile_size(
-        cls, state, repetitions: int, override: Optional[int]
-    ) -> int:
-        if override is not None:
-            return max(1, min(int(override), repetitions))
+    def tile_size(cls, state, repetitions: int) -> int:
         per_rep = 16 * (2**state.num_qubits)
         # Kraus probing keeps a transient branch tile alive next to the
         # stack itself, so budget two tiles.
@@ -285,11 +281,7 @@ class _StackedStabilizerAdapter:
         return True
 
     @classmethod
-    def tile_size(
-        cls, state, repetitions: int, override: Optional[int]
-    ) -> int:
-        if override is not None:
-            return max(1, min(int(override), repetitions))
+    def tile_size(cls, state, repetitions: int) -> int:
         return min(STABILIZER_TILE_CAP, repetitions)
 
     def apply_record(self, plan: ExecutionPlan, rec) -> None:
@@ -380,23 +372,18 @@ def run_batched_trajectories(
     draws = record_draws(plan, skip_diagonal)
     total_draws = sum(draws)
 
-    # Measurement outcome planes, indexed (key, occurrence): the serial
-    # loop appends rep-major, so occurrence planes interleave at the end.
-    key_meta: Dict[str, List[int]] = {}
-    planes: Dict[Tuple[str, int], np.ndarray] = {}
-    for rec in plan.records:
-        if not rec.is_measurement:
-            continue
-        occ = len(key_meta.setdefault(rec.measurement_key, []))
-        key_meta[rec.measurement_key].append(len(rec.support))
-        planes[(rec.measurement_key, occ)] = np.empty(
+    # One outcome plane per measurement key (compilation rejects
+    # duplicate keys, so each key is measured once per trajectory).
+    records: Dict[str, np.ndarray] = {
+        rec.measurement_key: np.empty(
             (repetitions, len(rec.support)), dtype=np.int8
         )
+        for rec in plan.records
+        if rec.is_measurement
+    }
 
     all_bits = np.empty((repetitions, n), dtype=np.int8)
-    tile = adapter_cls.tile_size(
-        simulator.initial_state, repetitions, simulator.trajectory_tile
-    )
+    tile = adapter_cls.tile_size(simulator.initial_state, repetitions)
 
     for start in range(0, repetitions, tile):
         batch = min(tile, repetitions - start)
@@ -413,16 +400,11 @@ def run_batched_trajectories(
         adapter = adapter_cls.from_state(simulator.initial_state, batch)
         bits = np.zeros((batch, n), dtype=np.int8)
         col = 0
-        occ_counts: Dict[str, int] = {}
         for rec, n_draws in zip(plan.records, draws):
             support = rec.support
             if rec.is_measurement:
-                occ = occ_counts.get(rec.measurement_key, 0)
-                occ_counts[rec.measurement_key] = occ + 1
                 outcome = bits[:, list(support)].copy()
-                planes[(rec.measurement_key, occ)][
-                    start : start + batch
-                ] = outcome
+                records[rec.measurement_key][start : start + batch] = outcome
                 adapter.project(support, outcome)
                 continue
             if rec.needs_branching:
@@ -440,14 +422,4 @@ def run_batched_trajectories(
             choice = categorical_rows(probs, u_bits)
             _assign_support_rows(bits, support, choice)
         all_bits[start : start + batch] = bits
-
-    records: Dict[str, np.ndarray] = {}
-    for key, lengths in key_meta.items():
-        occs = [planes[(key, occ)] for occ in range(len(lengths))]
-        if len(occs) == 1:
-            records[key] = occs[0]
-        else:
-            # Rep-major interleave of this key's occurrences, matching
-            # the serial append order.
-            records[key] = np.stack(occs, axis=1).reshape(-1, lengths[0])
     return records, all_bits

@@ -150,7 +150,7 @@ def words_to_bytes(arr: np.ndarray) -> bytes:
     matrices to pool workers as these bytes instead of pickled ndarray
     objects: no dtype/strides/class envelope per array, and the resulting
     payload tuples are hashable/equality-comparable, which is what lets
-    the warm-pool execution key compare initial-state payloads directly.
+    the warm-pool key compare initial-state payloads directly.
     """
     return np.ascontiguousarray(arr, dtype="<u8").tobytes()
 

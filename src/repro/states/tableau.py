@@ -601,7 +601,7 @@ class CliffordTableau:
         row carries no state (every reader overwrites it first) and is
         reallocated on restore.  The byte strings are plain hashable
         values, so whole payloads compare with ``==`` — the property the
-        warm-pool execution key relies on.
+        warm-pool key relies on.
         """
         n = self.n
         return (

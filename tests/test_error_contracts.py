@@ -21,7 +21,11 @@ across the five shipped backends and both executors:
   on ``run`` / ``run_sweep`` / ``run_batch`` and on both executors'
   ``execute``; the chunk-geometry helper ``_chunk_sizes`` handles the
   ``repetitions == 0`` corner and rejects bad chunk counts (property
-  tested below with hypothesis).
+  tested below with hypothesis);
+* pool size — ``num_workers < 1`` raises ``ValueError`` naming
+  ``num_workers`` from both ``ProcessPoolExecutor`` and
+  ``SamplingService`` (regression: 0 silently meant ``os.cpu_count()``
+  and negatives silently meant 1); ``None`` means ``os.cpu_count()``.
 """
 
 import multiprocessing
@@ -36,7 +40,12 @@ import repro as bgls
 from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
-from repro.sampler import PoolManager, ProcessPoolExecutor, SerialExecutor
+from repro.sampler import (
+    PoolManager,
+    ProcessPoolExecutor,
+    SamplingService,
+    SerialExecutor,
+)
 from repro.sampler.service import _base_seed, _chunk_sizes
 from repro.states import (
     CliffordTableauSimulationState,
@@ -352,6 +361,26 @@ class TestChunkSizesProperties:
 # trajectory_mode and eager validation — the shared request normalizer
 # ----------------------------------------------------------------------
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("num_workers", [0, -1])
+    def test_pooled_executor_rejects_bad_worker_count(self, num_workers):
+        with pytest.raises(ValueError, match="num_workers"):
+            ProcessPoolExecutor(num_workers=num_workers)
+
+    @pytest.mark.parametrize("num_workers", [0, -1])
+    def test_service_rejects_bad_worker_count(self, num_workers):
+        with pytest.raises(ValueError, match="num_workers"):
+            SamplingService(
+                StateVectorSimulationState(QUBITS),
+                bgls.act_on,
+                born.compute_probability_state_vector,
+                num_workers=num_workers,
+            )
+
+    def test_none_means_cpu_count(self):
+        assert ProcessPoolExecutor().num_workers == (os.cpu_count() or 1)
+
+
 class TestRequestNormalizer:
     """The six run* entry points share one validation front door
     (``repro.sampler.requests``): identical errors regardless of which
@@ -384,15 +413,6 @@ class TestRequestNormalizer:
                     born.compute_probability_state_vector,
                     trajectory_mode=mode,
                 )
-
-    def test_bad_trajectory_tile_at_construction(self):
-        with pytest.raises(ValueError, match="trajectory_tile"):
-            bgls.Simulator(
-                StateVectorSimulationState(QUBITS),
-                bgls.act_on,
-                born.compute_probability_state_vector,
-                trajectory_tile=0,
-            )
 
     def test_batch_length_mismatch_still_pinned(self):
         sim = self._sim()

@@ -14,6 +14,8 @@ from repro.states import (
     StateVectorSimulationState,
 )
 
+from test_sampling_statistics import assert_matches_exact, exact_distribution
+
 
 @pytest.fixture
 def qubits():
@@ -215,10 +217,6 @@ class TestMomentFusion:
 
         qs = cirq.LineQubit.range(3)
         circuit = cirq.Circuit([cirq.H(q) for q in qs])
-        plan = compile_plan(
-            circuit, StateVectorSimulationState(qs), act_on, fuse_moments=False
-        )
-        assert len(plan.records) == 3
 
         def custom(op, state):  # pragma: no cover - never called
             act_on(op, state)
@@ -255,20 +253,31 @@ class TestMomentFusion:
             atol=1e-12,
         )
 
-    def test_fused_sampling_matches_unfused_distribution(self):
+    @pytest.mark.parametrize(
+        "make_state, prob_fn",
+        [
+            pytest.param(
+                StabilizerChFormSimulationState,
+                born.compute_probability_stabilizer_state,
+                id="ch_form",
+            ),
+            pytest.param(
+                CliffordTableauSimulationState,
+                born.compute_probability_tableau,
+                id="tableau",
+            ),
+        ],
+    )
+    def test_fused_sampling_matches_exact_born(self, make_state, prob_fn):
+        """Fused moments sample the exact Born distribution (TVD and
+        chi-square against the dense final state)."""
+        from repro.sampler.plan import FusedOpRecord
+
         qs = cirq.LineQubit.range(5)
         circuit = cirq.random_clifford_circuit(qs, 20, random_state=5)
+        plan = compile_plan(circuit, make_state(qs), act_on)
+        assert any(type(r) is FusedOpRecord for r in plan.records)
         reps = 2000
-        hists = []
-        for fuse in (True, False):
-            sim = bgls.Simulator(
-                StabilizerChFormSimulationState(qs),
-                bgls.act_on,
-                born.compute_probability_stabilizer_state,
-                seed=21,
-                fuse_moments=fuse,
-            )
-            bits = sim.sample_bitstrings(circuit, repetitions=reps)
-            idx = bits @ (1 << np.arange(4, -1, -1))
-            hists.append(np.bincount(idx, minlength=32) / reps)
-        assert 0.5 * np.abs(hists[0] - hists[1]).sum() < 0.07
+        sim = bgls.Simulator(make_state(qs), bgls.act_on, prob_fn, seed=21)
+        bits = sim.sample_bitstrings(circuit, repetitions=reps)
+        assert_matches_exact(bits, exact_distribution(circuit, qs), 5, reps)

@@ -122,9 +122,7 @@ class TestPooledExecutor:
         serial = make_sim(seed=11, executor=SerialExecutor(chunks=4))
         pooled = make_sim(
             seed=11,
-            executor=ProcessPoolExecutor(
-                num_workers=2, chunks_per_worker=2, start_method="fork"
-            ),
+            executor=ProcessPoolExecutor(num_workers=4, start_method="fork"),
         )
         records_s, bits_s = serial._execute(circuit, 40, None)
         records_p, bits_p = pooled._execute(circuit, 40, None)
@@ -146,19 +144,20 @@ class TestPooledExecutor:
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_single_worker_fallback_matches_pool(self):
-        """workers=1 runs in-process with identical chunk geometry."""
-        circuit = noisy_bell_circuit()
+        """workers=1 runs a batch's task list in-process; the task list
+        does not depend on the worker count, so the output is the pool's."""
+        circuits = [noisy_bell_circuit(), bell_circuit(), noisy_bell_circuit()]
         one = make_sim(
-            seed=17,
-            executor=ProcessPoolExecutor(num_workers=1, chunks_per_worker=4),
-        ).sample_bitstrings(circuit, repetitions=32)
+            seed=17, executor=ProcessPoolExecutor(num_workers=1)
+        ).run_batch(circuits, repetitions=32)
         four = make_sim(
             seed=17,
-            executor=ProcessPoolExecutor(
-                num_workers=4, chunks_per_worker=1, start_method="fork"
-            ),
-        ).sample_bitstrings(circuit, repetitions=32)
-        np.testing.assert_array_equal(one, four)
+            executor=ProcessPoolExecutor(num_workers=4, start_method="fork"),
+        ).run_batch(circuits, repetitions=32)
+        for a, b in zip(one, four):
+            np.testing.assert_array_equal(
+                a.measurements["z"], b.measurements["z"]
+            )
 
     def test_pooled_unitary_circuit(self):
         sim = make_sim(

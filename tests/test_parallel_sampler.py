@@ -75,10 +75,9 @@ def stabilizer_sim(seed, executor=None):
     )
 
 
-def pooled(manager, num_workers=2, chunks_per_worker=1):
+def pooled(manager, num_workers=2):
     return ProcessPoolExecutor(
         num_workers=num_workers,
-        chunks_per_worker=chunks_per_worker,
         start_method=START_METHOD,
         pool_manager=manager,
     )
@@ -249,10 +248,10 @@ class TestDeterministicWorkerSeeding:
 
     def test_chunked_runs_are_reproducible_too(self, manager):
         circuit = noisy_bell_circuit()
-        a = sv_sim(9, pooled(manager, chunks_per_worker=3)).sample_bitstrings(
+        a = sv_sim(9, pooled(manager, num_workers=6)).sample_bitstrings(
             circuit, 30
         )
-        b = sv_sim(9, pooled(manager, chunks_per_worker=3)).sample_bitstrings(
+        b = sv_sim(9, pooled(manager, num_workers=6)).sample_bitstrings(
             circuit, 30
         )
         np.testing.assert_array_equal(a, b)

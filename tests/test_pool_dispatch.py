@@ -191,7 +191,7 @@ class TestWorkerDeath:
 
         sim = make_sim(manager)
         circuits = [circuit] * len(healthy)
-        # Warm the pool on the same execution key: the timed call below
+        # Warm the pool on the same pool key: the timed call below
         # then measures dispatch and failure detection, not start-up.
         sim.run_batch(circuits, params=healthy, repetitions=16)
         segments_before = shm_segments()
@@ -264,7 +264,7 @@ class TestSharedPoolThreads:
     def test_two_threads_get_their_own_results(
         self, manager, mode, transport
     ):
-        """Two threads, one manager, one execution key, different seeds:
+        """Two threads, one manager, one pool key, different seeds:
         each thread's output equals its single-thread output."""
         circuits = batch_circuits()
         state = StateVectorSimulationState(QUBITS)

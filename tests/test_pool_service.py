@@ -8,10 +8,11 @@ The contracts pinned here (the PR's acceptance criteria):
 * **Warm reuse** — consecutive ``run_sweep`` and ``run_batch`` calls
   reuse the pool with **zero** worker re-initializations
   (``PoolManager.stats["inits"]`` stays 1), whatever programs they run,
-  and re-initialize exactly when the execution key changes (new
+  and re-initialize exactly when the pool key changes (new
   initial-state payload, changed config or geometry).
-* **Warm/cold equality** — ``reuse_pool=True`` and ``reuse_pool=False``
-  produce identical samples; reuse changes only where startup is paid.
+* **Warm/cold equality** — a warm shared pool and a fresh
+  ``PoolManager()`` per call produce identical samples; reuse changes
+  only where startup is paid.
 * **Clean shutdown** — context-manager and ``atexit`` paths join every
   worker; no leaked processes, and a failed task never leaves a
   poisoned pool behind.
@@ -34,7 +35,7 @@ from repro import born
 from repro import circuits as cirq
 from repro.mps import MPSState
 from repro.sampler import PoolManager, ProcessPoolExecutor, SerialExecutor
-from repro.sampler.service import execution_key
+from repro.sampler.service import _WorkerPayload
 from repro.states import (
     CliffordTableauSimulationState,
     DensityMatrixSimulationState,
@@ -367,15 +368,16 @@ class TestWarmReuse:
         np.testing.assert_array_equal(a, b)
 
     def test_key_includes_simulator_config(self, manager):
-        """fuse_moments toggling re-initializes (different shipped config)."""
+        """skip_diagonal_updates toggling re-initializes (different shipped
+        config)."""
         circuit = parameterized_circuit()
-        for fuse in (True, False):
+        for skip in (False, True):
             sim = bgls.Simulator(
                 StateVectorSimulationState(QUBITS),
                 bgls.act_on,
                 born.compute_probability_state_vector,
                 seed=2,
-                fuse_moments=fuse,
+                skip_diagonal_updates=skip,
                 executor=ProcessPoolExecutor(
                     num_workers=2,
                     start_method=START_METHODS[0],
@@ -439,7 +441,7 @@ class TestHeterogeneousBatch:
 
     def test_program_table_content_change_reinitializes(self, manager):
         """A changed program table runs on the warm workers (no new
-        execution key), bit-for-bit equal to the serial run_batch."""
+        pool key), bit-for-bit equal to the serial run_batch."""
         sim = sv_sim(
             29,
             executor=ProcessPoolExecutor(
@@ -456,7 +458,7 @@ class TestHeterogeneousBatch:
         assert manager.stats["key_changes"] == 0
 
     def test_batch_key_covers_table_order_and_content(self, manager):
-        """The execution key leaves the unit table out: tables that differ
+        """The pool key leaves the unit table out: tables that differ
         in order and content share one warm pool, each bit-for-bit equal
         to its serial run_batch."""
         circuits = distinct_clifford_circuits(3)
@@ -466,13 +468,13 @@ class TestHeterogeneousBatch:
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             ),
         )
-        key = execution_key(sim)
+        key = _WorkerPayload(sim).key()
         for batch in (circuits, circuits[:2], circuits[::-1]):
             pooled = sim.run_batch(batch, repetitions=10)
             assert_sweeps_equal(
                 pooled, sv_sim(47).run_batch(batch, repetitions=10)
             )
-            assert execution_key(sim) == key
+            assert _WorkerPayload(sim).key() == key
         assert manager.stats["inits"] == 1
         assert manager.stats["reuses"] == 2
 
@@ -554,14 +556,15 @@ class TestWarmColdEquality:
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             ),
         ).run_sweep(circuit, PARAM_POINTS, repetitions=12)
-        cold = sv_sim(
-            31,
-            executor=ProcessPoolExecutor(
-                num_workers=2,
-                start_method=START_METHODS[0],
-                reuse_pool=False,
-            ),
-        ).run_sweep(circuit, PARAM_POINTS, repetitions=12)
+        with PoolManager() as cold_manager:
+            cold = sv_sim(
+                31,
+                executor=ProcessPoolExecutor(
+                    num_workers=2,
+                    start_method=START_METHODS[0],
+                    pool_manager=cold_manager,
+                ),
+            ).run_sweep(circuit, PARAM_POINTS, repetitions=12)
         assert_sweeps_equal(warm, cold)
 
     def test_warm_and_cold_execute_identically(self, manager):
@@ -581,11 +584,14 @@ class TestWarmColdEquality:
                 num_workers=2, start_method=START_METHODS[0], pool_manager=manager
             )
         )
-        cold = run(
-            ProcessPoolExecutor(
-                num_workers=2, start_method=START_METHODS[0], reuse_pool=False
+        with PoolManager() as cold_manager:
+            cold = run(
+                ProcessPoolExecutor(
+                    num_workers=2,
+                    start_method=START_METHODS[0],
+                    pool_manager=cold_manager,
+                )
             )
-        )
         np.testing.assert_array_equal(warm, cold)
 
 

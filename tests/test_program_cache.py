@@ -114,13 +114,6 @@ class TestCacheKeying:
         assert p1 is not p2
         assert program_cache_info()["misses"] == 2
 
-    def test_fuse_flag_misses(self, qubits):
-        circuit = cirq.Circuit(cirq.H(qubits[0]), cirq.measure(*qubits, key="m"))
-        fused = sv_simulator(qubits).compile(circuit)
-        unfused = sv_simulator(qubits, fuse_moments=False).compile(circuit)
-        assert fused is not unfused
-        assert program_cache_info()["misses"] == 2
-
     def test_backend_type_misses(self, qubits):
         circuit = cirq.Circuit(cirq.H(qubits[0]), cirq.measure(*qubits, key="m"))
         sv = sv_simulator(qubits).compile(circuit)

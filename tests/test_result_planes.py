@@ -399,15 +399,13 @@ class TestSegmentLifecycle:
         assert live_segment_names() == []
 
     def test_manager_shutdown_is_segment_backstop(self, manager):
-        from repro.sampler.service import _WorkerPayload, execution_key
+        from repro.sampler.service import _WorkerPayload
 
         plane = PointPlanes({"m": (0, 1, 2)}, N, 8)
-        simulator = sv_sim(1)
         run = manager.submit(
-            execution_key(simulator),
+            _WorkerPayload(sv_sim(1)),
             1,
             START_METHODS[0],
-            lambda: _WorkerPayload(simulator),
             [],
             planes=(plane,),
         )
@@ -504,6 +502,27 @@ class TestViewBackedResults:
         merged_owned = owned[0].merged_with(owned[1])
         assert merged_views == merged_owned
         assert merged_views.repetitions == 2 * results[0].repetitions
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs Linux /proc/self/fd"
+    )
+    def test_kept_results_hold_one_descriptor_each(self, manager):
+        """A kept shm-backed point result holds one open file (its
+        mapping's), not two: the segment's own descriptor is closed as
+        soon as the segment is created."""
+        simulator = sv_sim(5, pool_exec(manager))
+        circuit = parameterized_circuit()
+        simulator.run_batch([circuit] * 2, params=PARAM_POINTS[:2], repetitions=4)
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        points = [{"theta": 0.01 * i} for i in range(100)]
+        kept = simulator.run_batch(
+            [circuit] * len(points), params=points, repetitions=4
+        )
+        opened = len(os.listdir("/proc/self/fd")) - before
+        assert len(kept) == len(points)
+        assert manager.stats["inits"] == 1
+        assert opened <= len(points), f"{opened} new fds for {len(points)} results"
 
     def test_views_survive_unlink_and_pool_shutdown(self, manager):
         results = self._view_result(manager)

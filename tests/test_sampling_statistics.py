@@ -146,8 +146,7 @@ class TestBernsteinVazirani:
 
 
 class TestSeededRandomCircuit:
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_8q_random_circuit_matches_exact(self, fuse):
+    def test_8q_random_circuit_matches_exact(self):
         n, reps = 8, 6000
         qubits = cirq.LineQubit.range(n)
         circuit = cirq.generate_random_circuit(qubits, 12, random_state=42)
@@ -157,7 +156,6 @@ class TestSeededRandomCircuit:
             bgls.act_on,
             born.compute_probability_state_vector,
             seed=13,
-            fuse_moments=fuse,
         )
         bits = sim.sample_bitstrings(circuit, repetitions=reps)
         assert_matches_exact(bits, probs, n, reps)

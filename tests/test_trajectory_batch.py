@@ -20,7 +20,9 @@ from repro import born
 from repro import circuits as cirq
 from repro.analysis import empirical_distribution, total_variation_distance
 from repro.mps import MPSState
+from repro.sampler import trajectory_batch
 from repro.sampler.executors import ProcessPoolExecutor, SerialExecutor
+from repro.sampler.service import PoolManager
 from repro.states import (
     CliffordTableauSimulationState,
     DensityMatrixSimulationState,
@@ -93,16 +95,30 @@ TABLEAU = pytest.param(
 BATCHED_BACKENDS = [SV, CHFORM, TABLEAU]
 
 
-def make_sim(make_state, prob_fn, seed=7, mode="batched", tile=None, **kw):
+def make_sim(make_state, prob_fn, seed=7, mode="batched", **kw):
     return bgls.Simulator(
         make_state(),
         bgls.act_on,
         prob_fn,
         seed=seed,
         trajectory_mode=mode,
-        trajectory_tile=tile,
         **kw,
     )
+
+
+def force_tile(monkeypatch, tile):
+    """Pin the batched engine's tile width to ``tile`` through the two
+    memory-budget constants (the dense budget holds two tiles)."""
+    per_rep = 16 * 2**N
+    monkeypatch.setattr(
+        trajectory_batch, "DENSE_TILE_BUDGET_BYTES", 2 * per_rep * tile
+    )
+    monkeypatch.setattr(trajectory_batch, "STABILIZER_TILE_CAP", tile)
+    for adapter in (
+        trajectory_batch.BatchedStateVector,
+        trajectory_batch.BatchedTableaus,
+    ):
+        assert adapter.tile_size(StateVectorSimulationState(QUBITS), 128) == tile
 
 
 def run_bits(sim, circuit, reps=128):
@@ -141,12 +157,6 @@ class TestCapabilityAndValidation:
                 lambda: StateVectorSimulationState(QUBITS),
                 born.compute_probability_state_vector,
                 mode="wat",
-            )
-        with pytest.raises(ValueError, match="trajectory_tile"):
-            make_sim(
-                lambda: StateVectorSimulationState(QUBITS),
-                born.compute_probability_state_vector,
-                tile=0,
             )
 
     def test_custom_apply_op_falls_back_to_serial(self):
@@ -229,7 +239,7 @@ class TestDeterminism:
         assert_records_equal(a, b)
 
     @pytest.mark.parametrize("make_state,prob_fn", BATCHED_BACKENDS)
-    def test_tile_size_invariance(self, make_state, prob_fn):
+    def test_tile_size_invariance(self, make_state, prob_fn, monkeypatch):
         circuit = (
             noisy_circuit()
             if make_state().__class__ is StateVectorSimulationState
@@ -237,9 +247,9 @@ class TestDeterminism:
         )
         ref = run_bits(make_sim(make_state, prob_fn, seed=11), circuit)
         for tile in (1, 3, 7, 64):
-            got = run_bits(
-                make_sim(make_state, prob_fn, seed=11, tile=tile), circuit
-            )
+            with monkeypatch.context() as patch:
+                force_tile(patch, tile)
+                got = run_bits(make_sim(make_state, prob_fn, seed=11), circuit)
             assert_records_equal(ref, got)
 
     def test_cross_backend_determinism(self):
@@ -371,12 +381,11 @@ class TestPooledParity:
             cirq.measure(*QUBITS, key="z"),
         )
 
-    def _sweep_bits(self, executor, tile=None):
+    def _sweep_bits(self, executor):
         sim = make_sim(
             lambda: StateVectorSimulationState(QUBITS),
             born.compute_probability_state_vector,
             seed=5,
-            tile=tile,
             executor=executor,
         )
         return [
@@ -389,26 +398,16 @@ class TestPooledParity:
     def test_worker_count_invariance(self, start_method):
         serial = self._sweep_bits(None)
         for workers in (1, 2):
-            pooled = self._sweep_bits(
-                ProcessPoolExecutor(
-                    num_workers=workers,
-                    reuse_pool=False,
-                    start_method=start_method,
+            with PoolManager() as manager:
+                pooled = self._sweep_bits(
+                    ProcessPoolExecutor(
+                        num_workers=workers,
+                        start_method=start_method,
+                        pool_manager=manager,
+                    )
                 )
-            )
             for a, b in zip(serial, pooled):
                 np.testing.assert_array_equal(a, b)
-
-    def test_tile_through_pool_invariance(self, start_method):
-        serial = self._sweep_bits(None)
-        pooled = self._sweep_bits(
-            ProcessPoolExecutor(
-                num_workers=2, reuse_pool=False, start_method=start_method
-            ),
-            tile=17,
-        )
-        for a, b in zip(serial, pooled):
-            np.testing.assert_array_equal(a, b)
 
     def test_chunk_geometry_invariance(self, start_method):
         circuit = noisy_circuit()
@@ -425,25 +424,26 @@ class TestPooledParity:
         two = chunked(SerialExecutor(chunks=2))
         four = chunked(SerialExecutor(chunks=4))
         assert_records_equal(two, four)
-        pooled = chunked(
-            ProcessPoolExecutor(
-                num_workers=2,
-                chunks_per_worker=1,
-                reuse_pool=False,
-                start_method=start_method,
+        with PoolManager() as manager:
+            pooled = chunked(
+                ProcessPoolExecutor(
+                    num_workers=2,
+                    start_method=start_method,
+                    pool_manager=manager,
+                )
             )
-        )
         assert_records_equal(two, pooled)
 
     def test_adaptive_split_points_match_serial(self, start_method):
         serial = self._sweep_bits(None)
-        pooled = self._sweep_bits(
-            ProcessPoolExecutor(
-                num_workers=2,
-                reuse_pool=False,
-                start_method=start_method,
-                scheduler="adaptive",
+        with PoolManager() as manager:
+            pooled = self._sweep_bits(
+                ProcessPoolExecutor(
+                    num_workers=2,
+                    start_method=start_method,
+                    pool_manager=manager,
+                    scheduler="adaptive",
+                )
             )
-        )
         for a, b in zip(serial, pooled):
             np.testing.assert_array_equal(a, b)

@@ -350,12 +350,13 @@ class TestWorkStealingParity:
             seed=43,
             executor=stealing_executor(manager),
         ).run_batch(circuits, repetitions=16)
-        cold = make_sim(
-            lambda: StateVectorSimulationState(QUBITS),
-            born.compute_probability_state_vector,
-            seed=43,
-            executor=stealing_executor(manager, reuse_pool=False),
-        ).run_batch(circuits, repetitions=16)
+        with PoolManager() as cold_manager:
+            cold = make_sim(
+                lambda: StateVectorSimulationState(QUBITS),
+                born.compute_probability_state_vector,
+                seed=43,
+                executor=stealing_executor(cold_manager),
+            ).run_batch(circuits, repetitions=16)
         assert_results_equal(warm, cold)
 
     def test_single_worker_falls_back_in_process(self):
