@@ -64,6 +64,7 @@ from .channels import (
     BitFlipChannel,
     DepolarizingChannel,
     KrausChannel,
+    PauliChannel,
     PhaseDampingChannel,
     PhaseFlipChannel,
     amplitude_damp,
@@ -116,7 +117,7 @@ __all__ = [
     "CX", "CNOT", "CZ", "SWAP", "ISWAP", "CCX", "TOFFOLI", "CCZ", "CSWAP", "FREDKIN",
     "Rx", "Ry", "Rz", "rx", "ry", "rz", "measure",
     # channels
-    "KrausChannel", "BitFlipChannel", "PhaseFlipChannel", "DepolarizingChannel",
+    "KrausChannel", "PauliChannel", "BitFlipChannel", "PhaseFlipChannel", "DepolarizingChannel",
     "AmplitudeDampingChannel", "PhaseDampingChannel",
     "bit_flip", "phase_flip", "depolarize", "amplitude_damp", "phase_damp",
     # pauli algebra

@@ -2,13 +2,16 @@
 
 These make circuits non-unitary; the BGLS simulator then switches to
 quantum-trajectory mode (paper Sec. 3.2.1): each repetition stochastically
-selects one Kraus branch per channel application.
+selects one Kraus branch per channel application, conditioned on its
+tracked bitstring, unless the ``apply_op`` owns the channel's class (the
+noise apply_ops own :class:`PauliChannel`) or the state is a density
+matrix, which applies channels exactly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -18,6 +21,9 @@ _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+#: Single-qubit Pauli name -> matrix.
+PAULIS: Dict[str, np.ndarray] = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 
 
 class KrausChannel(Gate):
@@ -47,39 +53,48 @@ class KrausChannel(Gate):
         return f"{type(self).__name__}({self.probability})"
 
 
-class BitFlipChannel(KrausChannel):
-    """Applies X with probability ``p``."""
+class PauliChannel(KrausChannel):
+    """A mixture of Pauli unitaries; the Kraus operators are
+    ``sqrt(p) * Pauli`` in :meth:`_pauli_mixture_` order.  Apply_ops that
+    sample the Pauli themselves declare ``_bgls_owns_channel_ =
+    PauliChannel``."""
+
+    def _pauli_mixture_(self) -> List[Tuple[float, str]]:
+        """The channel as ``[(probability, pauli_name)]``."""
+        raise NotImplementedError
 
     def _kraus_(self) -> List[np.ndarray]:
+        return [math.sqrt(p) * PAULIS[name] for p, name in self._pauli_mixture_()]
+
+
+class BitFlipChannel(PauliChannel):
+    """Applies X with probability ``p``."""
+
+    def _pauli_mixture_(self) -> List[Tuple[float, str]]:
         p = self.probability
-        return [math.sqrt(1 - p) * _I2, math.sqrt(p) * _X]
+        return [(1.0 - p, "I"), (p, "X")]
 
     def _diagram_symbols_(self) -> Tuple[str, ...]:
         return (f"BF({self.probability})",)
 
 
-class PhaseFlipChannel(KrausChannel):
+class PhaseFlipChannel(PauliChannel):
     """Applies Z with probability ``p``."""
 
-    def _kraus_(self) -> List[np.ndarray]:
+    def _pauli_mixture_(self) -> List[Tuple[float, str]]:
         p = self.probability
-        return [math.sqrt(1 - p) * _I2, math.sqrt(p) * _Z]
+        return [(1.0 - p, "I"), (p, "Z")]
 
     def _diagram_symbols_(self) -> Tuple[str, ...]:
         return (f"PF({self.probability})",)
 
 
-class DepolarizingChannel(KrausChannel):
+class DepolarizingChannel(PauliChannel):
     """Applies X, Y or Z each with probability ``p/3``."""
 
-    def _kraus_(self) -> List[np.ndarray]:
+    def _pauli_mixture_(self) -> List[Tuple[float, str]]:
         p = self.probability
-        return [
-            math.sqrt(1 - p) * _I2,
-            math.sqrt(p / 3) * _X,
-            math.sqrt(p / 3) * _Y,
-            math.sqrt(p / 3) * _Z,
-        ]
+        return [(1.0 - p, "I"), (p / 3, "X"), (p / 3, "Y"), (p / 3, "Z")]
 
     def _diagram_symbols_(self) -> Tuple[str, ...]:
         return (f"D({self.probability})",)

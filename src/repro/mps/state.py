@@ -189,35 +189,7 @@ class MPSState(SimulationState):
 
         return contract_pair(x, y)
 
-    # -- channels & measurement -------------------------------------------------
-    def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
-        """Quantum-trajectory Kraus selection (norms via full contraction)."""
-        branches = []
-        weights = []
-        for op in kraus:
-            trial = self.copy(seed=self._rng)
-            trial.apply_unitary(op, axes)  # not unitary; norm handled below
-            weight = trial.norm_squared()
-            branches.append(trial)
-            weights.append(weight)
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("Channel annihilated the state")
-        probs = np.asarray(weights) / total
-        choice = int(self._rng.choice(len(kraus), p=probs))
-        chosen = branches[choice]
-        self.tensors = chosen.tensors
-        self._bond_counter = chosen._bond_counter
-        self.estimated_fidelity = chosen.estimated_fidelity
-        # The whole tensor list was swapped out; no environment survives.
-        self._left_env_cache.clear()
-        self._right_env_cache.clear()
-        # Renormalize by the branch weight.
-        self.tensors[0] = Tensor(
-            self.tensors[0].data / math.sqrt(weights[choice]),
-            self.tensors[0].inds,
-        )
-
+    # -- measurement --------------------------------------------------------------
     def measure(self, axes: Sequence[int]) -> List[int]:
         bits: List[int] = []
         for axis in axes:

@@ -75,6 +75,13 @@ def stabilizer_extent_circuit(circuit) -> float:
     return total
 
 
+def _needs_ch_form(state) -> ValueError:
+    return ValueError(
+        f"Sum-over-Cliffords cannot run on {type(state).__name__}; use "
+        "StabilizerChFormSimulationState with act_on_near_clifford."
+    )
+
+
 def act_on_near_clifford(
     op: GateOperation, state: StabilizerChFormSimulationState
 ) -> None:
@@ -82,8 +89,11 @@ def act_on_near_clifford(
 
     Clifford operations (checked via :func:`has_stabilizer_effect`) apply
     exactly; ``ZPowGate`` rotations choose I or S following the relative
-    coefficient magnitudes; anything else raises ``ValueError``.
+    coefficient magnitudes; anything else raises ``ValueError``, as does a
+    state other than the CH form (the tableau runs Clifford gates only).
     """
+    if not hasattr(state, "apply_stabilizer_sequence"):
+        raise _needs_ch_form(state)
     if op.is_measurement:
         state.measure(state.axes_of(op.qubits))
         return
@@ -97,8 +107,11 @@ def act_on_near_clifford(
         c_i, c_s = rotation_branch_weights(theta)
         total = c_i + c_s
         axis = state.axes_of(op.qubits)[0]
+        ch_form = getattr(state, "ch_form", None)
+        if ch_form is None:
+            raise _needs_ch_form(state)
         if state.rng.random() < c_s / total:
-            state.ch_form.apply_s(axis)
+            ch_form.apply_s(axis)
         # I branch: nothing to apply.
         return
     if has_stabilizer_effect(op):

@@ -148,8 +148,9 @@ class Program:
         "param_slot_count",
         "specializations",
         "_can_fuse",
-        "_handles_channels",
+        "_owned_channel",
         "_exact_channels",
+        "_stabilizer_backend",
         "_structural_traj",
         "_nonparam_all_unitary",
         "_segments",
@@ -168,8 +169,10 @@ class Program:
         self.num_qubits = len(state.qubits)
         self.state_type = type(state)
         self.apply_op = apply_op
-        self._handles_channels = getattr(apply_op, "_bgls_handles_channels_", False)
+        # The empty tuple owns no gate under isinstance.
+        self._owned_channel = getattr(apply_op, "_bgls_owns_channel_", ())
         self._exact_channels = caps.exact_channels
+        self._stabilizer_backend = caps.stabilizer_sequences
         default_apply = apply_op is act_on
         self.fast_stab = default_apply and caps.stabilizer_sequences
         self.fast_unitary = default_apply and caps.base_unitary_dispatch
@@ -257,13 +260,21 @@ class Program:
 
     # ------------------------------------------------------------------
     def _finish_record(self, rec: OpRecord) -> OpRecord:
-        """Attach the resolver-independent branching decision."""
+        """Attach the resolver-independent branching decision: a Kraus
+        record branches unless the backend applies channels exactly or
+        ``apply_op`` owns its channel class.  Stabilizer states cannot
+        apply branch operators, so they reject it here, not mid-run."""
         rec.needs_branching = (
-            not self._handles_channels
+            rec.kraus is not None
             and not self._exact_channels
-            and rec.unitary is None
-            and rec.kraus is not None
+            and not isinstance(getattr(rec.op, "gate", None), self._owned_channel)
         )
+        if rec.needs_branching and self._stabilizer_backend:
+            raise ValueError(
+                f"{self.state_type.__name__} cannot branch the channel "
+                f"{rec.op!r} (not Clifford); sample Pauli channels with "
+                "act_on_with_pauli_noise."
+            )
         return rec
 
     def _assemble_moment(self, records: list) -> list:

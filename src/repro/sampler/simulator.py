@@ -590,13 +590,14 @@ class Simulator:
         is preserved by trace preservation, and within the branch the
         candidates are resampled from the correct conditional.
 
-        Only pure-state representations reach this path: the plan marks a
-        record ``needs_branching`` when neither the state (density
-        matrices apply channels exactly) nor ``apply_op`` (flagged
-        ``_bgls_handles_channels_``) owns the branch choice.  A global
-        (state-side) choice could land on a branch under which the tracked
-        bitstring has probability zero — exact zeros are common in
-        stabilizer-like states — breaking the trajectory.
+        Every pure-state Kraus branch is chosen here (the batched
+        ``apply_kraus`` draws the same weights): the plan marks a Kraus
+        record ``needs_branching`` unless the state applies channels
+        exactly or ``apply_op`` owns the gate's channel class
+        (``_bgls_owns_channel_``).  A global (state-side) choice could land
+        on a branch under which the tracked bitstring has probability zero
+        — exact zeros are common in stabilizer-like states — breaking the
+        trajectory.
         """
         kraus = rec.kraus
         trials = []

@@ -13,43 +13,20 @@ Works with both stabilizer backends
 :class:`~repro.states.CliffordTableauSimulationState`) and composes with
 :func:`~repro.sampler.act_on_near_clifford` for noisy Clifford+Rz
 circuits via :func:`act_on_near_clifford_with_pauli_noise`.
+
+Both apply_ops own :class:`~repro.circuits.channels.PauliChannel` and
+nothing else: any other channel compiles to a record the Simulator
+branches (dense and MPS states) or rejects (stabilizer states).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 import numpy as np
 
-from ..circuits.channels import (
-    BitFlipChannel,
-    DepolarizingChannel,
-    PhaseFlipChannel,
-)
+from ..circuits.channels import PAULIS, PauliChannel
 from ..circuits.operations import GateOperation
 from ..protocols.act_on import act_on
 from .near_clifford import act_on_near_clifford
-
-# Channel type -> (pauli names, probability builder).
-def _pauli_mixture(gate) -> Optional[List[Tuple[float, str]]]:
-    """The channel as ``[(probability, pauli_name)]``, or None."""
-    if isinstance(gate, BitFlipChannel):
-        p = gate.probability
-        return [(1.0 - p, "I"), (p, "X")]
-    if isinstance(gate, PhaseFlipChannel):
-        p = gate.probability
-        return [(1.0 - p, "I"), (p, "Z")]
-    if isinstance(gate, DepolarizingChannel):
-        p = gate.probability
-        return [(1.0 - p, "I"), (p / 3, "X"), (p / 3, "Y"), (p / 3, "Z")]
-    return None
-
-
-_PAULI_MATRICES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 
 
 def _apply_sampled_pauli(state, axis: int, name: str) -> None:
@@ -59,26 +36,21 @@ def _apply_sampled_pauli(state, axis: int, name: str) -> None:
     if engine is None:
         # Non-stabilizer states (dense, MPS) take the generic unitary path,
         # so the same apply_op works across every backend.
-        state.apply_unitary(_PAULI_MATRICES[name], [axis])
+        state.apply_unitary(PAULIS[name], [axis])
         return
-    if name == "X":
-        engine.apply_x(axis)
-    elif name == "Y":
-        engine.apply_y(axis)
-    elif name == "Z":
-        engine.apply_z(axis)
+    getattr(engine, f"apply_{name.lower()}")(axis)
 
 
 def _try_pauli_channel(op: GateOperation, state) -> bool:
     """Apply ``op`` as a sampled Pauli if it is a Pauli channel."""
-    mixture = _pauli_mixture(op.gate)
-    if mixture is None:
+    gate = getattr(op, "gate", None)
+    if not isinstance(gate, PauliChannel):
         return False
+    mixture = gate._pauli_mixture_()
     probs = np.asarray([w for w, _ in mixture])
-    names = [name for _, name in mixture]
-    choice = int(state.rng.choice(len(names), p=probs / probs.sum()))
+    choice = int(state.rng.choice(len(mixture), p=probs / probs.sum()))
     axis = state.axes_of(op.qubits)[0]
-    _apply_sampled_pauli(state, axis, names[choice])
+    _apply_sampled_pauli(state, axis, mixture[choice][1])
     return True
 
 
@@ -102,10 +74,9 @@ def act_on_near_clifford_with_pauli_noise(op: GateOperation, state) -> None:
 
 
 # Stochastic gate application: the Simulator must run per-shot
-# trajectories, not the shared-wavefunction dict parallelization.  And the
-# channel branch is chosen here (each branch is a unitary Pauli, so no
-# bitstring conditioning is required) — the Simulator must not intercept.
-act_on_with_pauli_noise._bgls_stochastic_ = True  # type: ignore[attr-defined]
-act_on_with_pauli_noise._bgls_handles_channels_ = True  # type: ignore[attr-defined]
-act_on_near_clifford_with_pauli_noise._bgls_stochastic_ = True  # type: ignore[attr-defined]
-act_on_near_clifford_with_pauli_noise._bgls_handles_channels_ = True  # type: ignore[attr-defined]
+# trajectories, not the shared-wavefunction dict parallelization.  Pauli
+# channels are owned here: each branch is a unitary Pauli, so no bitstring
+# conditioning is required.
+for _noisy in (act_on_with_pauli_noise, act_on_near_clifford_with_pauli_noise):
+    _noisy._bgls_stochastic_ = True  # type: ignore[attr-defined]
+    _noisy._bgls_owns_channel_ = PauliChannel  # type: ignore[attr-defined]

@@ -276,7 +276,7 @@ class _StackedStabilizerAdapter:
         for rec in plan.records:
             if rec.is_measurement or type(rec) is FusedOpRecord:
                 continue
-            if rec.needs_branching or rec.stab_seq is None:
+            if rec.stab_seq is None:
                 return False
         return True
 
@@ -289,11 +289,6 @@ class _StackedStabilizerAdapter:
             self.stack.apply_single_qubit_moment(rec.seqs, rec.axes)
         else:
             self.stack.apply_stabilizer_sequence(rec.stab_seq, rec.support)
-
-    def apply_kraus(self, kraus, support, bits, u_branch):
-        raise NotImplementedError(  # pragma: no cover - supports_plan gates
-            "Stabilizer stacks cannot branch Kraus channels"
-        )
 
 
 class BatchedTableaus(_StackedStabilizerAdapter):

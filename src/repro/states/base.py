@@ -6,9 +6,10 @@ measurement collapse), and (3) an ``_act_on_`` entry point the
 :func:`repro.protocols.act_on` protocol dispatches to.
 
 The act-on flow is Cirq-like: unitary ops apply deterministically; channel
-ops select one Kraus branch stochastically (quantum trajectories, paper
-Sec. 3.2.1); measurement ops collapse the state and record nothing (the
-sampler owns measurement bookkeeping).
+ops apply exactly where the representation allows (density matrices), and
+pure states leave the Kraus-branch choice to the sampler (paper Sec.
+3.2.1); measurement ops collapse the state and record nothing (the sampler
+owns measurement bookkeeping).
 """
 
 from __future__ import annotations
@@ -78,9 +79,13 @@ class SimulationState(abc.ABC):
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
         """Apply the ``2^k x 2^k`` unitary ``u`` to the given axes."""
 
-    @abc.abstractmethod
     def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
-        """Apply a channel (stochastically or exactly per representation)."""
+        """Apply a channel exactly (density matrices); pure states raise,
+        since the Simulator picks their Kraus branches."""
+        raise ValueError(
+            f"{type(self).__name__} does not apply channels; the Simulator "
+            "chooses Kraus branches (run the circuit through bgls.Simulator)."
+        )
 
     @abc.abstractmethod
     def measure(self, axes: Sequence[int]) -> List[int]:

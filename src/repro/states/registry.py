@@ -1,13 +1,12 @@
 """Backend capability registry: declare a state backend's fast paths once.
 
 Before this module existed, the sampler stack discovered what a state
-backend could do in three scattered places: ``born/__init__.py`` kept
-per-function maps from scalar Born oracles to their batched siblings,
+backend could do in scattered places: ``born/__init__.py`` kept
+per-function maps from scalar Born oracles to their batched siblings, and
 ``sampler/plan.py`` probed ``hasattr(state, "apply_stabilizer_sequence")``
-(and friends) on every compile, and ``Simulator._apply_channel_branch``
-probed ``hasattr(chosen, "renormalize")`` per branch.  A user state — "any
-object with ``copy``/``qubit_index``" per the BGLS contract — could never
-reach the batched candidate paths because the maps were closed.
+(and friends) on every compile.  A user state — "any object with
+``copy``/``qubit_index``" per the BGLS contract — could never reach the
+batched candidate paths because the maps were closed.
 
 This registry is the single seam.  Each backend registers one
 :class:`BackendCapabilities` descriptor naming

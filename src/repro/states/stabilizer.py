@@ -63,12 +63,6 @@ class StabilizerChFormSimulationState(SimulationState):
             "gates must provide a stabilizer decomposition."
         )
 
-    def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
-        raise ValueError(
-            "StabilizerChFormSimulationState does not support channels; "
-            "Pauli channels can be expressed as stochastic Pauli gates."
-        )
-
     def measure(self, axes: Sequence[int]) -> List[int]:
         return [self.ch_form.measure(axis, self._rng) for axis in axes]
 

@@ -208,22 +208,6 @@ class StateVectorSimulationState(SimulationState):
     def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
         self.tensor = apply_matrix(self.tensor, u, axes, overwrite=True)
 
-    def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
-        """Quantum-trajectory Kraus application: pick branch ~ its weight."""
-        branch_states = []
-        weights = []
-        for op in kraus:
-            candidate = apply_matrix(self.tensor, op, axes)
-            weight = float(np.vdot(candidate, candidate).real)
-            branch_states.append(candidate)
-            weights.append(weight)
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("Channel annihilated the state")
-        probs = np.asarray(weights) / total
-        choice = int(self._rng.choice(len(kraus), p=probs))
-        self.tensor = branch_states[choice] / np.sqrt(weights[choice])
-
     def measure(self, axes: Sequence[int]) -> List[int]:
         """Projective measurement with collapse; returns sampled bits."""
         axes = list(axes)

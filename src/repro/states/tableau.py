@@ -738,12 +738,6 @@ class CliffordTableauSimulationState(SimulationState):
             "gates must provide a stabilizer decomposition."
         )
 
-    def apply_channel(self, kraus: List[np.ndarray], axes: Sequence[int]) -> None:
-        raise ValueError(
-            "CliffordTableauSimulationState does not support channels; "
-            "Pauli channels can be expressed as stochastic Pauli gates."
-        )
-
     def measure(self, axes: Sequence[int]) -> List[int]:
         return [self.tableau.measure(axis, self._rng) for axis in axes]
 

@@ -1,5 +1,7 @@
 """Tests for noise channels: Kraus completeness and semantics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,27 @@ def test_channel_equality():
     assert bit_flip(0.1) == bit_flip(0.1)
     assert bit_flip(0.1) != bit_flip(0.2)
     assert bit_flip(0.1) != phase_flip(0.1)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 2 / 3, 0.75, 1.0])
+def test_pauli_kraus_operators_are_exact_scaled_paulis(p):
+    """The Pauli channels derive ``sqrt(p_i) * P_i`` from their mixture;
+    the matrices must equal the written-out operators bit for bit, so
+    seeded trajectories do not depend on how they are built."""
+    i2, x = np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.diag([1, -1]).astype(complex)
+    expected = {
+        bit_flip(p): [math.sqrt(1 - p) * i2, math.sqrt(p) * x],
+        phase_flip(p): [math.sqrt(1 - p) * i2, math.sqrt(p) * z],
+        depolarize(p): [math.sqrt(1 - p) * i2]
+        + [math.sqrt(p / 3) * pauli for pauli in (x, y, z)],
+    }
+    for channel, ops in expected.items():
+        got = kraus(channel)
+        assert len(got) == len(ops)
+        for k, ref in zip(got, ops):
+            assert k.dtype == ref.dtype and k.tobytes() == ref.tobytes(), channel
 
 
 def test_channels_are_single_qubit():

@@ -25,7 +25,12 @@ across the five shipped backends and both executors:
 * pool size — ``num_workers < 1`` raises ``ValueError`` naming
   ``num_workers`` from both ``ProcessPoolExecutor`` and
   ``SamplingService`` (regression: 0 silently meant ``os.cpu_count()``
-  and negatives silently meant 1); ``None`` means ``os.cpu_count()``.
+  and negatives silently meant 1); ``None`` means ``os.cpu_count()``;
+* near-Clifford apply_ops off the CH form — ``act_on_near_clifford`` and
+  its noisy variant raise ``ValueError`` naming the state type and
+  ``StabilizerChFormSimulationState`` (regression: an ``AttributeError``
+  on the state vector and MPS, and on the tableau at the first Rz).  The
+  tableau still runs Clifford-only circuits under them.
 """
 
 import multiprocessing
@@ -45,6 +50,8 @@ from repro.sampler import (
     ProcessPoolExecutor,
     SamplingService,
     SerialExecutor,
+    act_on_near_clifford,
+    act_on_near_clifford_with_pauli_noise,
 )
 from repro.sampler.service import _base_seed, _chunk_sizes
 from repro.states import (
@@ -287,6 +294,71 @@ class TestBareStates:
             seed=1,
         )
         assert sim.run(clifford_circuit(), repetitions=2) is not None
+
+
+# ----------------------------------------------------------------------
+# near-Clifford apply_ops off the CH form
+# ----------------------------------------------------------------------
+
+NEAR_CLIFFORD_OPS = [
+    pytest.param(act_on_near_clifford, id="near_clifford"),
+    pytest.param(act_on_near_clifford_with_pauli_noise, id="noisy_near_clifford"),
+]
+
+
+def t_circuit():
+    return cirq.Circuit(
+        cirq.H(QUBITS[0]),
+        cirq.T(QUBITS[0]),
+        cirq.CNOT(QUBITS[0], QUBITS[1]),
+        cirq.measure(*QUBITS, key="m"),
+    )
+
+
+class TestNearCliffordBackends:
+    @pytest.mark.parametrize("apply_op", NEAR_CLIFFORD_OPS)
+    @pytest.mark.parametrize(
+        "make_state,prob_fn,circuit",
+        [
+            pytest.param(
+                lambda: StateVectorSimulationState(QUBITS),
+                born.compute_probability_state_vector,
+                clifford_circuit,
+                id="state_vector",
+            ),
+            pytest.param(
+                lambda: MPSState(QUBITS),
+                born.compute_probability_mps,
+                clifford_circuit,
+                id="mps",
+            ),
+            pytest.param(
+                lambda: CliffordTableauSimulationState(QUBITS),
+                born.compute_probability_tableau,
+                t_circuit,
+                id="clifford_tableau",
+            ),
+        ],
+    )
+    def test_non_ch_form_raises_typed_error(
+        self, apply_op, make_state, prob_fn, circuit
+    ):
+        state = make_state()
+        sim = bgls.Simulator(state, apply_op, prob_fn, seed=1)
+        match = f"{type(state).__name__}.*StabilizerChFormSimulationState"
+        with pytest.raises(ValueError, match=match):
+            sim.run(circuit(), repetitions=2)
+
+    @pytest.mark.parametrize("apply_op", NEAR_CLIFFORD_OPS)
+    def test_tableau_still_runs_clifford_circuits(self, apply_op):
+        sim = bgls.Simulator(
+            CliffordTableauSimulationState(QUBITS),
+            apply_op,
+            born.compute_probability_tableau,
+            seed=1,
+        )
+        rows = sim.run(clifford_circuit(), repetitions=20).measurements["m"]
+        assert {tuple(r) for r in rows} <= {(0, 0, 0), (1, 1, 0)}
 
 
 # ----------------------------------------------------------------------

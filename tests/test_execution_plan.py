@@ -99,6 +99,21 @@ class TestCompilePlan:
         plan = compile_plan(circuit, state, act_on)
         assert not plan.records[1].needs_branching
 
+    def test_noise_apply_op_owns_only_pauli_channels(self, qubits):
+        """The noise apply_ops declare ``_bgls_owns_channel_ =
+        PauliChannel``: a Pauli channel is theirs to sample, any other
+        channel branches in the Simulator."""
+        from repro.sampler import act_on_with_pauli_noise
+
+        a = qubits[0]
+        circuit = cirq.Circuit(
+            cirq.H(a), cirq.depolarize(0.1)(a), cirq.amplitude_damp(0.1)(a)
+        )
+        state = StateVectorSimulationState(qubits)
+        plan = compile_plan(circuit, state, act_on_with_pauli_noise)
+        assert not plan.records[1].needs_branching
+        assert plan.records[2].needs_branching
+
     def test_fast_paths_selected_per_state(self, qubits):
         circuit = cirq.Circuit(cirq.H(qubits[0]))
         sv_plan = compile_plan(circuit, StateVectorSimulationState(qubits), act_on)

@@ -78,9 +78,19 @@ class TestBrokenChannels:
                 return [np.zeros((2, 2), dtype=np.complex128)]
 
         qs = cirq.LineQubit.range(1)
-        state = StateVectorSimulationState(qs, seed=0)
-        with pytest.raises(ValueError, match="annihilated"):
-            act_on(ZeroChannel(0.5).on(qs[0]), state)
+        circuit = cirq.Circuit(
+            ZeroChannel(0.5).on(qs[0]), cirq.measure(*qs, key="m")
+        )
+        for mode in ("serial", "batched"):
+            sim = Simulator(
+                initial_state=StateVectorSimulationState(qs),
+                apply_op=act_on,
+                compute_probability=born.compute_probability_state_vector,
+                seed=0,
+                trajectory_mode=mode,
+            )
+            with pytest.raises(ValueError, match="annihilated"):
+                sim.run(circuit, repetitions=4)
 
     def test_channel_probability_validated(self):
         with pytest.raises(ValueError, match="\\[0, 1\\]"):

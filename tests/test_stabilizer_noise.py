@@ -10,13 +10,13 @@ import pytest
 from repro import born
 from repro import circuits as cirq
 from repro.circuits import channels
+from repro.circuits.channels import PauliChannel
 from repro.protocols import act_on
 from repro.sampler import (
     Simulator,
     act_on_near_clifford_with_pauli_noise,
     act_on_with_pauli_noise,
 )
-from repro.sampler.stabilizer_noise import _pauli_mixture
 from repro.states import (
     CliffordTableauSimulationState,
     DensityMatrixSimulationState,
@@ -49,23 +49,23 @@ def noisy_ghz(qubits, p=0.15):
 
 class TestPauliMixture:
     def test_bit_flip_mixture(self):
-        mix = _pauli_mixture(channels.bit_flip(0.2))
+        mix = channels.bit_flip(0.2)._pauli_mixture_()
         assert mix == [(0.8, "I"), (0.2, "X")]
 
     def test_phase_flip_mixture(self):
-        mix = _pauli_mixture(channels.phase_flip(0.3))
+        mix = channels.phase_flip(0.3)._pauli_mixture_()
         assert mix == [(0.7, "I"), (0.3, "Z")]
 
     def test_depolarize_mixture_sums_to_one(self):
-        mix = _pauli_mixture(channels.depolarize(0.3))
+        mix = channels.depolarize(0.3)._pauli_mixture_()
         assert sum(w for w, _ in mix) == pytest.approx(1.0)
         assert [name for _, name in mix] == ["I", "X", "Y", "Z"]
 
     def test_non_pauli_channel_is_none(self):
-        assert _pauli_mixture(channels.amplitude_damp(0.1)) is None
+        assert not isinstance(channels.amplitude_damp(0.1), PauliChannel)
 
     def test_unitary_gate_is_none(self):
-        assert _pauli_mixture(cirq.X) is None
+        assert not isinstance(cirq.X, PauliChannel)
 
 
 class TestNoisyCliffordSampling:
@@ -139,6 +139,36 @@ class TestNoisyCliffordSampling:
         )
         with pytest.raises(ValueError, match="Clifford|channels"):
             sim.sample_bitstrings(circuit, repetitions=2)
+
+    @pytest.mark.parametrize(
+        "state_cls, compute",
+        [
+            pytest.param(
+                StabilizerChFormSimulationState,
+                born.compute_probability_stabilizer_state,
+                id="ch_form",
+            ),
+            pytest.param(
+                CliffordTableauSimulationState,
+                born.compute_probability_tableau,
+                id="tableau",
+            ),
+        ],
+    )
+    def test_plain_act_on_rejects_pauli_channel_at_compile(
+        self, state_cls, compute
+    ):
+        """Without the noise apply_op nothing owns the channel, and a
+        stabilizer state cannot take the Simulator's Kraus branch: the
+        typed error fires when the circuit compiles."""
+        qubits = cirq.LineQubit.range(1)
+        circuit = cirq.Circuit(
+            channels.depolarize(0.1).on(qubits[0]),
+            cirq.measure(*qubits, key="z"),
+        )
+        sim = Simulator(state_cls(qubits), act_on, compute, seed=7)
+        with pytest.raises(ValueError, match="channel.*act_on_with_pauli_noise"):
+            sim.compile(circuit)
 
 
 class TestDenseStateFallback:

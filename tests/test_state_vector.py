@@ -170,26 +170,6 @@ class TestMeasurementAndProjection:
         assert np.linalg.norm(s.state_vector()) == pytest.approx(1.0)
 
 
-class TestChannels:
-    def test_bit_flip_trajectory_statistics(self):
-        qs = cirq.LineQubit.range(1)
-        flips = 0
-        for seed in range(400):
-            s = StateVectorSimulationState(qs, seed=seed)
-            act_on(cirq.bit_flip(0.25)(qs[0]), s)
-            flips += int(s.probability_of([1]) > 0.5)
-        assert 0.15 < flips / 400 < 0.35
-
-    def test_amplitude_damp_from_one(self):
-        qs = cirq.LineQubit.range(1)
-        decays = 0
-        for seed in range(400):
-            s = StateVectorSimulationState(qs, initial_state=1, seed=seed)
-            act_on(cirq.amplitude_damp(0.4)(qs[0]), s)
-            decays += int(s.probability_of([0]) > 0.5)
-        assert 0.3 < decays / 400 < 0.5
-
-
 class TestCopy:
     def test_copy_independent(self, qubits):
         s = StateVectorSimulationState(qubits)

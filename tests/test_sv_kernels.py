@@ -165,8 +165,9 @@ def test_state_vector_tensor_stays_contiguous():
             state.apply_unitary(u / np.linalg.norm(u, 2), axes)
             assert state.tensor.flags.c_contiguous, (name, axes)
     state.renormalize()
-    kraus = [np.sqrt(1 - _P) * np.eye(2), np.sqrt(_P) * _X]
-    state.apply_channel(kraus, [2])
+    # A chosen Kraus branch, as the Simulator applies it.
+    state.apply_unitary(np.sqrt(_P) * _X, [2])
+    state.renormalize()
     assert state.tensor.flags.c_contiguous
     state.project([0, 4], [0, 0])
     assert state.tensor.flags.c_contiguous
