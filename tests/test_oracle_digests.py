@@ -15,11 +15,16 @@ its ``sample_bitstrings`` output:
   ``compute_candidate_probabilities``, in parallel and trajectory mode;
 * ``sv_unregistered_*`` — a state vector with an unregistered
   ``compute_probability`` (the per-candidate loop), in parallel and
-  trajectory mode.
+  trajectory mode;
+* ``*_batched`` — the batched trajectory engine: a state vector with a
+  long noiseless prefix, an ``amplitude_damp`` branch, a mid-circuit
+  measurement and a ``depolarize`` layer, and the CH form and the
+  tableau on a Clifford circuit with a mid-circuit measurement.
 
 The digests were recorded before the Simulator resolved every backend to
-one row-block candidate oracle; they must never be regenerated to make a
-change pass.
+one row-block candidate oracle (the ``*_batched`` ones before the batched
+engine shared rows between trajectories); they must never be regenerated
+to make a change pass.
 """
 
 import hashlib
@@ -33,6 +38,7 @@ from repro import circuits as cirq
 from repro.mps import MPSState
 from repro.sampler.near_clifford import act_on_near_clifford
 from repro.states import (
+    CliffordTableauSimulationState,
     DensityMatrixSimulationState,
     StabilizerChFormSimulationState,
     StateVectorSimulationState,
@@ -116,6 +122,42 @@ def _sv_trajectory_circuit():
     return noisy_circuit(cirq.depolarize(0.1))
 
 
+def batched_noisy_circuit():
+    """A 22-gate noiseless prefix, then every kind of batched branch."""
+    return cirq.Circuit(
+        _entangler(),
+        [cirq.ry(0.3 + 0.2 * i)(q) for i, q in enumerate(QUBITS)],
+        cirq.CZ(QUBITS[0], QUBITS[2]),
+        cirq.CNOT(QUBITS[3], QUBITS[1]),
+        [cirq.rz(0.5 + 0.1 * i)(q) for i, q in enumerate(QUBITS)],
+        cirq.H(QUBITS[2]),
+        cirq.amplitude_damp(0.3)(QUBITS[1]),
+        cirq.amplitude_damp(0.3)(QUBITS[3]),
+        cirq.measure(QUBITS[2], key="mid"),
+        cirq.CNOT(QUBITS[1], QUBITS[2]),
+        cirq.rx(0.8)(QUBITS[3]),
+        [cirq.depolarize(0.1)(q) for q in QUBITS],
+        cirq.measure(*QUBITS, key="m"),
+    )
+
+
+def clifford_midcircuit_circuit():
+    return cirq.Circuit(
+        [cirq.H(q) for q in QUBITS],
+        cirq.CNOT(QUBITS[0], QUBITS[1]),
+        cirq.S(QUBITS[2]),
+        cirq.CZ(QUBITS[1], QUBITS[3]),
+        cirq.H(QUBITS[1]),
+        cirq.CNOT(QUBITS[2], QUBITS[3]),
+        cirq.measure(QUBITS[1], QUBITS[2], key="mid"),
+        cirq.H(QUBITS[2]),
+        cirq.CNOT(QUBITS[0], QUBITS[2]),
+        cirq.S(QUBITS[3]),
+        cirq.H(QUBITS[3]),
+        cirq.measure(*QUBITS, key="m"),
+    )
+
+
 CASES = {
     "dm_midcircuit": (
         lambda: DensityMatrixSimulationState(QUBITS),
@@ -166,16 +208,44 @@ CASES = {
         None,
         _sv_trajectory_circuit,
     ),
+    "sv_noisy_batched": (
+        lambda: StateVectorSimulationState(QUBITS),
+        bgls.act_on,
+        born.compute_probability_state_vector,
+        None,
+        batched_noisy_circuit,
+    ),
+    "ch_midcircuit_batched": (
+        lambda: StabilizerChFormSimulationState(QUBITS),
+        bgls.act_on,
+        born.compute_probability_stabilizer_state,
+        None,
+        clifford_midcircuit_circuit,
+    ),
+    "tableau_midcircuit_batched": (
+        lambda: CliffordTableauSimulationState(QUBITS),
+        bgls.act_on,
+        born.compute_probability_tableau,
+        None,
+        clifford_midcircuit_circuit,
+    ),
 }
+
+
+def trajectory_mode(name):
+    return "batched" if name.endswith("_batched") else "serial"
 
 GOLDEN = {
     "ch_near_clifford": ("b5cb9b3f51eaffd3", "caff2b9b88a9733b"),
     "dm_midcircuit": ("355d7a6f1bd04bf5", "7c4497118fc490a8"),
+    "ch_midcircuit_batched": ("7661661f074ffd01", "222f875fae27f3eb"),
     "mps_amplitude_damp": ("c11fec5fc161bf70", "034d06a5f7a03927"),
+    "sv_noisy_batched": ("d4116b60a570fcd9", "7e311ae2b6565be0"),
     "sv_unregistered_parallel": ("fde380f477904658", "f4dd74ca9d254d69"),
     "sv_unregistered_trajectory": ("120ceebf4822f131", "53cfa200f62fd4cc"),
     "sv_user_candidates_parallel": ("fde380f477904658", "f4dd74ca9d254d69"),
     "sv_user_candidates_trajectory": ("120ceebf4822f131", "53cfa200f62fd4cc"),
+    "tableau_midcircuit_batched": ("7661661f074ffd01", "222f875fae27f3eb"),
 }
 
 
@@ -198,6 +268,7 @@ def case_digests(name):
         probability,
         compute_candidate_probabilities=candidates,
         seed=31,
+        trajectory_mode=trajectory_mode(name),
     )
     records = sim.run(circuit, repetitions=REPS).measurements
     bits = sim.sample_bitstrings(circuit, repetitions=REPS)
@@ -214,8 +285,13 @@ def test_seeded_output_is_pinned(name):
 
 def test_cases_take_the_intended_mode():
     """The trajectory cases really run trajectories, the parallel ones
-    the front — otherwise a digest would pin the wrong path."""
+    the front, and the batched ones the batched engine — otherwise a
+    digest would pin the wrong path."""
     for name, (make_state, apply_op, prob, _, make_circuit) in CASES.items():
-        sim = bgls.Simulator(make_state(), apply_op, prob)
+        sim = bgls.Simulator(
+            make_state(), apply_op, prob, trajectory_mode=trajectory_mode(name)
+        )
         plan = sim.compile(make_circuit()).specialize(None)
         assert plan.needs_trajectories == (not name.endswith("_parallel"))
+        if name.endswith("_batched"):
+            assert sim._batched_adapter(plan) is not None, name
