@@ -16,6 +16,13 @@ bit-for-bit reproducible for a fixed seed.
 Acceptance bar: batched beats serial by >= 3x on the headline wall time
 (``BENCH_batched_vs_serial_trajectories.json``; enforced with
 ``min_ratio`` by ``check_regressions.py``).
+
+A second series puts all the noise at the end: a 10-qubit, 2-layer QAOA
+MaxCut circuit with one depolarizing channel per qubit just before the
+measurement.  Every trajectory shares one state up to that layer, so the
+batched engine evolves the noiseless prefix once for the whole tile
+(``BENCH_batched_vs_serial_trajectories_noise_at_the_end.json``, gated
+by ``check_regressions.py`` with a ``min_ratio`` floor).
 """
 
 import numpy as np
@@ -23,6 +30,7 @@ import numpy as np
 import repro as bgls
 from repro import born
 from repro import circuits as cirq
+from repro.apps.qaoa import qaoa_maxcut_circuit, random_graph
 from repro.circuits import channels
 from repro.sampler import trajectory_batch
 from repro.states import StateVectorSimulationState
@@ -53,9 +61,9 @@ def noisy_circuit(seed=11):
     return circuit
 
 
-def make_sim(mode, seed=19):
+def make_sim(mode, seed=19, qubits=QUBITS):
     return bgls.Simulator(
-        StateVectorSimulationState(QUBITS),
+        StateVectorSimulationState(qubits),
         bgls.act_on,
         born.compute_probability_state_vector,
         seed=seed,
@@ -121,4 +129,69 @@ def test_batched_vs_serial_trajectories(monkeypatch):
         MIN_SPEEDUP * batched_s,
         serial_s,
         f"batched trajectories >= {MIN_SPEEDUP}x over serial",
+    )
+
+
+QAOA_NODES = 10
+QAOA_EDGES = 19
+QAOA_REPS = 96
+
+
+def noise_at_the_end_circuit(seed=4):
+    """A 2-layer QAOA MaxCut circuit, then one depolarizing layer."""
+    rng = np.random.default_rng(seed)
+    graph = random_graph(QAOA_NODES, 0.3, rng)
+    while graph.number_of_edges() != QAOA_EDGES:
+        graph = random_graph(QAOA_NODES, 0.3, rng)
+    qubits = cirq.LineQubit.range(QAOA_NODES)
+    circuit = qaoa_maxcut_circuit(
+        graph, 0.7, 0.4, layers=2, qubits=qubits, measure_key=None
+    )
+    circuit.append(channels.depolarize(0.01).on(q) for q in qubits)
+    circuit.append(cirq.measure(*qubits, key="z"))
+    return circuit, qubits
+
+
+def test_batched_vs_serial_noise_at_the_end(monkeypatch):
+    circuit, qubits = noise_at_the_end_circuit()
+
+    # Correctness before timing: the tile width must not show.
+    reference = make_sim("batched", qubits=qubits).run(
+        circuit, repetitions=QAOA_REPS
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            trajectory_batch,
+            "DENSE_TILE_BUDGET_BYTES",
+            2 * 16 * 2**QAOA_NODES * 7,
+        )
+        tiled = make_sim("batched", qubits=qubits).run(
+            circuit, repetitions=QAOA_REPS
+        )
+    np.testing.assert_array_equal(
+        reference.measurements["z"],
+        tiled.measurements["z"],
+        err_msg="tile=7 changed the batched output",
+    )
+
+    serial_sim = make_sim("serial", qubits=qubits)
+    batched_sim = make_sim("batched", qubits=qubits)
+    serial_s = wall_time(
+        lambda: serial_sim.run(circuit, repetitions=QAOA_REPS), repeats=3
+    )
+    batched_s = wall_time(
+        lambda: batched_sim.run(circuit, repetitions=QAOA_REPS), repeats=3
+    )
+    speedup = serial_s / batched_s
+
+    print_series(
+        "Batched vs serial trajectories noise at the end",
+        ["qubits", "edges", "reps", "serial_s", "batched_s", "speedup"],
+        [(QAOA_NODES, QAOA_EDGES, QAOA_REPS, serial_s, batched_s, speedup)],
+    )
+    assert_timing_win(
+        MIN_SPEEDUP * batched_s,
+        serial_s,
+        f"batched trajectories >= {MIN_SPEEDUP}x over serial "
+        "(noise at the end)",
     )

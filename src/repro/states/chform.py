@@ -647,6 +647,17 @@ class StackedChForms(StabilizerChForm):
             setattr(self, name, np.broadcast_to(arr, (batch,) + arr.shape).copy())
         self.omega = np.full(batch, form.omega, dtype=np.complex128)
 
+    def take(self, rows: np.ndarray) -> "StackedChForms":
+        """A new stack of copies of ``rows`` (repeats allowed)."""
+        out = StackedChForms.__new__(StackedChForms)
+        out.n = self.n
+        out._w = self._w
+        out._mask = self._mask
+        out.batch = len(rows)
+        for name in ("Fw", "Gw", "Mw", "gamma", "vw", "sw", "omega"):
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
     def view(self, b: int) -> StabilizerChForm:
         """Trajectory ``b`` as a scalar CH form aliasing the stack.
 

@@ -84,7 +84,11 @@ class BackendCapabilities:
             ``supports_plan(plan) -> bool`` and
             ``from_state(state, batch) -> adapter`` classmethods plus the
             per-record batch interface consumed by
-            :mod:`repro.sampler.trajectory_batch`.  None (the default)
+            :mod:`repro.sampler.trajectory_batch`.  An adapter holds one
+            row per distinct trajectory state and an ``owner`` map from
+            each of the ``batch`` trajectories to its row: ``from_state``
+            starts with one row owned by all of them, and the adapter
+            splits rows only where trajectories diverge.  None (the default)
             means trajectory mode always runs the serial per-repetition
             loop for this backend.
     """

@@ -677,6 +677,17 @@ class StackedCliffordTableaus(CliffordTableau):
         self.zw = np.broadcast_to(tableau.zw, (batch,) + tableau.zw.shape).copy()
         self.r = np.broadcast_to(tableau.r, (batch,) + tableau.r.shape).copy()
 
+    def take(self, rows: np.ndarray) -> "StackedCliffordTableaus":
+        """A new stack of copies of ``rows`` (repeats allowed)."""
+        out = StackedCliffordTableaus.__new__(StackedCliffordTableaus)
+        out.n = self.n
+        out._w = self._w
+        out.batch = len(rows)
+        out.xw = self.xw[rows]
+        out.zw = self.zw[rows]
+        out.r = self.r[rows]
+        return out
+
     def view(self, b: int) -> CliffordTableau:
         """Trajectory ``b`` as a scalar tableau aliasing the stack."""
         out = CliffordTableau.__new__(CliffordTableau)

@@ -328,6 +328,74 @@ class TestDeterminism:
         assert set(np.unique(fin)) <= {0, 1}
 
 
+class TestSharedRows:
+    """The tile holds one row per distinct trajectory state."""
+
+    def test_rows_follow_distinct_branch_histories(self, monkeypatch):
+        bell = cirq.LineQubit.range(2)
+        circuit = cirq.Circuit(
+            cirq.H(bell[0]),
+            cirq.CNOT(bell[0], bell[1]),
+            [cirq.depolarize(0.01)(q) for q in bell],
+            cirq.measure(*bell, key="m"),
+        )
+        events = []  # ("apply", rows) | ("kraus", rows after) | ("project",)
+        branches = []  # one (B,) branch-choice column per Kraus record
+        inside_kraus = []
+        adapter = trajectory_batch.BatchedStateVector
+        apply_rows = trajectory_batch.apply_rows
+        categorical_rows = trajectory_batch.categorical_rows
+        apply_kraus = adapter.apply_kraus
+        project = adapter.project
+
+        def counting_apply(tile, *args, **kwargs):
+            if not inside_kraus:
+                events.append(("apply", len(tile)))
+            return apply_rows(tile, *args, **kwargs)
+
+        def recording_choice(probs, u):
+            choice = categorical_rows(probs, u)
+            if inside_kraus:
+                branches.append(choice.copy())
+            return choice
+
+        def recording_kraus(self, *args):
+            inside_kraus.append(True)
+            try:
+                return apply_kraus(self, *args)
+            finally:
+                inside_kraus.pop()
+                events.append(("kraus", len(self.tensor)))
+
+        def recording_project(self, *args):
+            events.append(("project",))
+            return project(self, *args)
+
+        monkeypatch.setattr(trajectory_batch, "apply_rows", counting_apply)
+        monkeypatch.setattr(trajectory_batch, "categorical_rows", recording_choice)
+        monkeypatch.setattr(adapter, "apply_kraus", recording_kraus)
+        monkeypatch.setattr(adapter, "project", recording_project)
+
+        sim = bgls.Simulator(
+            StateVectorSimulationState(bell),
+            bgls.act_on,
+            born.compute_probability_state_vector,
+            seed=3,
+            trajectory_mode="batched",
+        )
+        sim.run(circuit, repetitions=64)
+
+        first_kraus = [e[0] for e in events].index("kraus")
+        prefix = events[:first_kraus]
+        assert prefix and all(e == ("apply", 1) for e in prefix)
+        assert len(branches) == 2
+        histories = set(zip(*(column.tolist() for column in branches)))
+        rows_after_noise = events[-1]
+        assert rows_after_noise[0] == "kraus"
+        assert 1 <= rows_after_noise[1] <= len(histories) < 64
+        assert ("project",) not in events
+
+
 class TestStatisticalAgreement:
     REPS = 4000
 

@@ -1,6 +1,6 @@
 """Property tests pinning the batched trajectory engine's kernels.
 
-Four kernels carry the batched engine's correctness and get adversarial
+Five kernels carry the batched engine's correctness and get adversarial
 randomized coverage here:
 
 * :func:`~repro.sampler.trajectory_batch.categorical_rows` — the
@@ -14,7 +14,10 @@ randomized coverage here:
 * the stacked stabilizer engines
   (:class:`~repro.states.tableau.StackedCliffordTableaus`,
   :class:`~repro.states.chform.StackedChForms`) against ``B`` scalar
-  engines, gate by gate from per-trajectory random prefixes.
+  engines, gate by gate from per-trajectory random prefixes;
+* the owner map: every adapter holding ``U`` distinct rows shared by
+  ``B`` trajectories against the ``B``-row tile of explicit copies, bit
+  for bit, through Kraus branching, candidate queries and projection.
 """
 
 import numpy as np
@@ -22,7 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sampler.trajectory_batch import (
+    BatchedChForms,
     BatchedStateVector,
+    BatchedTableaus,
     categorical_rows,
 )
 from repro.states import bitpack as bp
@@ -355,3 +360,176 @@ def test_stacked_ch_forms_match_scalar_engines_gate_by_gate(case):
         # moment pick their representation from the order the moment's
         # primitives run in, so a moment is compared by its amplitudes.
         check(exact=step[0] != "moment" or not _has_h(step))
+
+
+# ----------------------------------------------------------------------
+# U shared rows + an owner map vs B explicit copies, bit for bit
+# ----------------------------------------------------------------------
+
+@st.composite
+def owner_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 65]))
+    batch = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.integers(min_value=1, max_value=batch))
+    k = draw(st.integers(min_value=1, max_value=min(2, n)))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return n, batch, rows, k, seed
+
+
+def _random_owner(rng, batch, rows):
+    """A random trajectory -> row map that uses every row."""
+    return rng.permutation(
+        np.concatenate([np.arange(rows), rng.integers(0, rows, batch - rows)])
+    ).astype(np.intp)
+
+
+def _per_trajectory(adapter, *names):
+    """The named arrays of ``adapter.stack``/``tensor``, one row per
+    trajectory (gathered through ``owner``)."""
+    source = getattr(adapter, "stack", adapter)
+    return [getattr(source, name)[adapter.owner] for name in names]
+
+
+def _assert_same_trajectories(shared, explicit, names, close=()):
+    """Bit for bit, except the ``close`` arrays (compared to 1e-12)."""
+    assert shared.batch == explicit.batch
+    for name, a, b in zip(
+        names, _per_trajectory(shared, *names), _per_trajectory(explicit, *names)
+    ):
+        if name in close:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+        else:
+            assert np.array_equal(a, b), name
+
+
+@given(owner_cases())
+@settings(max_examples=100, deadline=None)
+def test_state_vector_owner_map_matches_explicit_copies(case):
+    n, batch, rows, k, seed = case
+    n = min(n, 4)
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    support = tuple(sorted(int(a) for a in rng.choice(n, size=k, replace=False)))
+    states = _random_state_stack(rng, rows, n)
+    owner = _random_owner(rng, batch, rows)
+
+    def pair():
+        return (
+            BatchedStateVector(states.copy(), n, owner.copy()),
+            BatchedStateVector(states[owner].copy(), n),
+        )
+
+    bits = rng.integers(0, 2, size=(batch, n)).astype(np.int8)
+    shared, explicit = pair()
+    assert np.array_equal(
+        shared.candidate_probabilities(bits, support),
+        explicit.candidate_probabilities(bits, support),
+    )
+
+    kraus = _random_kraus(rng, int(rng.integers(1, 4)), k)
+    u_branch = rng.random(batch)
+    probs = shared.apply_kraus(kraus, support, bits, u_branch)
+    assert np.array_equal(
+        probs, explicit.apply_kraus(kraus, support, bits, u_branch)
+    )
+    assert len(shared.tensor) <= min(rows * len(kraus), batch)
+    _assert_same_trajectories(shared, explicit, ["tensor"])
+
+    # Random states give every outcome positive probability.
+    shared, explicit = pair()
+    outcomes = rng.integers(0, 2, size=(batch, k)).astype(np.int8)
+    shared.project(support, outcomes)
+    explicit.project(support, outcomes)
+    assert len(shared.tensor) <= min(rows * 2**k, batch)
+    _assert_same_trajectories(shared, explicit, ["tensor"])
+
+
+def _random_stabilizer_stack(engine_of, state_cls, n, rows, rng):
+    """``rows`` random stabilizer states as one stack (random prefixes)."""
+    base, prefixes = _scalar_states(state_cls, n, rows, rng)
+    stack = engine_of(base).stack(rows)
+    for b, prefix in enumerate(prefixes):
+        view = stack.view(b)
+        for name, axes in prefix:
+            _apply_prim(view, name, axes)
+        if hasattr(stack, "store"):
+            stack.store(b, view)
+    return stack
+
+
+def _possible_outcomes(stack, owner, support, rng):
+    """A positive-probability support outcome per trajectory."""
+    out = np.empty((len(owner), len(support)), dtype=np.int8)
+    for b, row in enumerate(owner):
+        scratch = stack.view(row).copy()
+        out[b] = [scratch.measure(axis, rng) for axis in support]
+    return out
+
+
+def _stabilizer_owner_check(
+    adapter_cls, engine_of, state_cls, names, case, close=()
+):
+    n, batch, rows, k, seed = case
+    rng = np.random.default_rng(seed)
+    support = [int(a) for a in rng.choice(n, size=k, replace=False)]
+    stack = _random_stabilizer_stack(engine_of, state_cls, n, rows, rng)
+    owner = _random_owner(rng, batch, rows)
+
+    def pair():
+        return (
+            adapter_cls(stack.take(np.arange(rows)), n, owner.copy()),
+            adapter_cls(stack.take(owner), n),
+        )
+
+    shared, explicit = pair()
+    bits = _possible_outcomes(stack, owner, range(n), rng)
+    flip = rng.random((batch, n)) < 0.2
+    bits = np.where(flip, 1 - bits, bits).astype(np.int8)
+    assert np.array_equal(
+        shared.candidate_probabilities(bits, support),
+        explicit.candidate_probabilities(bits, support),
+    )
+
+    outcomes = _possible_outcomes(stack, owner, support, rng)
+    shared.project(support, outcomes)
+    explicit.project(support, outcomes)
+    assert shared.stack.batch <= min(rows * 2**k, batch)
+    _assert_same_trajectories(shared, explicit, names, close)
+    # The split rows go on evolving independently.
+    step = _random_steps(rng, n, 1)[0]
+    _apply_step(shared.stack, step)
+    _apply_step(explicit.stack, step)
+    _assert_same_trajectories(shared, explicit, names, close)
+
+
+@given(owner_cases())
+@settings(max_examples=40, deadline=None)
+def test_tableau_owner_map_matches_explicit_copies(case):
+    from repro.states import CliffordTableauSimulationState
+
+    _stabilizer_owner_check(
+        BatchedTableaus,
+        lambda state: state.tableau,
+        CliffordTableauSimulationState,
+        ["xw", "zw", "r"],
+        case,
+    )
+
+
+@given(owner_cases())
+@settings(max_examples=40, deadline=None)
+def test_ch_form_owner_map_matches_explicit_copies(case):
+    from repro.states import StabilizerChFormSimulationState
+
+    _stabilizer_owner_check(
+        BatchedChForms,
+        lambda state: state.ch_form,
+        StabilizerChFormSimulationState,
+        ["Fw", "Gw", "Mw", "gamma", "vw", "sw", "omega"],
+        case,
+        # A stacked phase update is one NumPy complex multiply, whose SIMD
+        # lanes and scalar tail round differently, so ``omega`` depends
+        # on its position in the stack in the last ulp (as in the
+        # stacked-vs-scalar check above).
+        close=("omega",),
+    )
