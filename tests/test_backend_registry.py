@@ -324,3 +324,120 @@ class TestRegistryConformance:
         as_ints = rows @ np.array([4, 2, 1])
         assert set(np.unique(as_ints)) == {0, 7}
         assert 0.35 < float(np.mean(as_ints == 0)) < 0.65
+
+
+# -- subclasses in batched trajectory mode ----------------------------------
+
+
+def _noisy_dense_circuit(qubits):
+    return cirq.Circuit(
+        cirq.H(qubits[0]),
+        cirq.CNOT(qubits[0], qubits[1]),
+        cirq.rx(0.3)(qubits[2]),
+        [cirq.depolarize(0.05)(q) for q in qubits],
+        cirq.CNOT(qubits[1], qubits[2]),
+        cirq.measure(*qubits, key="z"),
+    )
+
+
+def _clifford_mid_measure_circuit(qubits):
+    return cirq.Circuit(
+        cirq.H(qubits[0]),
+        cirq.CNOT(qubits[0], qubits[1]),
+        cirq.S(qubits[2]),
+        cirq.measure(qubits[0], key="mid"),
+        cirq.H(qubits[2]),
+        cirq.CNOT(qubits[1], qubits[2]),
+        cirq.measure(*qubits, key="z"),
+    )
+
+
+def _records(state, prob_fn, circuit, mode, reps=64):
+    sim = bgls.Simulator(
+        state, act_on, prob_fn, seed=11, trajectory_mode=mode
+    )
+    result = sim.run(circuit, repetitions=reps)
+    return {key: result.measurements[key] for key in result.measurements}
+
+
+def _assert_records_equal(a, b):
+    assert set(a) == set(b)
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key])
+
+
+class TestSubclassesInBatchedMode:
+    def test_act_on_override_sees_every_gate_in_batched_mode(self, qubits):
+        """A subclass overriding _act_on_ is never fast-pathed around its
+        dispatch: batched mode runs it through the serial loop, so the
+        override sees every non-branching gate of every repetition."""
+        calls = []
+
+        class Counting(StateVectorSimulationState):
+            def _act_on_(self, op):
+                calls.append(op)
+                super()._act_on_(op)
+
+        circuit = _noisy_dense_circuit(qubits)
+        reps = 40
+        batched = _records(
+            Counting(qubits),
+            born.compute_probability_state_vector,
+            circuit,
+            "batched",
+            reps,
+        )
+        # H, CNOT, rx and the second CNOT; depolarize branches.
+        assert len(calls) == 4 * reps
+        serial = _records(
+            Counting(qubits),
+            born.compute_probability_state_vector,
+            circuit,
+            "serial",
+            reps,
+        )
+        _assert_records_equal(batched, serial)
+
+    @pytest.mark.parametrize(
+        "parent,prob_fn,make_circuit",
+        [
+            (
+                StateVectorSimulationState,
+                born.compute_probability_state_vector,
+                _noisy_dense_circuit,
+            ),
+            (
+                StabilizerChFormSimulationState,
+                born.compute_probability_stabilizer_state,
+                _clifford_mid_measure_circuit,
+            ),
+            (
+                CliffordTableauSimulationState,
+                born.compute_probability_tableau,
+                _clifford_mid_measure_circuit,
+            ),
+        ],
+        ids=["state_vector", "stabilizer_ch_form", "clifford_tableau"],
+    )
+    def test_plain_subclass_matches_parent_in_batched_mode(
+        self, qubits, monkeypatch, parent, prob_fn, make_circuit
+    ):
+        from repro.sampler import trajectory_batch
+
+        engine_runs = []
+        run_batched = trajectory_batch.run_batched_trajectories
+
+        def spy(*args, **kwargs):
+            engine_runs.append(type(args[0].initial_state))
+            return run_batched(*args, **kwargs)
+
+        monkeypatch.setattr(trajectory_batch, "run_batched_trajectories", spy)
+
+        class Plain(parent):
+            pass
+
+        circuit = make_circuit(qubits)
+        expected = _records(parent(qubits), prob_fn, circuit, "batched")
+        got = _records(Plain(qubits), prob_fn, circuit, "batched")
+        assert engine_runs == [parent, Plain]
+        _assert_records_equal(got, expected)
