@@ -11,12 +11,11 @@ automatically.
 
 Dispatch flows through the backend capability registry
 (:mod:`repro.states.registry`): importing this module registers the five
-shipped backends, binding each scalar function to its backend (whose
-candidate oracle defaults to the state's own
-``candidate_probabilities_many``) and declaring the application fast
-paths the execution planner may use.  User backends get identical
-treatment by calling :func:`repro.states.registry.register_backend` —
-there is no privileged shipped-backend table.
+shipped backends, binding each scalar function to its backend, whose
+candidate oracle is the state's own ``candidate_probabilities_many``.
+User backends get identical treatment by calling
+:func:`repro.states.registry.register_backend` — there is no privileged
+shipped-backend table.
 """
 
 from __future__ import annotations
@@ -74,50 +73,21 @@ def compute_probability_mps(
     return state.probability_of(bitstring)
 
 
-def mps_bitstring_probability(mps: MPSState, btstr: Sequence[int]) -> float:
-    """Alias matching the paper's code listing name."""
-    return compute_probability_mps(mps, btstr)
+# The paper's code-listing name: the same function object, so it resolves
+# to the MPS backend's oracle with no extra registry entry.
+mps_bitstring_probability = compute_probability_mps
 
 
-# -- batched-trajectory adapters ----------------------------------------------
-#
-# Zero-argument factories, not classes: the adapters live in
-# ``repro.sampler.trajectory_batch``, and importing the sampler package
-# from here would close an import cycle (born -> sampler -> born).  The
-# engine resolves the capability value lazily — a class is used directly,
-# anything else is called to produce one.
-
-def batched_trajectories_state_vector():
-    """Adapter factory: dense ``(B, 2^n)`` amplitude tiles."""
-    from ..sampler.trajectory_batch import BatchedStateVector
-
-    return BatchedStateVector
-
-
-def batched_trajectories_stabilizer_state():
-    """Adapter factory: stacked ``(B, n, W)`` CH-form word arrays."""
-    from ..sampler.trajectory_batch import BatchedChForms
-
-    return BatchedChForms
-
-
-def batched_trajectories_tableau():
-    """Adapter factory: stacked ``(B, 2n+1, W)`` tableau word arrays."""
-    from ..sampler.trajectory_batch import BatchedTableaus
-
-    return BatchedTableaus
-
-
-# Shipped-backend registrations: one descriptor per backend, declaring the
-# scalar oracle and (by introspection) the candidate oracle and the
-# application fast paths.  Every later lookup — the Simulator's candidate
-# resolution, the planner's fast-path flags, the pooled executor's
-# snapshots — reads these descriptors; there is no other dispatch table.
+# Shipped-backend registrations.  Each class says what it can do (its
+# candidate oracle and application fast paths); registration adds the
+# scalar Born function, the pool snapshot hooks and a display name.
+# Every later lookup — the Simulator's candidate resolution, the
+# planner's fast-path flags, the pooled executor's snapshots — reads
+# these descriptors; there is no other dispatch table.
 registry.register_backend(
     StateVectorSimulationState,
     name="state_vector",
     compute_probability=compute_probability_state_vector,
-    batched_trajectories=batched_trajectories_state_vector,
 )
 registry.register_backend(
     DensityMatrixSimulationState,
@@ -133,7 +103,6 @@ registry.register_backend(
     # README); the payload is also the pool's re-initialization key.
     snapshot=_stabilizer.snapshot_chform_state,
     restore=_stabilizer.restore_chform_state,
-    batched_trajectories=batched_trajectories_stabilizer_state,
 )
 registry.register_backend(
     CliffordTableauSimulationState,
@@ -141,13 +110,11 @@ registry.register_backend(
     compute_probability=compute_probability_tableau,
     snapshot=_tableau.snapshot_tableau_state,
     restore=_tableau.restore_tableau_state,
-    batched_trajectories=batched_trajectories_tableau,
 )
 registry.register_backend(
     MPSState,
     name="mps",
     compute_probability=compute_probability_mps,
-    scalar_aliases=(mps_bitstring_probability,),
     # Wide MPS sweeps ship the network as raw tensor bytes + bond
     # metadata instead of a pickled state object (no RNG, no qubit-index
     # dict, no per-tensor ndarray envelopes); the payload doubles as the
@@ -180,7 +147,4 @@ __all__ = [
     "compute_probability_mps",
     "mps_bitstring_probability",
     "many_candidate_function_for",
-    "batched_trajectories_state_vector",
-    "batched_trajectories_stabilizer_state",
-    "batched_trajectories_tableau",
 ]

@@ -52,7 +52,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from .executors import ProcessPoolExecutor
-from .requests import normalize_num_workers
+from .requests import normalize_num_workers, normalize_repetitions
 from .results import Result
 from .schedule import estimate_job_cost
 from .service import PoolManager
@@ -394,8 +394,7 @@ class SamplingService:
             raise RuntimeError("SamplingService is shut down")
         if not tenant:
             raise ValueError("tenant name must be a non-empty string")
-        if repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+        normalize_repetitions(repetitions)
         if seed is None:
             seed = int(np.random.SeedSequence().entropy) % 2**62
         elif not isinstance(seed, (int, np.integer)):

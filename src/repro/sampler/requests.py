@@ -40,8 +40,16 @@ def normalize_seed(
     return seed
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject anything but an ``int`` or ``np.integer`` (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def normalize_repetitions(repetitions: int) -> int:
-    """Reject non-positive repetition counts with the documented error."""
+    """Reject non-integer or non-positive repetition counts with the
+    documented error."""
+    _require_integer("repetitions", repetitions)
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     return repetitions
@@ -58,9 +66,11 @@ def normalize_trajectory_mode(trajectory_mode: str) -> str:
 
 
 def normalize_num_workers(num_workers: Optional[int]) -> int:
-    """A pool size: ``None`` means ``os.cpu_count()``, below 1 raises."""
+    """A pool size: ``None`` means ``os.cpu_count()``; a non-integer or a
+    count below 1 raises."""
     if num_workers is None:
         return os.cpu_count() or 1
+    _require_integer("num_workers", num_workers)
     if num_workers < 1:
         raise ValueError(
             f"num_workers must be >= 1 or None, got {num_workers}"

@@ -196,12 +196,11 @@ class _WorkerPayload:
     """Everything a pool worker needs for its whole life, shipped once.
 
     The initial state travels as its registry ``snapshot`` payload when
-    the backend declares one *for exactly this type* (restored via the
-    matching ``restore`` hook; a subclass inheriting its parent's
-    descriptor falls back to object pickling so the worker state keeps
-    the subclass type), else as the state object itself; either way it is
-    pickled once per *worker* by the pool initializer — never per task.
-    Compiled units ride the tasks instead (:func:`_unit_ref`).
+    its type registered one (restored via the matching ``restore`` hook;
+    hooks are exact-type, so a subclass is pickled and the worker state
+    keeps the subclass type), else as the state object itself; either
+    way it is pickled once per *worker* by the pool initializer — never
+    per task.  Compiled units ride the tasks instead (:func:`_unit_ref`).
     """
 
     __slots__ = (
@@ -216,10 +215,7 @@ class _WorkerPayload:
 
     def __init__(self, simulator):
         caps = capabilities_for(type(simulator.initial_state))
-        if (
-            caps.snapshot is not None
-            and caps.state_type is type(simulator.initial_state)
-        ):
+        if caps.snapshot is not None:
             self.state_payload = _snapshot_payload(
                 simulator.initial_state, caps
             )

@@ -30,7 +30,7 @@ Execution is layered:
 
 * the **backend registry** answers every capability question (batched
   oracles, stabilizer fast paths, renormalization, snapshots) once per
-  backend type;
+  state type;
 * :meth:`Simulator.compile` returns a process-wide cached
   :class:`~repro.sampler.program.Program` — the circuit's structure
   compiled once; per-resolver :meth:`~repro.sampler.program.Program.specialize`
@@ -99,9 +99,9 @@ class Simulator:
             default) walks the plan once per repetition — the historical
             loop with its pinned RNG draw order.  ``"batched"`` runs
             repetition stacks through the vectorized engine
-            (:mod:`repro.sampler.trajectory_batch`) when the backend
-            advertises the ``batched_trajectories`` capability and the
-            plan qualifies, falling back to the serial loop otherwise.
+            (:mod:`repro.sampler.trajectory_batch`) when the state class
+            has a batched adapter and the plan qualifies, falling back
+            to the serial loop otherwise.
             Batched mode is a separately-pinned deterministic contract:
             trajectory ``r`` of point ``p`` draws from
             ``SeedSequence([base_seed, p, rep_base + r])``, so output is
@@ -412,21 +412,19 @@ class Simulator:
 
         Eligibility is all-static: the default ``act_on`` dispatch (a
         custom ``apply_op`` could observe per-repetition state), no user
-        candidate function, a backend advertising the
-        ``batched_trajectories`` capability, and a plan the adapter
-        declares supported.
+        candidate function, a state class with a shipped adapter
+        (:func:`~repro.sampler.trajectory_batch.adapter_for`), and a plan
+        the adapter declares supported.
         """
         from ..protocols.act_on import act_on
+        from .trajectory_batch import adapter_for
 
         if self.apply_op is not act_on:
             return None
         if self.user_candidate_function is not None:
             return None
-        cap = capabilities_for(type(self.initial_state)).batched_trajectories
-        if cap is None:
-            return None
-        adapter_cls = cap if hasattr(cap, "from_state") else cap()
-        if not adapter_cls.supports_plan(plan):
+        adapter_cls = adapter_for(type(self.initial_state))
+        if adapter_cls is None or not adapter_cls.supports_plan(plan):
             return None
         return adapter_cls
 

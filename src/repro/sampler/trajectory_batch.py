@@ -47,12 +47,13 @@ skipped diagonals: 0).  Output is therefore a pure function of
 ``(base_seed, point, rep_base + r)`` per trajectory — bit-for-bit
 identical across tile sizes, chunk geometries, and worker counts.
 
-Backends advertise support through the ``batched_trajectories``
-capability (:mod:`repro.states.registry`); the value is an adapter class
-(or a zero-argument factory returning one) implementing the small
-interface at the top of :class:`BatchedStateVector`.  Unsupported
-backends, custom ``apply_op`` functions, and user candidate functions
-fall back to the serial loop unchanged.
+:func:`adapter_for` maps a state class to one of the three shipped
+adapters (state vector, CH form, tableau; subclasses included), each
+implementing the small interface at the top of
+:class:`BatchedStateVector`.  Other backends, custom ``apply_op``
+functions, user candidate functions, and plans an adapter does not
+support (a subclass overriding ``_act_on_`` has no ``fast_unitary``
+plan) fall back to the serial loop unchanged.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..states.base import candidate_index_matrix
-from ..states.state_vector import apply_matrix
+from ..states.stabilizer import StabilizerChFormSimulationState
+from ..states.state_vector import StateVectorSimulationState, apply_matrix
+from ..states.tableau import CliffordTableauSimulationState
 from .plan import ExecutionPlan, FusedOpRecord
 
 #: Soft cap on the dense tile's amplitude memory (bytes).  The engine
@@ -173,7 +176,7 @@ class BatchedStateVector:
     an explicit ``(B, 2, ..., 2)`` stack, every trajectory owns its own
     row.
 
-    Adapter interface (shared by all ``batched_trajectories`` adapters):
+    Adapter interface (shared by every adapter :func:`adapter_for` returns):
 
     * ``supports_plan(plan)`` — classmethod; static plan eligibility.
     * ``from_state(state, batch)`` — classmethod; ``batch`` trajectories
@@ -424,6 +427,22 @@ class BatchedChForms(_StackedStabilizerAdapter):
         for axis, bit in zip(support, outcome):
             view.project_measurement(axis, int(bit))
         self.stack.store(row, view)
+
+
+_ADAPTERS = (
+    (StateVectorSimulationState, BatchedStateVector),
+    (StabilizerChFormSimulationState, BatchedChForms),
+    (CliffordTableauSimulationState, BatchedTableaus),
+)
+
+
+def adapter_for(state_type: type):
+    """The batched adapter for ``state_type`` (a shipped state class or
+    a subclass of one), or None to run the serial per-repetition loop."""
+    for base, adapter in _ADAPTERS:
+        if issubclass(state_type, base):
+            return adapter
+    return None
 
 
 def run_batched_trajectories(

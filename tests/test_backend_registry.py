@@ -90,9 +90,20 @@ class TestDerivedCapabilities:
         class Child(StateVectorSimulationState):
             pass
 
-        assert capabilities_for(Child) is capabilities_for(
-            StateVectorSimulationState
-        )
+        child = capabilities_for(Child)
+        parent = capabilities_for(StateVectorSimulationState)
+        for flag in (
+            "stabilizer_sequences",
+            "fused_moments",
+            "base_unitary_dispatch",
+            "renormalize",
+            "exact_channels",
+            "candidates_many",
+        ):
+            assert getattr(child, flag) == getattr(parent, flag), flag
+        # Snapshot hooks and the scalar oracle are exact-type.
+        assert child.compute_probability is None
+        assert child.snapshot is None
 
     def test_unregistered_state_is_introspected_once(self):
         class Bare:
@@ -187,17 +198,17 @@ CALLS = {"many": 0, "rows": []}
 
 
 class UserVectorState(StateVectorSimulationState):
-    """A 'user' backend: distinct type, registered via the public hook."""
+    """A 'user' backend: distinct type, registered via the public hook,
+    with a counting candidate oracle."""
+
+    def candidate_probabilities_many(self, bits_list, support):
+        CALLS["many"] += 1
+        CALLS["rows"].append(len(bits_list))
+        return super().candidate_probabilities_many(bits_list, support)
 
 
 def user_probability(state, bits):
     return state.probability_of(bits)
-
-
-def user_candidates_many(state, bits_list, support):
-    CALLS["many"] += 1
-    CALLS["rows"].append(len(bits_list))
-    return state.candidate_probabilities_many(bits_list, support)
 
 
 @pytest.fixture
@@ -206,7 +217,6 @@ def user_backend():
         UserVectorState,
         name="user_vector",
         compute_probability=user_probability,
-        candidates_many=user_candidates_many,
     )
     CALLS["many"] = 0
     CALLS["rows"] = []
@@ -219,11 +229,12 @@ class TestUserBackendRegistration:
         assert capabilities_for(UserVectorState) is user_backend
         assert capabilities_for(UserVectorState).name == "user_vector"
 
-    def test_born_lookups_resolve_user_functions(self, user_backend):
-        assert (
-            born.many_candidate_function_for(user_probability)
-            is user_candidates_many
-        )
+    def test_born_lookups_resolve_user_functions(self, qubits, user_backend):
+        oracle = born.many_candidate_function_for(user_probability)
+        assert oracle is user_backend.candidates_many
+        rows = oracle(UserVectorState(qubits), [(0, 0, 0)], [0])
+        assert rows.shape == (1, 2)
+        assert CALLS["many"] == 1  # the class's own method answered
 
     def test_simulator_reaches_batched_many_candidate_path(
         self, qubits, user_backend
@@ -276,18 +287,14 @@ class TestUserBackendRegistration:
         assert not user_backend.stabilizer_sequences
 
     def test_reregistration_purges_previous_aliases(self, qubits):
-        def alias_fn(state, bits):
+        def other_fn(state, bits):
             return state.probability_of(bits)
 
-        register_backend(
-            UserVectorState,
-            compute_probability=user_probability,
-            scalar_aliases=(alias_fn,),
-        )
-        # Re-register without the alias, then unregister: no mapping may
-        # survive from either registration.
+        register_backend(UserVectorState, compute_probability=other_fn)
+        # Re-register with a different function, then unregister: no
+        # mapping may survive from either registration.
         register_backend(UserVectorState, compute_probability=user_probability)
-        assert capabilities_for_probability_fn(alias_fn) is None
+        assert capabilities_for_probability_fn(other_fn) is None
         unregister_backend(UserVectorState)
         assert capabilities_for_probability_fn(user_probability) is None
 

@@ -74,7 +74,13 @@ class TestBatchedFunctions:
             (born.compute_probability_stabilizer_state,
              StabilizerChFormSimulationState.candidate_probabilities_many),
             (born.compute_probability_mps, MPSState.candidate_probabilities_many),
-            (born.mps_bitstring_probability, MPSState.candidate_probabilities_many),
+            # The alias is the same function object as
+            # compute_probability_mps, so it needs its own id.
+            pytest.param(
+                born.mps_bitstring_probability,
+                MPSState.candidate_probabilities_many,
+                id="mps_bitstring_probability-candidate_probabilities_many",
+            ),
         ],
     )
     def test_candidate_function_mapping(

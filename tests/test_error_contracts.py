@@ -17,15 +17,17 @@ across the five shipped backends and both executors:
   register raises a ``TypeError`` naming the ``*SimulationState`` fix
   (regression: an opaque ``AttributeError`` escaped from the Program
   cache key);
-* repetitions/chunk bounds — ``repetitions < 1`` raises ``ValueError``
-  on ``run`` / ``run_sweep`` / ``run_batch`` and on both executors'
-  ``execute``; the chunk-geometry helper ``_chunk_sizes`` handles the
-  ``repetitions == 0`` corner and rejects bad chunk counts (property
-  tested below with hypothesis);
-* pool size — ``num_workers < 1`` raises ``ValueError`` naming
-  ``num_workers`` from both ``ProcessPoolExecutor`` and
-  ``SamplingService`` (regression: 0 silently meant ``os.cpu_count()``
-  and negatives silently meant 1); ``None`` means ``os.cpu_count()``;
+* repetitions/chunk bounds — ``repetitions < 1`` or a non-integer
+  count (a float or a bool) raises ``ValueError`` on ``run`` /
+  ``run_sweep`` / ``run_batch``, on ``SamplingService.submit`` and on
+  both executors' ``execute``; the chunk-geometry helper
+  ``_chunk_sizes`` handles the ``repetitions == 0`` corner and rejects
+  bad chunk counts (property tested below with hypothesis);
+* pool size — ``num_workers < 1`` or a non-integer raises
+  ``ValueError`` naming ``num_workers`` from both
+  ``ProcessPoolExecutor`` and ``SamplingService`` (regression: 0
+  silently meant ``os.cpu_count()``, negatives silently meant 1, 2.5
+  meant 2 and ``True`` meant 1); ``None`` means ``os.cpu_count()``;
 * near-Clifford apply_ops off the CH form — ``act_on_near_clifford`` and
   its noisy variant raise ``ValueError`` naming the state type and
   ``StabilizerChFormSimulationState`` (regression: an ``AttributeError``
@@ -368,7 +370,7 @@ class TestNearCliffordBackends:
 class TestRepetitionBounds:
     @pytest.mark.parametrize("make_state,prob_fn", BACKENDS)
     @pytest.mark.parametrize("make_executor", EXECUTORS)
-    @pytest.mark.parametrize("repetitions", [0, -2])
+    @pytest.mark.parametrize("repetitions", [0, -2, 2.5, True])
     def test_bad_repetitions_raise_valueerror(
         self, make_state, prob_fn, make_executor, repetitions
     ):
@@ -380,6 +382,29 @@ class TestRepetitionBounds:
             sim.run_sweep(circuit, [None], repetitions=repetitions)
         with pytest.raises(ValueError, match="repetitions"):
             sim.run_batch([circuit], repetitions=repetitions)
+
+    @pytest.mark.parametrize("repetitions", [0, 2.5, True])
+    def test_submit_rejects_bad_repetitions(self, repetitions):
+        # Regression: a float or bool count was queued and only failed
+        # later in the dispatcher with an opaque TypeError.
+        with SamplingService(
+            StateVectorSimulationState(QUBITS),
+            bgls.act_on,
+            born.compute_probability_state_vector,
+            executor=SerialExecutor(),
+        ) as service:
+            with pytest.raises(ValueError, match="repetitions"):
+                service.submit(
+                    clifford_circuit(), tenant="a", repetitions=repetitions
+                )
+
+    def test_numpy_integer_repetitions_accepted(self):
+        sim = make_sim(
+            lambda: StateVectorSimulationState(QUBITS),
+            born.compute_probability_state_vector,
+        )
+        rows = sim.run(clifford_circuit(), repetitions=np.int64(3))
+        assert rows.measurements["m"].shape == (3, N)
 
     @pytest.mark.parametrize(
         "make_executor", EXECUTORS[1:]
@@ -434,12 +459,12 @@ class TestChunkSizesProperties:
 # ----------------------------------------------------------------------
 
 class TestWorkerCount:
-    @pytest.mark.parametrize("num_workers", [0, -1])
+    @pytest.mark.parametrize("num_workers", [0, -1, 2.5, True])
     def test_pooled_executor_rejects_bad_worker_count(self, num_workers):
         with pytest.raises(ValueError, match="num_workers"):
             ProcessPoolExecutor(num_workers=num_workers)
 
-    @pytest.mark.parametrize("num_workers", [0, -1])
+    @pytest.mark.parametrize("num_workers", [0, -1, 2.5, True])
     def test_service_rejects_bad_worker_count(self, num_workers):
         with pytest.raises(ValueError, match="num_workers"):
             SamplingService(

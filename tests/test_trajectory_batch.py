@@ -5,9 +5,9 @@ deterministic contract — trajectory ``r`` of point ``p`` draws uniforms
 from ``SeedSequence([base, p, rep_base + r])`` at plan-static offsets —
 so its output must be bit-for-bit identical across tile sizes, chunk
 geometries, worker counts, and (because the uniforms and Born
-probabilities coincide) across every backend advertising the
-``batched_trajectories`` capability.  Serial mode's existing parity
-contracts must remain untouched: backends without the capability, custom
+probabilities coincide) across every backend with a batched adapter
+(``trajectory_batch.adapter_for``).  Serial mode's existing parity
+contracts must remain untouched: backends without an adapter, custom
 ``apply_op`` functions, and user candidate functions all fall back to
 the serial loop unchanged.
 """
@@ -29,7 +29,6 @@ from repro.states import (
     StabilizerChFormSimulationState,
     StateVectorSimulationState,
 )
-from repro.states.registry import capabilities_for
 
 
 def pool_start_methods():
@@ -139,9 +138,9 @@ class TestCapabilityAndValidation:
             StabilizerChFormSimulationState,
             CliffordTableauSimulationState,
         ):
-            assert capabilities_for(state_type).batched_trajectories is not None
+            assert trajectory_batch.adapter_for(state_type) is not None
         for state_type in (DensityMatrixSimulationState, MPSState):
-            assert capabilities_for(state_type).batched_trajectories is None
+            assert trajectory_batch.adapter_for(state_type) is None
 
     def test_default_mode_is_serial(self):
         sim = bgls.Simulator(
