@@ -25,8 +25,6 @@ from typing import Callable, Optional, Sequence
 from ..mps import state as _mps
 from ..mps.state import MPSState
 from ..states import registry
-from ..states import stabilizer as _stabilizer
-from ..states import tableau as _tableau
 from ..states.density_matrix import DensityMatrixSimulationState
 from ..states.stabilizer import StabilizerChFormSimulationState
 from ..states.state_vector import StateVectorSimulationState
@@ -101,15 +99,15 @@ registry.register_backend(
     # Warm-pool workers receive the CH form as raw uint64 words instead
     # of a pickled state object (see the snapshot-hook contract in the
     # README); the payload is also the pool's re-initialization key.
-    snapshot=_stabilizer.snapshot_chform_state,
-    restore=_stabilizer.restore_chform_state,
+    snapshot=StabilizerChFormSimulationState.snapshot,
+    restore=StabilizerChFormSimulationState.restore,
 )
 registry.register_backend(
     CliffordTableauSimulationState,
     name="clifford_tableau",
     compute_probability=compute_probability_tableau,
-    snapshot=_tableau.snapshot_tableau_state,
-    restore=_tableau.restore_tableau_state,
+    snapshot=CliffordTableauSimulationState.snapshot,
+    restore=CliffordTableauSimulationState.restore,
 )
 registry.register_backend(
     MPSState,

@@ -51,7 +51,12 @@ import pickle
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .requests import normalize_num_workers, normalize_repetitions
+from .requests import (
+    normalize_count,
+    normalize_num_workers,
+    normalize_repetitions,
+    require_positive_finite,
+)
 from .result_planes import PointPlanes, shm_available
 from .schedule import (
     BatchEntry,
@@ -143,9 +148,7 @@ class SerialExecutor(Executor):
     """
 
     def __init__(self, chunks: int = 1):
-        if chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
-        self.chunks = chunks
+        self.chunks = normalize_count("chunks", chunks)
 
     def execute(self, simulator, plan, repetitions):
         normalize_repetitions(repetitions)
@@ -205,8 +208,9 @@ class ProcessPoolExecutor(Executor):
             cannot be cancelled), releases all in-flight result planes,
             and raises :class:`TaskTimeoutError`.  It is a
             completion-*gap* bound, not a per-task or total bound — set
-            it above the longest expected single task.  ``None``
-            (default) waits indefinitely.
+            it above the longest expected single task: a positive,
+            finite number of seconds.  ``None`` (default) waits
+            indefinitely.
         result_transport: How worker results travel back to the parent.
             ``"shm"`` writes samples into pre-allocated
             :mod:`~repro.sampler.result_planes` shared-memory segments —
@@ -268,10 +272,8 @@ class ProcessPoolExecutor(Executor):
                 "functional on this platform; use 'pickle' or 'auto'."
             )
         self.result_transport = result_transport
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be positive or None, got {task_timeout}"
-            )
+        if task_timeout is not None:
+            require_positive_finite("task_timeout", task_timeout)
         self.task_timeout = task_timeout
         self.measure_result_bytes = False
         self.last_result_bytes = 0

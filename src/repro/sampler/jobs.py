@@ -52,7 +52,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from .executors import ProcessPoolExecutor
-from .requests import normalize_num_workers, normalize_repetitions
+from .requests import (
+    normalize_num_workers,
+    normalize_repetitions,
+    require_positive_finite,
+)
 from .results import Result
 from .schedule import estimate_job_cost
 from .service import PoolManager
@@ -316,10 +320,7 @@ class SamplingService:
             raise ValueError(
                 f"max_result_bytes must be >= 1, got {max_result_bytes}"
             )
-        if default_quota <= 0:
-            raise ValueError(
-                f"default_quota must be > 0, got {default_quota}"
-            )
+        require_positive_finite("default_quota", default_quota)
         num_workers = normalize_num_workers(num_workers)
         self._initial_state = initial_state
         self._apply_op = apply_op
@@ -360,8 +361,7 @@ class SamplingService:
         """
         if not name:
             raise ValueError("tenant name must be a non-empty string")
-        if quota <= 0:
-            raise ValueError(f"quota must be > 0, got {quota}")
+        require_positive_finite("quota", quota)
         with self._cond:
             tenant = self._tenants.get(name)
             if tenant is None:

@@ -10,19 +10,22 @@ function — so :func:`compile_plan` computes it once per execution into a
 flat list of :class:`OpRecord` plain-data entries the run loops iterate
 over with zero per-op protocol dispatch.
 
-A plan also records which *fast application paths* are sound:
+A plan also records which *fast application path* is sound.  One rule
+decides it: ``apply_op`` is the default :func:`repro.protocols.act_on`
+and the state class keeps a ``_act_on_`` the library ships (the
+registry's ``shipped_dispatch``), so skipping that dispatcher changes
+nothing.  Then:
 
-* ``fast_stab`` — ``apply_op`` is the default :func:`repro.protocols.act_on`
-  and the state exposes ``apply_stabilizer_sequence``; Clifford records
-  then apply their cached primitive sequence directly (no per-op
-  decomposition, no axis lookups).
-* ``fast_unitary`` — ``apply_op`` is the default ``act_on`` and the state
-  uses the base ``SimulationState`` dispatch; unitary records then call
-  ``state.apply_unitary`` with the cached matrix (gates never rebuild it).
+* ``fast_stab`` — on a state with ``apply_stabilizer_sequence``,
+  Clifford records apply their cached primitive sequence directly (no
+  per-op decomposition, no axis lookups);
+* ``fast_unitary`` — on any other state, unitary records call
+  ``state.apply_unitary`` with the cached matrix (gates never rebuild
+  it).
 
-Any other configuration (custom ``apply_op`` functions, user states with
-their own ``_act_on_``) falls back to calling ``apply_op(op, state)``
-exactly as before.
+Any other configuration (custom ``apply_op`` functions, a state class
+that overrides ``_act_on_``, on any backend) falls back to calling
+``apply_op(op, state)`` for every record.
 
 **Moment fusion.**  When a moment holds several disjoint single-qubit
 Clifford gates, compiling them as individual records leaves the run loops
@@ -218,7 +221,7 @@ def compile_plan(circuit: Circuit, state, apply_op) -> ExecutionPlan:
     qubits; groups of one stay plain records.
 
     All backend-shape questions (stabilizer-sequence dispatch, fused
-    moments, base unitary dispatch, exact channels) are answered by the
+    moments, shipped dispatch, exact channels) are answered by the
     capability registry — the planner never probes the state object.  The
     compilation walk itself lives in :class:`repro.sampler.program.Program`;
     this function is the one-shot convenience for an already-resolved

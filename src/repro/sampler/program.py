@@ -173,11 +173,13 @@ class Program:
         self._owned_channel = getattr(apply_op, "_bgls_owns_channel_", ())
         self._exact_channels = caps.exact_channels
         self._stabilizer_backend = caps.stabilizer_sequences
-        default_apply = apply_op is act_on
-        self.fast_stab = default_apply and caps.stabilizer_sequences
-        self.fast_unitary = default_apply and caps.base_unitary_dispatch
-        self._can_fuse = (self.fast_stab and caps.fused_moments) or (
-            not self.fast_stab and self.fast_unitary
+        # One rule for both fast paths: the default act_on reaching a
+        # dispatcher the library ships may be skipped.
+        fast = apply_op is act_on and caps.shipped_dispatch
+        self.fast_stab = fast and caps.stabilizer_sequences
+        self.fast_unitary = fast and not caps.stabilizer_sequences
+        self._can_fuse = self.fast_unitary or (
+            self.fast_stab and caps.fused_moments
         )
 
         key_axes: Dict[str, Tuple[int, ...]] = {}

@@ -4,16 +4,19 @@ Six entry points feed user input into the execution stack — ``run``,
 ``run_sweep``, ``run_sweep_iter``, ``run_batch``, ``run_batch_iter``, and
 ``sample_bitstrings_sweep``.  This module is the single source of truth
 for their ``seed``/``repetitions``/``trajectory_mode`` validation and
-defaults, and for the ``num_workers`` of ``ProcessPoolExecutor`` and
-``SamplingService``: every error message below is part of the API
-contract pinned by ``tests/test_error_contracts.py``, so the service tier
-(and any other caller feeding untrusted input into a Simulator) sees one
-typed, named error per bad argument regardless of which entry point it
-hit.
+defaults, for the ``num_workers`` of ``ProcessPoolExecutor`` and
+``SamplingService``, for the executors' ``chunks``/``task_timeout``, and
+for the service's tenant quotas: every error message below is part of
+the API contract pinned by ``tests/test_error_contracts.py``, so the
+service tier (and any other caller feeding untrusted input into a
+Simulator) sees one typed, named error per bad argument regardless of
+which entry point it hit.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 from typing import Optional, Union
 
@@ -46,13 +49,36 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def normalize_count(name: str, value: int) -> int:
+    """A count of at least 1 (``repetitions``, ``chunks``); a non-integer,
+    a bool or a count below 1 raises ``ValueError`` naming ``name``."""
+    _require_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def normalize_repetitions(repetitions: int) -> int:
     """Reject non-integer or non-positive repetition counts with the
     documented error."""
-    _require_integer("repetitions", repetitions)
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    return repetitions
+    return normalize_count("repetitions", repetitions)
+
+
+def require_positive_finite(name: str, value) -> None:
+    """Reject anything but a positive, finite real (bools included).
+
+    NaN must not pass: it compares false against every bound, so a NaN
+    timeout never fires and a NaN quota leaves the fair-share order
+    undefined.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0 < value < math.inf
+    ):
+        raise ValueError(
+            f"{name} must be a positive finite number, got {value!r}"
+        )
 
 
 def normalize_trajectory_mode(trajectory_mode: str) -> str:

@@ -8,9 +8,10 @@ standard trick behind scalable noisy-Clifford simulation (e.g. error-
 correction studies), and it plugs straight into the BGLS trajectory mode
 (paper Sec. 3.2.1).
 
-Works with both stabilizer backends
-(:class:`~repro.states.StabilizerChFormSimulationState` and
-:class:`~repro.states.CliffordTableauSimulationState`) and composes with
+Works with every :class:`~repro.states.base.StabilizerSimulationState`
+(the CH form and the tableau): the sampled Pauli goes straight to the
+state's ``engine``.  Other states (dense, MPS) take it through
+``apply_unitary``.  Composes with
 :func:`~repro.sampler.act_on_near_clifford` for noisy Clifford+Rz
 circuits via :func:`act_on_near_clifford_with_pauli_noise`.
 
@@ -26,19 +27,19 @@ import numpy as np
 from ..circuits.channels import PAULIS, PauliChannel
 from ..circuits.operations import GateOperation
 from ..protocols.act_on import act_on
+from ..states.base import StabilizerSimulationState
 from .near_clifford import act_on_near_clifford
 
 
 def _apply_sampled_pauli(state, axis: int, name: str) -> None:
     if name == "I":
         return
-    engine = getattr(state, "ch_form", None) or getattr(state, "tableau", None)
-    if engine is None:
+    if not isinstance(state, StabilizerSimulationState):
         # Non-stabilizer states (dense, MPS) take the generic unitary path,
         # so the same apply_op works across every backend.
         state.apply_unitary(PAULIS[name], [axis])
         return
-    getattr(engine, f"apply_{name.lower()}")(axis)
+    getattr(state.engine, f"apply_{name.lower()}")(axis)
 
 
 def _try_pauli_channel(op: GateOperation, state) -> bool:

@@ -52,8 +52,10 @@ adapters (state vector, CH form, tableau; subclasses included), each
 implementing the small interface at the top of
 :class:`BatchedStateVector`.  Other backends, custom ``apply_op``
 functions, user candidate functions, and plans an adapter does not
-support (a subclass overriding ``_act_on_`` has no ``fast_unitary``
-plan) fall back to the serial loop unchanged.
+support fall back to the serial loop unchanged.  A subclass overriding
+``_act_on_`` is one of those on every backend: its plan has neither
+fast path (``fast_unitary``, ``fast_stab``), so each repetition calls
+its override.
 """
 
 from __future__ import annotations
@@ -332,7 +334,8 @@ class _StackedStabilizerAdapter:
 
     The stack holds one engine per distinct trajectory state and
     ``owner`` maps trajectories to its rows, as in
-    :class:`BatchedStateVector`.  Clifford word passes and fused moments
+    :class:`BatchedStateVector`, starting from one row that stacks the
+    scalar state's ``engine``.  Clifford word passes and fused moments
     broadcast over the rows in one call; measurement-adjacent operations
     (projection chains, candidate recursions for the tableau) branch per
     row or trajectory and run through zero-copy scalar views.
@@ -354,6 +357,14 @@ class _StackedStabilizerAdapter:
             if rec.stab_seq is None:
                 return False
         return True
+
+    @classmethod
+    def from_state(cls, state, batch: int):
+        return cls(
+            state.engine.stack(1),
+            state.num_qubits,
+            np.zeros(batch, dtype=np.intp),
+        )
 
     @classmethod
     def tile_size(cls, state, repetitions: int) -> int:
@@ -378,11 +389,6 @@ class _StackedStabilizerAdapter:
 class BatchedTableaus(_StackedStabilizerAdapter):
     """Stacked Aaronson-Gottesman tableaus for the batched engine."""
 
-    @classmethod
-    def from_state(cls, state, batch: int) -> "BatchedTableaus":
-        one = state.tableau.stack(1)
-        return cls(one, state.num_qubits, np.zeros(batch, dtype=np.intp))
-
     def candidate_probabilities(
         self, bits: np.ndarray, support: Sequence[int]
     ) -> np.ndarray:
@@ -396,22 +402,11 @@ class BatchedTableaus(_StackedStabilizerAdapter):
         return out
 
     def _project_row(self, row, support, outcome) -> None:
-        view = self.stack.view(row)
-        for axis, bit in zip(support, outcome):
-            if view.project_measurement(axis, int(bit)) == 0.0:
-                raise ValueError(
-                    f"Projection of qubit axis {axis} onto {int(bit)} has "
-                    "zero probability"
-                )
+        self.stack.view(row).project(support, outcome)
 
 
 class BatchedChForms(_StackedStabilizerAdapter):
     """Stacked CH forms for the batched engine."""
-
-    @classmethod
-    def from_state(cls, state, batch: int) -> "BatchedChForms":
-        one = state.ch_form.stack(1)
-        return cls(one, state.num_qubits, np.zeros(batch, dtype=np.intp))
 
     def candidate_probabilities(
         self, bits: np.ndarray, support: Sequence[int]
@@ -424,8 +419,7 @@ class BatchedChForms(_StackedStabilizerAdapter):
         # The scalar CH kernels rebind sw/omega, so the projection writes
         # those two back into the stack.
         view = self.stack.view(row)
-        for axis, bit in zip(support, outcome):
-            view.project_measurement(axis, int(bit))
+        view.project(support, outcome)
         self.stack.store(row, view)
 
 

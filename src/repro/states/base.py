@@ -10,6 +10,10 @@ ops apply exactly where the representation allows (density matrices), and
 pure states leave the Kraus-branch choice to the sampler (paper Sec.
 3.2.1); measurement ops collapse the state and record nothing (the sampler
 owns measurement bookkeeping).
+
+The two stabilizer backends (CH form, tableau) are one
+:class:`StabilizerSimulationState` over different packed engines, and
+those engines share one copy/stack surface, :class:`StabilizerEngine`.
 """
 
 from __future__ import annotations
@@ -146,6 +150,210 @@ def apply_primitives(engine, prims, axes: Sequence[int]) -> None:
         except KeyError:
             raise ValueError(f"Unknown stabilizer primitive {name!r}") from None
         getattr(engine, method)(*[axes[i] for i in local])
+
+
+class StabilizerEngine:
+    """The copy and stacking surface both packed stabilizer engines share.
+
+    An engine is a few shape attributes (``_SHAPE``) plus the state
+    fields named in ``_FIELDS``.  Its stack type ``_STACK`` holds the same
+    fields with a leading trajectory axis, so one field list drives
+    :meth:`copy`, :meth:`stack` and the stack's ``take``/``view``.
+    """
+
+    _SHAPE: Tuple[str, ...] = ("n", "_w")
+    _FIELDS: Tuple[str, ...] = ()
+    _STACK: type
+
+    def _fields(self) -> list:
+        return [getattr(self, name) for name in self._FIELDS]
+
+    def _with_fields(self, cls: type, values) -> "StabilizerEngine":
+        """A ``cls`` engine of this engine's shape holding ``values``."""
+        out = cls.__new__(cls)
+        for name in self._SHAPE:
+            setattr(out, name, getattr(self, name))
+        for name, value in zip(self._FIELDS, values):
+            setattr(out, name, value)
+        return out
+
+    def copy(self) -> "StabilizerEngine":
+        """A deep copy; a scalar field (CH's ``omega``) is immutable."""
+        return self._with_fields(
+            type(self),
+            [
+                v.copy() if isinstance(v, np.ndarray) else v
+                for v in self._fields()
+            ],
+        )
+
+    def stack(self, batch: int) -> "StackedEngine":
+        """``batch`` independent copies as one stacked-word computation."""
+        batch = int(batch)
+        if batch < 1:
+            raise ValueError(f"batch must be >= 1, got {batch}")
+        return self._with_fields(
+            self._STACK,
+            [
+                np.broadcast_to(v, (batch,) + np.shape(v)).copy()
+                for v in self._fields()
+            ],
+        )
+
+    def project(self, axes: Sequence[int], bits: Sequence[int]) -> None:
+        """Collapse ``axes`` onto ``bits``; a zero-probability outcome
+        raises ``ValueError``."""
+        for axis, bit in zip(axes, bits):
+            if self.project_measurement(axis, int(bit)) == 0.0:
+                raise ValueError(
+                    f"Projection of qubit axis {axis} onto {int(bit)} has "
+                    "zero probability"
+                )
+
+
+class StackedEngine(StabilizerEngine):
+    """``B`` engines of type ``_SCALAR`` stacked on a leading axis.
+
+    A concrete stack also derives from ``_SCALAR``, whose ``...``-indexed
+    gate updates then run on all ``B`` rows in one NumPy call.
+    """
+
+    _SCALAR: type
+
+    @property
+    def batch(self) -> int:
+        return len(getattr(self, self._FIELDS[0]))
+
+    def take(self, rows: np.ndarray) -> "StackedEngine":
+        """A new stack of copies of ``rows`` (repeats allowed)."""
+        return self._with_fields(type(self), [v[rows] for v in self._fields()])
+
+    def view(self, b: int) -> StabilizerEngine:
+        """Trajectory ``b`` as a scalar engine aliasing the stack.
+
+        Array rows are zero-copy views, so in-place updates land in the
+        stack.  A field holding one scalar per trajectory (CH's
+        ``omega``) comes out as a Python scalar; a scalar kernel that
+        rebinds a field must write it back (``StackedChForms.store``).
+        """
+        values = []
+        for v in self._fields():
+            row = v[b]
+            values.append(row if isinstance(row, np.ndarray) else row.item())
+        return self._with_fields(self._SCALAR, values)
+
+
+#: A settable alias of :attr:`StabilizerSimulationState.engine` under a
+#: backend's own name (``ch_form``, ``tableau``).
+engine_alias = property(
+    lambda self: self.engine,
+    lambda self, engine: setattr(self, "engine", engine),
+    doc="The stabilizer engine (another name for ``engine``).",
+)
+
+
+class StabilizerSimulationState(SimulationState):
+    """A simulation state held in one packed stabilizer engine.
+
+    A backend names its ``_engine_type`` (constructed as
+    ``_engine_type(num_qubits, initial_state)``) and its snapshot
+    ``_payload_tag``; this class owns the act-on dispatch, measurement,
+    projection, Born queries, copies, and the warm-pool snapshot pair.
+    Gates apply through their ``_stabilizer_sequence_`` decomposition;
+    non-Clifford operations raise ``ValueError``, as in Cirq's stabilizer
+    simulator, unless routed through
+    :func:`repro.sampler.act_on_near_clifford` on the CH form (paper
+    Sec. 4.2).
+    """
+
+    _engine_type: type
+    _payload_tag: str
+
+    def __init__(
+        self,
+        qubits: Sequence[Qid],
+        initial_state: int = 0,
+        seed: Union[int, np.random.Generator, None] = None,
+    ):
+        super().__init__(qubits, seed)
+        self.engine = self._engine_type(len(self.qubits), initial_state)
+
+    def _act_on_(self, op: GateOperation) -> None:
+        axes = self.axes_of(op.qubits)
+        if op.is_measurement:
+            self.measure(axes)
+            return
+        seq = op._stabilizer_sequence_()
+        if seq is None:
+            raise ValueError(
+                f"Operation {op!r} is not a Clifford primitive; "
+                f"{type(self).__name__} runs Clifford circuits only (use "
+                "act_on_near_clifford on the CH form for Clifford+Rz)."
+            )
+        self.apply_stabilizer_sequence(seq, axes)
+
+    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
+        """Apply a ``(phase, [(primitive, local_axes)])`` decomposition."""
+        self.engine.apply_stabilizer_sequence(seq, axes)
+
+    def apply_single_qubit_moment(
+        self, seqs: Sequence, axes: Sequence[int]
+    ) -> None:
+        """Apply one single-qubit Clifford gate per (disjoint) axis."""
+        self.engine.apply_single_qubit_moment(seqs, axes)
+
+    def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
+        raise ValueError(
+            f"{type(self).__name__} cannot apply raw unitaries; "
+            "gates must provide a stabilizer decomposition."
+        )
+
+    def measure(self, axes: Sequence[int]) -> List[int]:
+        return [self.engine.measure(axis, self._rng) for axis in axes]
+
+    def project(self, axes: Sequence[int], bits: Sequence[int]) -> None:
+        self.engine.project(axes, bits)
+
+    def probability_of(self, bits: Sequence[int]) -> float:
+        """Born probability of a full bitstring."""
+        return self.engine.probability_of(bits)
+
+    def candidate_probabilities_many(
+        self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
+    ) -> np.ndarray:
+        """Candidate probabilities for many tracked bitstrings at once."""
+        return self.engine.candidate_probabilities_many(bits_list, support)
+
+    def copy(self, seed=None) -> "StabilizerSimulationState":
+        out = type(self).__new__(type(self))  # preserve subclasses
+        SimulationState.__init__(out, self.qubits, seed)
+        out.engine = self.engine.copy()
+        return out
+
+    # -- registry snapshot hooks (warm-pool worker shipping) ----------------
+    def snapshot(self) -> Tuple:
+        """``(tag, qubits) + engine.to_words()``: the engine as raw words.
+
+        Smaller than pickling the state object (no RNG, no qubit-index
+        dict, no ndarray envelopes) and ``==``-comparable, so the warm
+        pool keys worker initialization on the payload content.
+        """
+        return (self._payload_tag, tuple(self.qubits)) + self.engine.to_words()
+
+    @classmethod
+    def restore(cls, payload: Tuple) -> "StabilizerSimulationState":
+        """Inverse of :meth:`snapshot`; the restored state gets a fresh
+        RNG (the sampler re-seeds every copy it takes)."""
+        tag, qubits = payload[0], payload[1]
+        if tag != cls._payload_tag:
+            raise ValueError(f"Not a {cls.__name__} snapshot payload: {tag!r}")
+        state = cls.__new__(cls)
+        SimulationState.__init__(state, qubits, None)
+        state.engine = cls._engine_type.from_words(*payload[2:])
+        return state
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(num_qubits={self.num_qubits})"
 
 
 def candidate_index_matrix(

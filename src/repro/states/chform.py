@@ -29,10 +29,12 @@ property tests assert exact agreement gate-for-gate.
 Every gate update except the Hadamard indexes rows with ``...`` and
 reduces over the last axis, and the candidate routine broadcasts over a
 leading axis, so the same code runs on one CH form and on a
-``(B, n, W)`` batch stack.  :class:`StackedChForms` inherits them and
-only adds stacking, per-trajectory views, and the per-trajectory
-Hadamard (whose ``update_sum`` case split depends on each trajectory's
-own ``v`` and ``s``).
+``(B, n, W)`` batch stack.  :class:`StackedChForms` inherits them,
+takes copies, stacks and views from the field list both stabilizer
+engines share (:class:`~repro.states.base.StabilizerEngine`), and only
+adds the per-trajectory Hadamard (whose ``update_sum`` case split
+depends on each trajectory's own ``v`` and ``s``) and the write-back of
+the fields a scalar kernel rebinds.
 
 Why BGLS cares: computing one bitstring amplitude costs O(n^2) and is
 *independent of circuit depth* — the property behind the paper's Fig. 3.
@@ -51,14 +53,22 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import bitpack as bp
-from .base import apply_primitives, check_basis_index
+from .base import (
+    StabilizerEngine,
+    StackedEngine,
+    apply_primitives,
+    check_basis_index,
+)
 
 _SQRT2 = math.sqrt(2.0)
 _I_POW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
-class StabilizerChForm:
+class StabilizerChForm(StabilizerEngine):
     """Mutable CH-form stabilizer state on ``n`` qubits, initially |0..0>."""
+
+    _SHAPE = ("n", "_w", "_mask")
+    _FIELDS = ("Fw", "Gw", "Mw", "gamma", "vw", "sw", "omega")
 
     def __init__(self, num_qubits: int, initial_state: int = 0):
         n = int(num_qubits)
@@ -376,8 +386,12 @@ class StabilizerChForm:
             return False, 0 if pz == 0 else 1
         return True, -1
 
-    def project_measurement(self, q: int, outcome: int) -> None:
-        """Collapse qubit ``q`` to ``outcome`` (must have probability > 0)."""
+    def project_measurement(self, q: int, outcome: int) -> float:
+        """Collapse qubit ``q`` to ``outcome``; return its probability.
+
+        Returns 1.0 when the outcome was already pinned and 0.5 when it
+        was random; a zero-probability outcome raises ``ValueError``.
+        """
         pz, u = self._z_row_action(q)
         if np.array_equal(u, self.sw):
             bit = 0 if pz == 0 else 1
@@ -385,11 +399,12 @@ class StabilizerChForm:
                 raise ValueError(
                     f"Measurement outcome {outcome} has probability 0"
                 )
-            return
+            return 1.0
         # (I + (-1)^m Z_q)/2 |psi|, renormalized by sqrt(2).
         delta = (2 * int(outcome) + pz) % 4
         self.omega /= _SQRT2
         self.update_sum(self.sw.copy(), u, delta)
+        return 0.5
 
     def measure(self, q: int, rng: np.random.Generator) -> int:
         """Sample and collapse a Z measurement of qubit ``q``."""
@@ -547,20 +562,6 @@ class StabilizerChForm:
             out[idx] = self.inner_product_with_basis_state(bits)
         return out
 
-    def copy(self) -> "StabilizerChForm":
-        out = StabilizerChForm.__new__(StabilizerChForm)
-        out.n = self.n
-        out._w = self._w
-        out._mask = self._mask
-        out.Fw = self.Fw.copy()
-        out.Gw = self.Gw.copy()
-        out.Mw = self.Mw.copy()
-        out.gamma = self.gamma.copy()
-        out.vw = self.vw.copy()
-        out.sw = self.sw.copy()
-        out.omega = self.omega
-        return out
-
     # -- packed snapshot payloads (warm-pool worker shipping) ---------------
     def to_words(self) -> Tuple:
         """``(n, F, G, M, gamma, v, s, omega)`` with matrices as raw bytes.
@@ -613,12 +614,8 @@ class StabilizerChForm:
     def __repr__(self) -> str:
         return f"StabilizerChForm(n={self.n}, |v|={bp.count_bits(self.vw)})"
 
-    def stack(self, batch: int) -> "StackedChForms":
-        """``batch`` independent copies as one stacked-word computation."""
-        return StackedChForms(self, batch)
 
-
-class StackedChForms(StabilizerChForm):
+class StackedChForms(StackedEngine, StabilizerChForm):
     """A stack of ``B`` independent CH forms sharing each gate's word pass.
 
     The batched-trajectory engine's CH layout: ``Fw``/``Gw``/``Mw`` are
@@ -634,49 +631,7 @@ class StackedChForms(StabilizerChForm):
     back by :meth:`store`.
     """
 
-    def __init__(self, form: StabilizerChForm, batch: int):
-        batch = int(batch)
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.n = form.n
-        self._w = form._w
-        self._mask = form._mask
-        self.batch = batch
-        for name in ("Fw", "Gw", "Mw", "gamma", "vw", "sw"):
-            arr = getattr(form, name)
-            setattr(self, name, np.broadcast_to(arr, (batch,) + arr.shape).copy())
-        self.omega = np.full(batch, form.omega, dtype=np.complex128)
-
-    def take(self, rows: np.ndarray) -> "StackedChForms":
-        """A new stack of copies of ``rows`` (repeats allowed)."""
-        out = StackedChForms.__new__(StackedChForms)
-        out.n = self.n
-        out._w = self._w
-        out._mask = self._mask
-        out.batch = len(rows)
-        for name in ("Fw", "Gw", "Mw", "gamma", "vw", "sw", "omega"):
-            setattr(out, name, getattr(self, name)[rows])
-        return out
-
-    def view(self, b: int) -> StabilizerChForm:
-        """Trajectory ``b`` as a scalar CH form aliasing the stack.
-
-        Matrix mutations land in the stack directly; ``sw`` and ``omega``
-        are rebound by the scalar kernels and must be written back with
-        :meth:`store` after any scalar call.
-        """
-        out = StabilizerChForm.__new__(StabilizerChForm)
-        out.n = self.n
-        out._w = self._w
-        out._mask = self._mask
-        out.Fw = self.Fw[b]
-        out.Gw = self.Gw[b]
-        out.Mw = self.Mw[b]
-        out.gamma = self.gamma[b]
-        out.vw = self.vw[b]
-        out.sw = self.sw[b]
-        out.omega = complex(self.omega[b])
-        return out
+    _SCALAR = StabilizerChForm
 
     def store(self, b: int, form: StabilizerChForm) -> None:
         """Write back the scalar-rebound ``sw``/``omega`` of a view."""
@@ -689,3 +644,6 @@ class StackedChForms(StabilizerChForm):
             st = self.view(b)
             st.apply_h(q)
             self.store(b, st)
+
+
+StabilizerChForm._STACK = StackedChForms

@@ -11,20 +11,24 @@ A state class says what it can do through its own surface:
 * ``candidate_probabilities_many(bits_list, support)`` — the candidate
   oracle, answering a ``(B, 2^k)`` row block of candidate probabilities
   for ``B`` tracked bitstrings;
-* ``apply_stabilizer_sequence`` — cached ``(phase, primitives)``
-  decompositions apply directly (the plan's ``fast_stab`` path);
+* ``_act_on_``, not overridden — the class keeps a dispatcher the
+  library ships (``SimulationState._act_on_`` or
+  ``StabilizerSimulationState._act_on_``), so plans may skip it: a class
+  with ``apply_stabilizer_sequence`` then takes cached
+  ``(phase, primitives)`` decompositions directly (the plan's
+  ``fast_stab`` path), any other class takes ``apply_unitary`` with a
+  record's cached matrix (``fast_unitary``).  A class that overrides
+  ``_act_on_`` gets neither, on every backend, and sees every gate;
 * ``apply_single_qubit_moment`` — a moment of disjoint single-qubit
   Clifford gates applies in one call;
-* the base ``SimulationState._act_on_``, not overridden — plans may call
-  ``apply_unitary`` with a record's cached matrix (``fast_unitary``);
 * ``renormalize()`` — used after non-unitary Kraus branches;
 * ``_exact_channels_ = True`` — channels apply exactly (density
   matrices) instead of branching stochastically.
 
 :func:`capabilities_for` reads these flags off the class itself, so a
 subclass gets a descriptor of its own: one that overrides ``_act_on_``
-loses the unitary fast path, and none inherits its parent's snapshot
-hooks.  :func:`register_backend` records only what a class cannot say:
+loses both fast paths, and none inherits its parent's snapshot hooks.
+:func:`register_backend` records only what a class cannot say:
 
 * the scalar Born function ``(state, bits) -> float`` that means "use
   this class's ``candidate_probabilities_many``";
@@ -33,8 +37,9 @@ hooks.  :func:`register_backend` records only what a class cannot say:
   Payloads must be picklable and ``==``-comparable (prefer plain tuples
   of bytes/ints): the warm-pool service (:mod:`repro.sampler.service`)
   compares them to decide whether already-initialized workers can be
-  reused.  The shipped bit-packed tableau and CH-form backends implement
-  the hooks with raw ``uint64`` word payloads, and the MPS backend with
+  reused.  The shipped bit-packed tableau and CH-form backends register
+  one pair, ``StabilizerSimulationState.snapshot``/``restore``, with
+  raw ``uint64`` word payloads, and the MPS backend ships
   raw tensor bytes plus bond metadata; see the README "snapshot-hook
   contract";
 * a display ``name``.
@@ -49,7 +54,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from .base import SimulationState
+from .base import SimulationState, StabilizerSimulationState
+
+#: The ``_act_on_`` dispatchers the library ships; plans skip only these.
+_SHIPPED_DISPATCHERS = (
+    SimulationState._act_on_,
+    StabilizerSimulationState._act_on_,
+)
 
 
 def _candidates_many_via_state(state, bits_list, support):
@@ -73,8 +84,9 @@ class BackendCapabilities:
             ``candidate_probabilities_many``.
         stabilizer_sequences: The class has ``apply_stabilizer_sequence``.
         fused_moments: The class has ``apply_single_qubit_moment``.
-        base_unitary_dispatch: The class keeps the base
-            ``SimulationState._act_on_``.
+        shipped_dispatch: The class keeps a shipped ``_act_on_``
+            (``SimulationState``'s or ``StabilizerSimulationState``'s),
+            so plans may apply records without calling it.
         renormalize: The class has ``renormalize()``.
         exact_channels: The class sets ``_exact_channels_``.
         snapshot: Optional ``(state) -> payload`` producing a compact
@@ -90,7 +102,7 @@ class BackendCapabilities:
         "candidates_many",
         "stabilizer_sequences",
         "fused_moments",
-        "base_unitary_dispatch",
+        "shipped_dispatch",
         "renormalize",
         "exact_channels",
         "snapshot",
@@ -119,8 +131,8 @@ class BackendCapabilities:
             state_type, "apply_stabilizer_sequence"
         )
         self.fused_moments = hasattr(state_type, "apply_single_qubit_moment")
-        self.base_unitary_dispatch = (
-            getattr(state_type, "_act_on_", None) is SimulationState._act_on_
+        self.shipped_dispatch = (
+            getattr(state_type, "_act_on_", None) in _SHIPPED_DISPATCHERS
         )
         self.renormalize = hasattr(state_type, "renormalize")
         self.exact_channels = bool(getattr(state_type, "_exact_channels_", False))
@@ -131,7 +143,7 @@ class BackendCapabilities:
             for flag, on in [
                 ("stab_seq", self.stabilizer_sequences),
                 ("fused_moments", self.fused_moments),
-                ("base_unitary", self.base_unitary_dispatch),
+                ("shipped_dispatch", self.shipped_dispatch),
                 ("renormalize", self.renormalize),
                 ("exact_channels", self.exact_channels),
                 ("many_front", self.candidates_many is not None),

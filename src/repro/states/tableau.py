@@ -36,8 +36,9 @@ Kernel complexities with ``W = ceil(n/64)`` words per row:
 Gate updates (and the fused single-qubit layer) index the word axis with
 ``...`` and reduce over the last axis, so the same code updates one
 tableau ``(2n+1, W)`` or a batch stack ``(B, 2n+1, W)``:
-:class:`StackedCliffordTableaus` inherits them and only adds stacking and
-per-trajectory views for the batched trajectory engine.
+:class:`StackedCliffordTableaus` inherits them, and its stacking and
+per-trajectory views come from the field list both stabilizer engines
+share (:class:`~repro.states.base.StabilizerEngine`).
 
 The pre-packing one-bit-per-byte implementation is retained verbatim as
 the test oracle ``UnpackedCliffordTableau`` in
@@ -47,14 +48,19 @@ gate-for-gate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuits.operations import GateOperation
-from ..circuits.qubits import Qid
 from . import bitpack as bp
-from .base import SimulationState, apply_primitives, check_basis_index
+from .base import (
+    StabilizerEngine,
+    StabilizerSimulationState,
+    StackedEngine,
+    apply_primitives,
+    check_basis_index,
+    engine_alias,
+)
 
 _ONE = np.uint64(1)
 
@@ -90,13 +96,15 @@ def _scatter_xor_columns(
     mat[..., sorted_ws[starts]] ^= combined
 
 
-class CliffordTableau:
+class CliffordTableau(StabilizerEngine):
     """The Aaronson-Gottesman tableau over ``n`` qubits, ``uint64``-packed.
 
     Args:
         num_qubits: Register width ``n``.
         initial_state: Computational-basis index (big-endian) to start in.
     """
+
+    _FIELDS = ("xw", "zw", "r")
 
     def __init__(self, num_qubits: int, initial_state: int = 0):
         n = int(num_qubits)
@@ -584,15 +592,6 @@ class CliffordTableau:
             out.append(sign + "".join(chars))
         return out
 
-    def copy(self) -> "CliffordTableau":
-        out = CliffordTableau.__new__(CliffordTableau)
-        out.n = self.n
-        out._w = self._w
-        out.xw = self.xw.copy()
-        out.zw = self.zw.copy()
-        out.r = self.r.copy()
-        return out
-
     # -- packed snapshot payloads (warm-pool worker shipping) ---------------
     def to_words(self) -> Tuple[int, bytes, bytes, bytes]:
         """``(n, x_bytes, z_bytes, r_bytes)`` — the tableau as raw words.
@@ -646,12 +645,8 @@ class CliffordTableau:
     def __repr__(self) -> str:
         return f"CliffordTableau(num_qubits={self.n})"
 
-    def stack(self, batch: int) -> "StackedCliffordTableaus":
-        """``batch`` independent copies as one stacked-word computation."""
-        return StackedCliffordTableaus(self, batch)
 
-
-class StackedCliffordTableaus(CliffordTableau):
+class StackedCliffordTableaus(StackedEngine, CliffordTableau):
     """A stack of ``B`` independent tableaus updated by one column pass.
 
     The batched-trajectory engine's word layout: ``xw``/``zw`` are
@@ -666,40 +661,13 @@ class StackedCliffordTableaus(CliffordTableau):
     coherent).
     """
 
-    def __init__(self, tableau: CliffordTableau, batch: int):
-        batch = int(batch)
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.n = tableau.n
-        self._w = tableau._w
-        self.batch = batch
-        self.xw = np.broadcast_to(tableau.xw, (batch,) + tableau.xw.shape).copy()
-        self.zw = np.broadcast_to(tableau.zw, (batch,) + tableau.zw.shape).copy()
-        self.r = np.broadcast_to(tableau.r, (batch,) + tableau.r.shape).copy()
-
-    def take(self, rows: np.ndarray) -> "StackedCliffordTableaus":
-        """A new stack of copies of ``rows`` (repeats allowed)."""
-        out = StackedCliffordTableaus.__new__(StackedCliffordTableaus)
-        out.n = self.n
-        out._w = self._w
-        out.batch = len(rows)
-        out.xw = self.xw[rows]
-        out.zw = self.zw[rows]
-        out.r = self.r[rows]
-        return out
-
-    def view(self, b: int) -> CliffordTableau:
-        """Trajectory ``b`` as a scalar tableau aliasing the stack."""
-        out = CliffordTableau.__new__(CliffordTableau)
-        out.n = self.n
-        out._w = self._w
-        out.xw = self.xw[b]
-        out.zw = self.zw[b]
-        out.r = self.r[b]
-        return out
+    _SCALAR = CliffordTableau
 
 
-class CliffordTableauSimulationState(SimulationState):
+CliffordTableau._STACK = StackedCliffordTableaus
+
+
+class CliffordTableauSimulationState(StabilizerSimulationState):
     """Aaronson-Gottesman tableau bound to a qubit register.
 
     A drop-in alternative to
@@ -707,105 +675,13 @@ class CliffordTableauSimulationState(SimulationState):
     Clifford circuits.  Gates are routed through the same
     ``_stabilizer_sequence_`` hook; global phases are discarded (the
     tableau does not track them, and no probability depends on them).
+    Born queries are chains of forced measurements (see module note).
     """
 
-    def __init__(
-        self,
-        qubits: Sequence[Qid],
-        initial_state: int = 0,
-        seed: Union[int, np.random.Generator, None] = None,
-    ):
-        super().__init__(qubits, seed)
-        self.tableau = CliffordTableau(len(self.qubits), initial_state)
-
-    # -- act_on ------------------------------------------------------------
-    def _act_on_(self, op: GateOperation) -> None:
-        axes = self.axes_of(op.qubits)
-        if op.is_measurement:
-            self.measure(axes)
-            return
-        seq = op._stabilizer_sequence_()
-        if seq is None:
-            raise ValueError(
-                f"Operation {op!r} is not a Clifford primitive; the tableau "
-                "state supports Clifford circuits only."
-            )
-        self.apply_stabilizer_sequence(seq, axes)
-
-    def apply_stabilizer_sequence(self, seq, axes: Sequence[int]) -> None:
-        """Apply a ``(phase, [(primitive, local_axes)])`` decomposition."""
-        self.tableau.apply_stabilizer_sequence(seq, axes)
-
-    def apply_single_qubit_moment(
-        self, seqs: Sequence, axes: Sequence[int]
-    ) -> None:
-        """Apply one single-qubit Clifford gate per (disjoint) axis."""
-        self.tableau.apply_single_qubit_moment(seqs, axes)
-
-    # -- SimulationState interface ------------------------------------------
-    def apply_unitary(self, u: np.ndarray, axes: Sequence[int]) -> None:
-        raise ValueError(
-            "CliffordTableauSimulationState cannot apply raw unitaries; "
-            "gates must provide a stabilizer decomposition."
-        )
-
-    def measure(self, axes: Sequence[int]) -> List[int]:
-        return [self.tableau.measure(axis, self._rng) for axis in axes]
-
-    def project(self, axes: Sequence[int], bits: Sequence[int]) -> None:
-        for axis, bit in zip(axes, bits):
-            if self.tableau.project_measurement(axis, int(bit)) == 0.0:
-                raise ValueError(
-                    f"Projection of qubit axis {axis} onto {bit} has zero "
-                    "probability"
-                )
-
-    # -- queries -------------------------------------------------------------
-    def probability_of(self, bits: Sequence[int]) -> float:
-        """Born probability of a full bitstring (see module note)."""
-        return self.tableau.probability_of(bits)
-
-    def candidate_probabilities_many(
-        self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
-    ) -> np.ndarray:
-        """Candidate probabilities for many tracked bitstrings at once,
-        sharing the off-support projection chain across common prefixes."""
-        return self.tableau.candidate_probabilities_many(bits_list, support)
+    _engine_type = CliffordTableau
+    _payload_tag = "clifford_tableau"
+    tableau = engine_alias
 
     def stabilizer_strings(self) -> List[str]:
         """The current stabilizer generators as signed Pauli strings."""
-        return self.tableau.stabilizer_strings()
-
-    def copy(self, seed=None) -> "CliffordTableauSimulationState":
-        out = type(self).__new__(type(self))  # preserve subclasses
-        SimulationState.__init__(out, self.qubits, seed)
-        out.tableau = self.tableau.copy()
-        return out
-
-    def __repr__(self) -> str:
-        return f"CliffordTableauSimulationState(num_qubits={self.num_qubits})"
-
-
-def snapshot_tableau_state(state: CliffordTableauSimulationState) -> Tuple:
-    """Registry ``snapshot`` hook: the state as raw ``uint64`` words.
-
-    The payload is ``("clifford_tableau", qubits, n, x, z, r)`` with the
-    matrices as plain bytes — smaller than pickling the state object
-    (which drags along the RNG state, the qubit-index dict, and one
-    ndarray envelope per block) and directly ``==``-comparable, which is
-    how the warm pool decides whether workers need re-initialization.
-    Restored states get a fresh RNG; the sampler's determinism never
-    depends on the initial state's own generator (copies are re-seeded).
-    """
-    return ("clifford_tableau", tuple(state.qubits)) + state.tableau.to_words()
-
-
-def restore_tableau_state(payload: Tuple) -> CliffordTableauSimulationState:
-    """Registry ``restore`` hook, inverse of :func:`snapshot_tableau_state`."""
-    tag, qubits, n, x_bytes, z_bytes, r_bytes = payload
-    if tag != "clifford_tableau":  # pragma: no cover - defensive
-        raise ValueError(f"Not a tableau snapshot payload: {tag!r}")
-    state = CliffordTableauSimulationState.__new__(CliffordTableauSimulationState)
-    SimulationState.__init__(state, qubits, None)
-    state.tableau = CliffordTableau.from_words(n, x_bytes, z_bytes, r_bytes)
-    return state
+        return self.engine.stabilizer_strings()

@@ -41,22 +41,22 @@ class TestShippedRegistrations:
         } <= names
 
     @pytest.mark.parametrize(
-        "cls,stab_seq,fused,base_unitary,renorm,exact_ch",
+        "cls,stab_seq,fused,shipped_dispatch,renorm,exact_ch",
         [
             (StateVectorSimulationState, False, False, True, True, False),
             (DensityMatrixSimulationState, False, False, True, False, True),
-            (StabilizerChFormSimulationState, True, True, False, False, False),
-            (CliffordTableauSimulationState, True, True, False, False, False),
+            (StabilizerChFormSimulationState, True, True, True, False, False),
+            (CliffordTableauSimulationState, True, True, True, False, False),
             (MPSState, False, False, True, True, False),
         ],
     )
     def test_capability_flags(
-        self, cls, stab_seq, fused, base_unitary, renorm, exact_ch
+        self, cls, stab_seq, fused, shipped_dispatch, renorm, exact_ch
     ):
         caps = capabilities_for(cls)
         assert caps.stabilizer_sequences == stab_seq
         assert caps.fused_moments == fused
-        assert caps.base_unitary_dispatch == base_unitary
+        assert caps.shipped_dispatch == shipped_dispatch
         assert caps.renormalize == renorm
         assert caps.exact_channels == exact_ch
         assert caps.candidates_many is not None
@@ -95,7 +95,7 @@ class TestDerivedCapabilities:
         for flag in (
             "stabilizer_sequences",
             "fused_moments",
-            "base_unitary_dispatch",
+            "shipped_dispatch",
             "renormalize",
             "exact_channels",
             "candidates_many",
@@ -120,7 +120,7 @@ class TestDerivedCapabilities:
         assert caps.candidates_many is None
         assert capabilities_for(Rows).candidates_many is not None
         assert not caps.stabilizer_sequences
-        assert not caps.base_unitary_dispatch  # no SimulationState._act_on_
+        assert not caps.shipped_dispatch  # no SimulationState._act_on_
         # Cached: second lookup returns the identical derived descriptor.
         assert capabilities_for(Bare) is caps
 
@@ -135,7 +135,7 @@ class TestDerivedCapabilities:
                 super()._act_on_(op)
 
         caps = capabilities_for(Intercepting)
-        assert not caps.base_unitary_dispatch
+        assert not caps.shipped_dispatch
         # The oracle still inherits from the parent registration.
         assert caps.candidates_many is capabilities_for(
             StateVectorSimulationState
@@ -188,8 +188,91 @@ class TestDerivedCapabilities:
         ):
             caps = capabilities_for(cls)
             plan = compile_plan(circuit, cls(qubits), act_on)
-            assert plan.fast_stab == caps.stabilizer_sequences
-            assert plan.fast_unitary == caps.base_unitary_dispatch
+            fast = caps.shipped_dispatch
+            assert plan.fast_stab == (fast and caps.stabilizer_sequences)
+            assert plan.fast_unitary == (
+                fast and not caps.stabilizer_sequences
+            )
+
+
+STABILIZER_BACKENDS = [
+    pytest.param(
+        StabilizerChFormSimulationState,
+        born.compute_probability_stabilizer_state,
+        id="ch_form",
+    ),
+    pytest.param(
+        CliffordTableauSimulationState,
+        born.compute_probability_tableau,
+        id="tableau",
+    ),
+]
+
+
+def counting_subclass(base):
+    """A subclass of ``base`` counting its ``_act_on_`` calls."""
+
+    class Counting(base):
+        calls = 0
+
+        def _act_on_(self, op):
+            Counting.calls += 1
+            super()._act_on_(op)
+
+    return Counting
+
+
+class TestStabilizerActOnOverride:
+    """A stabilizer subclass that overrides ``_act_on_`` sees every gate,
+    as a state-vector subclass does: the fast paths skip only the
+    dispatchers the library ships."""
+
+    @staticmethod
+    def bell(qubits):
+        return cirq.Circuit(
+            cirq.H(qubits[0]),
+            cirq.CNOT(qubits[0], qubits[1]),
+            cirq.measure(*qubits, key="z"),
+        )
+
+    @pytest.mark.parametrize("trajectory_mode", ["serial", "batched"])
+    @pytest.mark.parametrize("base, prob_fn", STABILIZER_BACKENDS)
+    def test_override_sees_every_gate(
+        self, qubits, base, prob_fn, trajectory_mode
+    ):
+        cls = counting_subclass(base)
+        caps = capabilities_for(cls)
+        assert not caps.shipped_dispatch
+        plan = compile_plan(self.bell(qubits), cls(qubits), act_on)
+        assert not plan.fast_stab and not plan.fast_unitary
+        sim = bgls.Simulator(
+            cls(qubits),
+            act_on,
+            prob_fn,
+            seed=1,
+            trajectory_mode=trajectory_mode,
+        )
+        rows = sim.run(self.bell(qubits), repetitions=10).measurements["z"]
+        # Parallel mode evolves one state: H and CNOT, once each.
+        assert cls.calls == 2
+        np.testing.assert_array_equal(rows[:, 0], rows[:, 1])
+
+    @pytest.mark.parametrize("base, prob_fn", STABILIZER_BACKENDS)
+    def test_override_samples_exact_born(self, qubits, base, prob_fn):
+        from test_sampling_statistics import (
+            assert_matches_exact,
+            exact_distribution,
+        )
+
+        cls = counting_subclass(base)
+        circuit = self.bell(qubits)
+        sim = bgls.Simulator(cls(qubits), act_on, prob_fn, seed=1)
+        reps = 2000
+        rows = sim.run(circuit, repetitions=reps).measurements["z"]
+        assert cls.calls == 2
+        assert_matches_exact(
+            rows, exact_distribution(circuit, qubits), len(qubits), reps
+        )
 
 
 # -- custom user backend through the public hook ---------------------------
@@ -282,7 +365,7 @@ class TestUserBackendRegistration:
 
     def test_introspected_capability_defaults(self, qubits, user_backend):
         # Unspecified flags were derived from the class surface.
-        assert user_backend.base_unitary_dispatch
+        assert user_backend.shipped_dispatch
         assert user_backend.renormalize
         assert not user_backend.stabilizer_sequences
 

@@ -28,6 +28,16 @@ across the five shipped backends and both executors:
   ``ProcessPoolExecutor`` and ``SamplingService`` (regression: 0
   silently meant ``os.cpu_count()``, negatives silently meant 1, 2.5
   meant 2 and ``True`` meant 1); ``None`` means ``os.cpu_count()``;
+* executor settings — ``SerialExecutor(chunks=...)`` takes integers >= 1
+  and ``ProcessPoolExecutor(task_timeout=...)`` a positive finite
+  number or ``None``, checked at construction with a ``ValueError``
+  naming the argument (regression: ``chunks=2.5`` failed at run time
+  with a ``TypeError`` and ``chunks=True`` ran as one chunk;
+  ``task_timeout=True`` meant 1 s, ``"1"`` raised a bare ``TypeError``
+  and NaN never fired);
+* tenant quotas — ``SamplingService(default_quota=...)`` and
+  ``register_tenant(quota=...)`` reject NaN and infinity (regression:
+  a NaN quota left the fair-share order undefined);
 * near-Clifford apply_ops off the CH form — ``act_on_near_clifford`` and
   its noisy variant raise ``ValueError`` naming the state type and
   ``StabilizerChFormSimulationState`` (regression: an ``AttributeError``
@@ -476,6 +486,59 @@ class TestWorkerCount:
 
     def test_none_means_cpu_count(self):
         assert ProcessPoolExecutor().num_workers == (os.cpu_count() or 1)
+
+
+class TestExecutorSettings:
+    @pytest.mark.parametrize("chunks", [0, -1, 2.5, True, "2"])
+    def test_serial_executor_rejects_bad_chunks(self, chunks):
+        with pytest.raises(ValueError, match="chunks"):
+            SerialExecutor(chunks=chunks)
+
+    def test_numpy_integer_chunks_accepted(self):
+        assert SerialExecutor(chunks=np.int64(3)).chunks == 3
+
+    @pytest.mark.parametrize(
+        "task_timeout",
+        [0, -1.5, True, "1", float("nan"), float("inf")],
+        ids=["zero", "negative", "bool", "str", "nan", "inf"],
+    )
+    def test_pooled_executor_rejects_bad_task_timeout(self, task_timeout):
+        with pytest.raises(ValueError, match="task_timeout"):
+            ProcessPoolExecutor(num_workers=2, task_timeout=task_timeout)
+
+    @pytest.mark.parametrize("task_timeout", [None, 2, 0.5, np.float64(3.0)])
+    def test_good_task_timeouts_accepted(self, task_timeout):
+        executor = ProcessPoolExecutor(num_workers=2, task_timeout=task_timeout)
+        assert executor.task_timeout == task_timeout
+
+
+class TestTenantQuotas:
+    @pytest.mark.parametrize(
+        "quota", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_service_rejects_non_finite_default_quota(self, quota):
+        with pytest.raises(ValueError, match="default_quota"):
+            SamplingService(
+                StateVectorSimulationState(QUBITS),
+                bgls.act_on,
+                born.compute_probability_state_vector,
+                executor=SerialExecutor(),
+                default_quota=quota,
+            )
+
+    @pytest.mark.parametrize(
+        "quota", [float("nan"), float("inf")], ids=["nan", "inf"]
+    )
+    def test_register_tenant_rejects_non_finite_quota(self, quota):
+        with SamplingService(
+            StateVectorSimulationState(QUBITS),
+            bgls.act_on,
+            born.compute_probability_state_vector,
+            executor=SerialExecutor(),
+        ) as service:
+            with pytest.raises(ValueError, match="quota"):
+                service.register_tenant("a", quota=quota)
+            service.register_tenant("a", quota=2.5)
 
 
 class TestRequestNormalizer:
