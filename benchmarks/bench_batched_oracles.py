@@ -2,8 +2,9 @@
 
 PR 1 batched the CH form's candidate queries; PR 2 extended the batched
 ``candidate_probabilities_many`` oracle to every backend (state vector via
-one flat gather, tableau via a prefix-shared projection chain, MPS via
-cached environment tensors) and fused single-qubit Clifford moments.
+one flat gather, tableau via one X-block elimination and a packed
+parity test per query block, MPS via cached environment tensors) and
+fused single-qubit Clifford moments.
 These series quantify the batching alone: identical circuits sampled (or
 queried) once through the batched oracle and once through a per-candidate
 ``probability_of`` loop — the exact fallback path user-supplied
@@ -61,7 +62,7 @@ def _tableau_simulator(qubits, batched=True, seed=0):
 
 
 def test_tableau_batched_vs_candidate_loop(benchmark):
-    """The prefix-shared batched tableau oracle vs per-candidate chains."""
+    """One elimination per query block vs one per candidate."""
     depth = 20
     rows = []
     times = {}

@@ -23,6 +23,15 @@ measurement.  Every trajectory shares one state up to that layer, so the
 batched engine evolves the noiseless prefix once for the whole tile
 (``BENCH_batched_vs_serial_trajectories_noise_at_the_end.json``, gated
 by ``check_regressions.py`` with a ``min_ratio`` floor).
+
+A third series runs the stacked tableau: a 16-qubit random Clifford
+circuit of depth 30 that measures 4 qubits halfway through, so every
+repetition is a trajectory.  Each candidate query after the projection
+is one X-block elimination per distinct row, answering all of that row's
+trajectories (the ``..._tableau_trajectories_mid_circuit_measurement``
+series, gated by ``check_regressions.py`` with a ``min_ratio`` floor).
+Its batched output must equal the CH form's bit for bit: both backends
+read the same uniforms against the same exact Born probabilities.
 """
 
 import numpy as np
@@ -33,7 +42,11 @@ from repro import circuits as cirq
 from repro.apps.qaoa import qaoa_maxcut_circuit, random_graph
 from repro.circuits import channels
 from repro.sampler import trajectory_batch
-from repro.states import StateVectorSimulationState
+from repro.states import (
+    CliffordTableauSimulationState,
+    StabilizerChFormSimulationState,
+    StateVectorSimulationState,
+)
 
 from conftest import assert_timing_win, print_series, wall_time
 
@@ -61,11 +74,17 @@ def noisy_circuit(seed=11):
     return circuit
 
 
-def make_sim(mode, seed=19, qubits=QUBITS):
+def make_sim(
+    mode,
+    seed=19,
+    qubits=QUBITS,
+    state_type=StateVectorSimulationState,
+    probability=born.compute_probability_state_vector,
+):
     return bgls.Simulator(
-        StateVectorSimulationState(qubits),
+        state_type(qubits),
         bgls.act_on,
-        born.compute_probability_state_vector,
+        probability,
         seed=seed,
         trajectory_mode=mode,
     )
@@ -194,4 +213,74 @@ def test_batched_vs_serial_noise_at_the_end(monkeypatch):
         serial_s,
         f"batched trajectories >= {MIN_SPEEDUP}x over serial "
         "(noise at the end)",
+    )
+
+
+TAB_WIDTH = 16
+TAB_DEPTH = 30
+TAB_MEASURED = 4
+TAB_REPS = 64
+
+
+def mid_measure_clifford_circuit(seed=7):
+    """A random Clifford circuit that measures its first qubits halfway."""
+    qubits = cirq.LineQubit.range(TAB_WIDTH)
+    half = TAB_DEPTH // 2
+    circuit = cirq.random_clifford_circuit(qubits, half, random_state=seed)
+    circuit.append(cirq.measure(*qubits[:TAB_MEASURED], key="mid"))
+    circuit = circuit + cirq.random_clifford_circuit(
+        qubits, half, random_state=seed + 1
+    )
+    circuit.append(cirq.measure(*qubits, key="m"))
+    return circuit, qubits
+
+
+def test_batched_vs_serial_tableau_trajectories():
+    circuit, qubits = mid_measure_clifford_circuit()
+
+    def tableau_sim(mode):
+        return make_sim(
+            mode,
+            qubits=qubits,
+            state_type=CliffordTableauSimulationState,
+            probability=born.compute_probability_tableau,
+        )
+
+    # Correctness before timing: same uniforms, same exact probabilities,
+    # so the batched tableau and CH-form outputs agree bit for bit.
+    chform = make_sim(
+        "batched",
+        qubits=qubits,
+        state_type=StabilizerChFormSimulationState,
+        probability=born.compute_probability_stabilizer_state,
+    ).run(circuit, repetitions=TAB_REPS)
+    tableau = tableau_sim("batched").run(circuit, repetitions=TAB_REPS)
+    for key in ("mid", "m"):
+        np.testing.assert_array_equal(
+            chform.measurements[key],
+            tableau.measurements[key],
+            err_msg=f"batched tableau and CH form differ on {key!r}",
+        )
+
+    serial_sim = tableau_sim("serial")
+    batched_sim = tableau_sim("batched")
+    serial_s = wall_time(
+        lambda: serial_sim.run(circuit, repetitions=TAB_REPS), repeats=3
+    )
+    batched_s = wall_time(
+        lambda: batched_sim.run(circuit, repetitions=TAB_REPS), repeats=3
+    )
+    speedup = serial_s / batched_s
+
+    print_series(
+        "Batched vs serial tableau trajectories mid-circuit measurement",
+        ["qubits", "depth", "measured", "reps", "serial_s", "batched_s",
+         "speedup"],
+        [(TAB_WIDTH, TAB_DEPTH, TAB_MEASURED, TAB_REPS, serial_s, batched_s,
+          speedup)],
+    )
+    assert_timing_win(
+        MIN_SPEEDUP * batched_s,
+        serial_s,
+        f"batched tableau trajectories >= {MIN_SPEEDUP}x over serial",
     )

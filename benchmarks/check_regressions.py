@@ -3,8 +3,9 @@
 The committed ``benchmarks/results/BENCH_*.json`` files are the perf
 record of every PR's headline win.  This script keeps them honest: it
 re-runs the warm-pool, fresh-ensemble, adaptive-scheduling,
-program-cache, batched-oracle, batched-trajectory (noise throughout and
-noise at the end), result-plane-transport, streaming-latency, service-fair-share,
+program-cache, batched-oracle, batched-trajectory (noise throughout,
+noise at the end, and tableau trajectories through a mid-circuit
+measurement), result-plane-transport, streaming-latency, service-fair-share,
 work-stealing, XEB-supremacy-batch and state-vector-kernel series and
 compares each fresh
 ``speedup`` (or byte-reduction ratio) against the committed baseline with a *generous* tolerance —
@@ -110,6 +111,15 @@ SERIES = {
         "speedup_columns": ("speedup",),
         "exact_columns": ("qubits", "edges", "reps"),
         "min_ratio": 20.0,
+    },
+    # Stacked tableaus through a mid-circuit measurement: each candidate
+    # query is one X-block elimination per distinct row, not a chain of
+    # forced measurements per trajectory.
+    "BENCH_batched_vs_serial_tableau_trajectories_mid_circuit_measurement.json": {
+        "module": "bench_trajectory_batch.py",
+        "speedup_columns": ("speedup",),
+        "exact_columns": ("qubits", "depth", "measured", "reps"),
+        "min_ratio": 3.0,
     },
     # The service gate pins the job tier's whole contract: zero pool
     # re-inits for two interleaved circuits across four tenants,

@@ -53,6 +53,7 @@ import numpy as np
 
 from .executors import ProcessPoolExecutor
 from .requests import (
+    normalize_count,
     normalize_num_workers,
     normalize_repetitions,
     require_positive_finite,
@@ -312,14 +313,12 @@ class SamplingService:
         default_quota: float = 1.0,
         simulator_options: Optional[dict] = None,
     ):
-        if max_result_entries < 1:
-            raise ValueError(
-                f"max_result_entries must be >= 1, got {max_result_entries}"
-            )
-        if max_result_bytes < 1:
-            raise ValueError(
-                f"max_result_bytes must be >= 1, got {max_result_bytes}"
-            )
+        # NaN would never trip the eviction test, so the store would grow
+        # without bound: both bounds must be integers >= 1.
+        max_result_entries = normalize_count(
+            "max_result_entries", max_result_entries
+        )
+        max_result_bytes = normalize_count("max_result_bytes", max_result_bytes)
         require_positive_finite("default_quota", default_quota)
         num_workers = normalize_num_workers(num_workers)
         self._initial_state = initial_state

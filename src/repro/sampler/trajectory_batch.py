@@ -336,9 +336,9 @@ class _StackedStabilizerAdapter:
     ``owner`` maps trajectories to its rows, as in
     :class:`BatchedStateVector`, starting from one row that stacks the
     scalar state's ``engine``.  Clifford word passes and fused moments
-    broadcast over the rows in one call; measurement-adjacent operations
-    (projection chains, candidate recursions for the tableau) branch per
-    row or trajectory and run through zero-copy scalar views.
+    broadcast over the rows in one call; projections and the tableau's
+    candidate oracle branch per row and run through zero-copy scalar
+    views.
     """
 
     def __init__(self, stack, num_qubits: int, owner: np.ndarray = None):
@@ -392,13 +392,13 @@ class BatchedTableaus(_StackedStabilizerAdapter):
     def candidate_probabilities(
         self, bits: np.ndarray, support: Sequence[int]
     ) -> np.ndarray:
-        # Candidate chains replay measurement recursions per trajectory
-        # on a copy of its row; the word-op gate passes stay batched.
+        # One elimination per distinct row answers all its trajectories.
         out = np.empty((self.batch, 2 ** len(support)))
-        for b, row in enumerate(self.owner):
-            out[b] = self.stack.view(row).candidate_probabilities_many(
-                bits[b : b + 1], support
-            )[0]
+        for row in np.unique(self.owner):
+            mine = self.owner == row
+            out[mine] = self.stack.view(row).candidate_probabilities_many(
+                bits[mine], support
+            )
         return out
 
     def _project_row(self, row, support, outcome) -> None:

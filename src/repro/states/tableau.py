@@ -4,9 +4,11 @@ This is the second stabilizer engine in the package, complementing the
 CH form of :mod:`repro.states.chform`.  The paper's Sec. 4.1 builds on the
 CH form because it supports *amplitudes* natively in ``O(n^2)``; the plain
 tableau of Aaronson & Gottesman (PRA 70, 052328 (2004)) is the more common
-textbook representation but only answers measurement queries directly.
-Shipping both lets the benchmark suite quantify that design choice (see
-``benchmarks/bench_tableau_vs_chform.py``).
+textbook representation and has no amplitude query.  Its Born
+probabilities still come cheaply: a stabilizer state's computational-basis
+distribution is uniform on an affine subspace, so ``P(b)`` is ``2^-r`` or
+0.  Shipping both lets the benchmark suite quantify that design choice
+(see ``benchmarks/bench_tableau_vs_chform.py``).
 
 Packed layout (Stim-style; see :mod:`repro.states.bitpack`):
 
@@ -28,10 +30,11 @@ Kernel complexities with ``W = ceil(n/64)`` words per row:
 * ``_rowsum_many`` — the measurement-collapse kernel — multiplies one
   pivot row into *all* anticommuting rows in a single 2-D vectorized pass:
   ``O(n * W)`` with no Python loop over rows.
-* ``candidate_probabilities_many`` answers all ``2^k`` BGLS candidate
-  queries of a gate's support from one shared scratch tableau per
-  off-support pattern (the projection chain is done once, not ``2^k``
-  times, and shared across common prefixes).
+* ``candidate_probabilities_many`` answers a ``(B, 2^k)`` block of BGLS
+  candidate queries from one ``O(n^2 W)`` elimination of the stabilizer
+  rows' X block (rank ``r``, plus one ``z . b = s`` parity constraint per
+  row left without an X pivot) and one packed parity test per
+  constraint: ``P(b) = 2^-r`` when ``b`` meets every constraint, else 0.
 
 Gate updates (and the fused single-qubit layer) index the word axis with
 ``...`` and reduce over the last axis, so the same code updates one
@@ -437,146 +440,67 @@ class CliffordTableau(StabilizerEngine):
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def probability_of(self, bits: Sequence[int]) -> float:
-        """Born probability of the full bitstring ``bits``.
+    def _parity_constraints(self) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Row-reduce the stabilizer rows' X block on a scratch copy.
 
-        Implemented as a chain of forced measurements on a scratch copy:
-        ``P(b) = prod_j P(b_j | b_0..b_{j-1})`` where each conditional is
-        0, 1/2, or 1.  The tableau has no native amplitude query, which is
-        exactly why the paper's Sec. 4.1 uses the CH form instead.
+        Returns ``(rank, z, s)``.  Each row left without an X pivot is
+        ``(-1)^s Z^z``, so ``|b>`` lies in the support iff ``z . b = s
+        (mod 2)`` for all of them, and each basis state of the support has
+        probability ``2^-rank`` (the support is an affine subspace: AG04;
+        Garcia, Markov & Cross, arXiv:1210.6646).  Stabilizer rows
+        commute, so the :meth:`_rowsum_many` phase stays real.
         """
+        n = self.n
+        tab = self.copy()
+        free = np.arange(n, 2 * n)
+        for c in range(n):
+            w, b = bp.word_and_bit(c)
+            hits = free[((tab.xw[free, w] >> b) & _ONE).astype(bool)]
+            if hits.size == 0:
+                continue
+            if hits.size > 1:
+                tab._rowsum_many(hits[1:], hits[0])
+            free = free[free != hits[0]]
+        return n - free.size, tab.zw[free], tab.r[free]
+
+    def probability_of(self, bits: Sequence[int]) -> float:
+        """Born probability of the full bitstring ``bits``: ``2^-rank`` if
+        it meets every parity constraint, else 0 (the ``k = 0`` case of
+        :meth:`candidate_probabilities_many`)."""
         if len(bits) != self.n:
             raise ValueError(f"Expected {self.n} bits, got {len(bits)}")
-        scratch = self.copy()
-        prob = 1.0
-        for a, bit in enumerate(bits):
-            factor = scratch.project_measurement(a, int(bit))
-            if factor == 0.0:
-                return 0.0
-            prob *= factor
-        return prob
-
-    def _candidate_row(
-        self, bits: Sequence[int], support: Sequence[int]
-    ) -> np.ndarray:
-        """The one-row step of :meth:`candidate_probabilities_many`.
-
-        The off-support forced-measurement chain runs once on one shared
-        scratch tableau; the candidates then branch from it (at most
-        ``2^k - 1`` extra copies, none when every support outcome is
-        pinned), instead of ``2^k`` full chains on ``2^k`` copies.
-        """
-        out = np.zeros(2 ** len(support))
-        support_set = set(support)
-        scratch = self.copy()
-        prob = 1.0
-        for a, bit in enumerate(bits):
-            if a in support_set:
-                continue
-            factor = scratch.project_measurement(a, int(bit))
-            if factor == 0.0:
-                return out
-            prob *= factor
-        self._fill_support(scratch, support, 0, 0, prob, out)
-        return out
-
-    def _fill_support(
-        self,
-        tab: "CliffordTableau",
-        support: Sequence[int],
-        pos: int,
-        idx: int,
-        acc: float,
-        out_row: np.ndarray,
-    ) -> None:
-        """Branch the support qubits of a projected scratch tableau.
-
-        Forced outcomes follow without copies; random outcomes split the
-        tableau once per coin flip (probability halves each time).
-        """
-        if pos == len(support):
-            out_row[idx] = acc
-            return
-        a = support[pos]
-        pivot = tab._random_pivot(a)
-        if pivot is None:
-            forced = tab.deterministic_outcome(a)
-            self._fill_support(
-                tab, support, pos + 1, (idx << 1) | forced, acc, out_row
-            )
-            return
-        branch = tab.copy()
-        branch._collapse(a, pivot, 0)
-        self._fill_support(branch, support, pos + 1, idx << 1, acc * 0.5, out_row)
-        tab._collapse(a, pivot, 1)
-        self._fill_support(
-            tab, support, pos + 1, (idx << 1) | 1, acc * 0.5, out_row
-        )
+        return float(self.candidate_probabilities_many([bits], [])[0, 0])
 
     def candidate_probabilities_many(
         self, bits_list: Sequence[Sequence[int]], support: Sequence[int]
     ) -> np.ndarray:
         """A ``(B, 2^k)`` candidate-probability matrix for ``B`` bitstrings.
 
-        The off-support forced-measurement chains of the whole tracked
-        front are shared through a prefix tree: bitstrings are first
-        deduplicated on their off-support bits (candidate rows of equal
-        off-support patterns are identical), then the projection chain
-        walks qubits in ascending order and only copies the scratch
-        tableau where two patterns actually diverge.  A front of ``B``
-        bitstrings therefore costs one chain for the common prefix plus
-        one sub-chain per divergence, instead of ``B`` full chains.
+        One elimination (:meth:`_parity_constraints`) answers the block.
+        Each constraint's parity splits into an off-support part per
+        bitstring (packed AND plus popcount, support bits cleared) and a
+        support part per candidate index (a ``(2^k, m)`` table over the
+        constraint rows' support columns).  A candidate gets ``2^-rank``
+        when every constraint holds and 0 otherwise.
         """
-        support = [int(a) for a in support]
-        k = len(support)
+        support = np.asarray(support, dtype=np.intp).reshape(-1)
+        k = support.size
         base = np.asarray(bits_list, dtype=np.uint8)
         if base.ndim != 2 or base.shape[1] != self.n:
             raise ValueError(
                 f"Expected (B, {self.n}) bitstrings, got {base.shape}"
             )
-        if base.shape[0] == 1:
-            # Trajectory-mode hot path: skip dedup/grouping for one string.
-            return self._candidate_row(base[0], support)[None, :]
-        support_set = set(support)
-        off_axes = [a for a in range(self.n) if a not in support_set]
-        off_bits = base[:, off_axes]
-        uniq, inverse = np.unique(off_bits, axis=0, return_inverse=True)
-        out_uniq = np.zeros((uniq.shape[0], 2**k))
-
-        # Iterative prefix walk (one Python frame would otherwise be spent
-        # per off-support qubit — a RecursionError past ~1000 qubits).  The
-        # stack holds only divergence branches; the all-agree case advances
-        # in place.
-        stack = [(self.copy(), 0, 1.0, np.arange(uniq.shape[0]))]
-        while stack:
-            tab, depth, acc, rows = stack.pop()
-            annihilated = False
-            while depth < len(off_axes):
-                a = off_axes[depth]
-                bits_here = uniq[rows, depth]
-                ones = bits_here == 1
-                if ones.all() or not ones.any():
-                    factor = tab.project_measurement(a, int(bits_here[0]))
-                else:
-                    zero_tab = tab.copy()
-                    zero_factor = zero_tab.project_measurement(a, 0)
-                    if zero_factor != 0.0:
-                        stack.append(
-                            (zero_tab, depth + 1, acc * zero_factor, rows[~ones])
-                        )
-                    rows = rows[ones]
-                    factor = tab.project_measurement(a, 1)
-                if factor == 0.0:
-                    annihilated = True
-                    break
-                acc *= factor
-                depth += 1
-            if not annihilated:
-                # Distinct off-support patterns: exactly one row per leaf.
-                self._fill_support(
-                    tab, support, 0, 0, acc, out_uniq[int(rows[0])]
-                )
-        return out_uniq[inverse]
+        rank, z, s = self._parity_constraints()
+        ws = support >> 6
+        bs = (support & (bp.WORD_BITS - 1)).astype(np.uint64)
+        z_support = ((z[:, ws] >> bs) & _ONE).astype(np.int64)  # (m, k)
+        off_bits = base.copy()
+        off_bits[:, support] = 0
+        off = bp.count_bits(bp.pack_rows(off_bits)[:, None, :] & z, axis=-1)
+        patterns = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+        table = patterns @ z_support.T  # (2^k, m)
+        parity = (off ^ s)[:, None, :] ^ table
+        return np.where((parity & 1).any(axis=-1), 0.0, 2.0**-rank)
 
     def stabilizer_strings(self) -> List[str]:
         """Human-readable stabilizer generators (e.g. ``['+XX', '-ZZ']``)."""
@@ -655,8 +579,8 @@ class StackedCliffordTableaus(StackedEngine, CliffordTableau):
     The inherited gate updates index the word axis with ``...``, so each
     Clifford gate is the scalar kernel broadcast over the batch axis in
     one NumPy call.  Measurement-adjacent operations (pivot search,
-    collapse, candidate chains) branch per trajectory and run on
-    :meth:`view`, a zero-copy :class:`CliffordTableau` whose arrays alias
+    collapse, the candidate oracle's elimination) branch per row and run
+    on :meth:`view`, a zero-copy :class:`CliffordTableau` whose arrays alias
     the stack (every scalar kernel mutates in place, so views stay
     coherent).
     """
@@ -675,7 +599,8 @@ class CliffordTableauSimulationState(StabilizerSimulationState):
     Clifford circuits.  Gates are routed through the same
     ``_stabilizer_sequence_`` hook; global phases are discarded (the
     tableau does not track them, and no probability depends on them).
-    Born queries are chains of forced measurements (see module note).
+    Born queries are one parity test against the affine support found
+    by eliminating the stabilizer rows (see module note).
     """
 
     _engine_type = CliffordTableau

@@ -541,6 +541,26 @@ class TestTenantQuotas:
             service.register_tenant("a", quota=2.5)
 
 
+class TestResultStoreBounds:
+    @pytest.mark.parametrize("name", ["max_result_entries", "max_result_bytes"])
+    @pytest.mark.parametrize(
+        "bound",
+        [float("nan"), 2.5, True, 0],
+        ids=["nan", "float", "bool", "zero"],
+    )
+    def test_service_rejects_bad_store_bound(self, name, bound):
+        # A NaN bound never trips the eviction test: the store would grow
+        # without limit.
+        with pytest.raises(ValueError, match=name):
+            SamplingService(
+                StateVectorSimulationState(QUBITS),
+                bgls.act_on,
+                born.compute_probability_state_vector,
+                executor=SerialExecutor(),
+                **{name: bound},
+            )
+
+
 class TestRequestNormalizer:
     """The six run* entry points share one validation front door
     (``repro.sampler.requests``): identical errors regardless of which

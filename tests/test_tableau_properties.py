@@ -16,6 +16,9 @@ from repro.states import (
     CliffordTableauSimulationState,
     StateVectorSimulationState,
 )
+from repro.states.tableau import CliffordTableau
+
+from reference_engines import UnpackedCliffordTableau
 
 _ONE_QUBIT = [cirq.H, cirq.S, cirq.S_DAG, cirq.X, cirq.Y, cirq.Z]
 _TWO_QUBIT = [cirq.CNOT, cirq.CZ, cirq.SWAP]
@@ -116,3 +119,68 @@ def test_measurement_collapse_consistency(program, seed):
     )
     assert marginal > 1e-12
     assert tb.tableau.deterministic_outcome(0) == bit
+
+
+_GATE_NAMES = ["h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap"]
+
+
+@st.composite
+def projected_programs(draw):
+    """Clifford gates interleaved with mid-circuit projections.
+
+    Projections lower the rank, so most candidates are exact zeros; the
+    65-qubit width puts the last column in a second packed word.
+    """
+    n = draw(st.sampled_from([1, 3, 6, 65]))
+    steps = []
+    for _ in range(draw(st.integers(0, 40))):
+        name = draw(st.sampled_from(_GATE_NAMES + ["project"]))
+        a = draw(st.integers(0, n - 1))
+        if name == "project":
+            steps.append((name, (a,), draw(st.integers(0, 1))))
+        elif name in ("cx", "cz", "swap"):
+            if n < 2:
+                continue
+            b = draw(st.integers(0, n - 2))
+            steps.append((name, (a, b + (b >= a)), None))
+        else:
+            steps.append((name, (a,), None))
+    return n, steps
+
+
+@given(projected_programs(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_candidate_oracle_matches_reference_after_projections(program, seed):
+    """The packed oracle equals the unpacked reference's forced-measurement
+    chain exactly, zeros included, for every support width down to 0."""
+    n, steps = program
+    packed = CliffordTableau(n)
+    ref = UnpackedCliffordTableau(n)
+    for name, axes, bit in steps:
+        if name == "project":
+            assert packed.project_measurement(axes[0], bit) == (
+                ref.project_measurement(axes[0], bit)
+            )
+        else:
+            getattr(packed, f"apply_{name}")(*axes)
+            getattr(ref, f"apply_{name}")(*axes)
+    rng = np.random.default_rng(seed)
+    sample = packed.copy()
+    inside = [sample.measure(a, rng) for a in range(n)]
+    flipped = list(inside)
+    flipped[int(rng.integers(n))] ^= 1
+    front = [inside, flipped, [int(v) for v in rng.integers(0, 2, size=n)]]
+    supports = ([], [0], sorted({n // 2, n - 1}), list(range(min(n, 3))))
+    for support in supports:
+        k = len(support)
+        got = packed.candidate_probabilities_many(front, support)
+        expected = np.empty((len(front), 2**k))
+        for row, bits in enumerate(front):
+            cand = list(bits)
+            for idx in range(2**k):
+                for pos, axis in enumerate(support):
+                    cand[axis] = (idx >> (k - 1 - pos)) & 1
+                expected[row, idx] = ref.probability_of(cand)
+        np.testing.assert_array_equal(got, expected)
+        assert got[0].any()
+    assert packed.probability_of(inside) == ref.probability_of(inside) > 0

@@ -394,6 +394,39 @@ class TestSharedRows:
         assert 1 <= rows_after_noise[1] <= len(histories) < 64
         assert ("project",) not in events
 
+    def test_tableau_candidates_match_each_trajectorys_view(self):
+        # Two Bell pairs, projected on one qubit of each: 8 trajectories
+        # regroup onto 4 rows, two trajectories per row.
+        qubits = cirq.LineQubit.range(4)
+        state = CliffordTableauSimulationState(qubits)
+        for op in (
+            cirq.H(qubits[0]),
+            cirq.CNOT(qubits[0], qubits[1]),
+            cirq.H(qubits[2]),
+            cirq.CNOT(qubits[2], qubits[3]),
+            cirq.H(qubits[3]),
+        ):
+            bgls.act_on(op, state)
+        tile = trajectory_batch.BatchedTableaus.from_state(state, 8)
+        outcomes = np.array([[0, 0], [1, 1], [0, 1], [1, 0]] * 2)
+        tile.project([0, 2], outcomes)
+        assert tile.stack.batch == 4
+        assert np.bincount(tile.owner).tolist() == [2, 2, 2, 2]
+
+        # Trajectories b and b + 4 share a row but differ off the support:
+        # qubit 1 agrees with qubit 0 (nonzero answers) only for b < 4.
+        bits = np.zeros((8, 4), dtype=np.uint8)
+        bits[:, [0, 2]] = outcomes
+        bits[:, 1] = outcomes[:, 0] ^ (np.arange(8) >= 4)
+        support = [3]
+        got = tile.candidate_probabilities(bits, support)
+        for b in range(8):
+            view = tile.stack.view(tile.owner[b])
+            np.testing.assert_array_equal(
+                got[b], view.candidate_probabilities_many(bits[b : b + 1], support)[0]
+            )
+        assert (got > 0).any() and (got == 0).any()
+
 
 class TestStatisticalAgreement:
     REPS = 4000
