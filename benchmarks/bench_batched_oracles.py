@@ -71,10 +71,13 @@ def test_tableau_batched_vs_candidate_loop(benchmark):
         circuit = cirq.random_clifford_circuit(
             qubits, depth, random_state=width
         )
+        # The batched arm is tens of ms, so a single timing swings the
+        # gated ratio; its median over five runs does not.
         t_batched = wall_time(
             lambda: _tableau_simulator(qubits, True).sample_bitstrings(
                 circuit, repetitions=REPS
-            )
+            ),
+            repeats=5,
         )
         t_loop = wall_time(
             lambda: _tableau_simulator(qubits, False).sample_bitstrings(

@@ -16,7 +16,7 @@ The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
   whatever the configured scheduling mode
   (:func:`repro.sampler.schedule.schedule`) made of its points.  A
   packed initial state and the simulator config ship to each worker once,
-  through the pool *initializer*; each task carries its compiled unit
+  when the worker starts; each task carries its compiled unit
   (one plan, or one Program of a batch) pickled, plus ``(resolver, size,
   seed, ctx)`` and an optional result-plane slot.  The pool is **warm**:
   one pool per (initial state, simulator config, pool geometry) lives
@@ -74,6 +74,7 @@ from .service import (
     _chunk_seeds_from_base,
     _chunk_sizes,
     _merge_parts,
+    _pool_context,
     _run_task,
     _unit_ref,
     shared_pool_manager,
@@ -173,14 +174,14 @@ class ProcessPoolExecutor(Executor):
             raises ``ValueError``.
         start_method: ``"fork"``, ``"forkserver"``, or ``"spawn"``.  An
             *explicitly requested* method the platform does not provide
-            raises at pool construction (no silent substitution; see
-            :func:`repro.sampler.service._pool_context`).  The default
+            raises ``ValueError`` here, at construction (no silent
+            substitution; see :func:`repro.sampler.service._pool_context`).  The default
             sentinel ``"auto"`` resolves to ``forkserver`` where
             available and the platform default elsewhere (Windows has
             only ``spawn``), so default-configured executors work on
             every platform.  With ``fork`` the packed state is inherited
             copy-on-write; with ``forkserver``/``spawn`` it is pickled
-            once per worker by the initializer.
+            once per worker as the worker's start arguments.
         pool_manager: The :class:`~repro.sampler.service.PoolManager`
             keeping the pool **warm**: consecutive calls with an
             unchanged worker payload submit straight to the
@@ -256,6 +257,7 @@ class ProcessPoolExecutor(Executor):
         if start_method == "auto":
             available = multiprocessing.get_all_start_methods()
             start_method = "forkserver" if "forkserver" in available else None
+        _pool_context(start_method)  # raises for an unavailable method
         self.start_method = start_method
         self._pool_manager = pool_manager
         self.scheduler = check_mode(scheduler)

@@ -12,10 +12,12 @@ worker.  This module runs it:
   pool key from exactly those fields.  Compiled units (Programs or
   specialized plans) travel with the tasks, so a fresh circuit ensemble
   runs on the warm workers.
-* :meth:`PoolManager.submit` is the one dispatch entry.  It puts ``(run_id,
-  task_id, unit_ref, args)`` items on the pool's shared task queue and
-  hands each worker a :func:`_pull_tasks` loop: idle workers pull the
-  next task, run the one task body :func:`_run_task`, and report
+* The workers are plain processes the manager starts, each running one
+  :func:`_pull_tasks` loop for its whole life; a reaper thread per pool
+  joins them as they exit (:class:`_Pool`).  :meth:`PoolManager.submit`
+  is the one dispatch entry: it puts ``(run_id, task_id, unit_ref,
+  args)`` items on the pool's shared task queue; idle workers pull the
+  next one, run the one task body :func:`_run_task`, and report
   ``(run_id, task_id, error, payload)`` on the shared result queue.
   Placement is dynamic; the task list (geometry and seeds) is whatever
   the caller built, so output never depends on which worker ran what.
@@ -57,7 +59,6 @@ import pickle
 import queue as _queue
 import threading
 import weakref
-from concurrent import futures as _cf
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -199,8 +200,8 @@ class _WorkerPayload:
     its type registered one (restored via the matching ``restore`` hook;
     hooks are exact-type, so a subclass is pickled and the worker state
     keeps the subclass type), else as the state object itself; either
-    way it is pickled once per *worker* by the pool initializer — never
-    per task.  Compiled units ride the tasks instead (:func:`_unit_ref`).
+    way it is pickled once per *worker* as the worker's Process args —
+    never per task.  Compiled units ride the tasks instead (:func:`_unit_ref`).
     """
 
     __slots__ = (
@@ -261,16 +262,6 @@ class _WorkerPayload:
         )
 
 
-# The worker's simulator, built once by the pool initializer.
-_WORKER = None
-
-# The worker's end of the pool's channels — ``(task_queue, result_queue,
-# cancelled)`` — shipped by the initializer alongside the payload.
-# Queues and shared arrays ride the *process-creation* channel (Process
-# args), the one place they are picklable, so this works identically
-# under fork, forkserver, and spawn.
-_WORKER_CHANNELS: Optional[Tuple[object, object, object]] = None
-
 #: Size of the shared ring of closed run ids (``cancelled[id % size] ==
 #: id`` marks run ``id`` closed).  Only leftovers of a closed run are
 #: skipped, so a slot reused by a much later run costs at most some
@@ -280,13 +271,6 @@ _RUN_SLOTS = 64
 #: How many unpickled units a worker keeps, least recently used first out.
 _UNIT_CACHE_SIZE = 64
 _UNITS: "collections.OrderedDict[bytes, object]" = collections.OrderedDict()
-
-
-def _init_pool_worker(payload: _WorkerPayload, channels) -> None:
-    """Pool initializer: build the worker-local simulator."""
-    global _WORKER, _WORKER_CHANNELS
-    _WORKER = payload.build_simulator()
-    _WORKER_CHANNELS = channels
 
 
 def _unit_ref(unit) -> Tuple[bytes, bytes]:
@@ -355,25 +339,21 @@ def _picklable_error(exc: BaseException) -> BaseException:
         )
 
 
-def _pull_tasks() -> int:
-    """Worker loop: pull tasks off the shared queue until a sentinel.
-
-    Each submission hands every worker one of these.  It pulls ``(run_id,
-    task_id, unit_ref, args)`` items — *placement* is whichever worker gets
-    there first — skips items of closed runs, runs :func:`_run_task` on
-    the item's own unit, and reports ``(run_id, task_id, error,
-    payload)`` on the result queue.
-    A ``None`` sentinel (one per puller, enqueued after the run's tasks)
-    ends the loop; the return value is how many tasks this worker ran.
-    Task errors are reported per task, never raised — the parent decides
-    whether to abandon the run.
+def _pull_tasks(
+    payload: _WorkerPayload, task_queue, result_queue, cancelled
+) -> None:
+    """A pool worker's whole life: build the simulator, then pull
+    ``(run_id, task_id, unit_ref, args)`` items (whichever idle worker
+    gets there first), skip those of closed runs, run :func:`_run_task`
+    on the item's own unit, and report ``(run_id, task_id, error,
+    payload)`` — task errors too, never raised.  A ``None`` sentinel, one
+    per worker and enqueued only when the pool is released, ends it.
     """
-    task_queue, result_queue, cancelled = _WORKER_CHANNELS
-    ran = 0
+    simulator = payload.build_simulator()
     while True:
         item = task_queue.get()
         if item is None:
-            return ran
+            return
         run_id, task_id, unit_ref, args = item
         if cancelled[run_id % _RUN_SLOTS] == run_id:
             continue
@@ -382,11 +362,10 @@ def _pull_tasks() -> int:
         try:
             # The task's unit, under the index it has in the parent's table.
             units = {args[0]: _load_unit(*unit_ref)}
-            payload = _run_task(_WORKER, units, *args)
+            payload = _run_task(simulator, units, *args)
         except BaseException as exc:
             error = _picklable_error(exc)
         result_queue.put((run_id, task_id, error, payload))
-        ran += 1
 
 
 # Snapshot payloads memoized per state object: building the worker payload
@@ -418,120 +397,175 @@ def _snapshot_payload(state, caps) -> Tuple:
 # the warm pool itself
 # ----------------------------------------------------------------------
 
-class _Run:
-    """One submitted task list: its id, the pool's pullers, routed results.
+class _Pool:
+    """One generation of workers, their channels, and their reaper thread.
 
-    ``pullers`` is the pool-wide list of live :func:`_pull_tasks` futures
-    (shared by every run on that pool); ``results`` is the pool's result
-    queue (None once that pool is shut down); ``inbox`` holds results
-    another reader routed here.
+    Each worker is a plain process running :func:`_pull_tasks`; the
+    channels ``(task_queue, result_queue, cancelled)`` ride its Process
+    args, the one place queues and shared arrays are picklable.  The
+    reaper joins each worker as it exits.  A worker exiting before
+    :meth:`release` asked it to (or with an error) loses the pool:
+    ``lost`` is set before that worker is reaped, so whoever sees its pid
+    gone sees the flag, and the others are killed — one may be blocked
+    on a queue lock the dead worker held.  The reaper is no daemon: once
+    the main thread has ended (interpreter exit, or the end of a worker
+    process that built a pool of its own) it releases the pool itself.
     """
 
-    __slots__ = ("id", "pullers", "results", "cancelled", "inbox")
+    def __init__(self, ctx, payload: _WorkerPayload, num_workers: int):
+        self.channels = (ctx.Queue(), ctx.Queue(), ctx.RawArray("q", _RUN_SLOTS))
+        # Undelivered items (tasks for dead workers, a closed run's
+        # leftovers) must not block this process's exit on a feeder.
+        for q in self.channels[:2]:
+            q.cancel_join_thread()
+        self.lost = threading.Event()
+        self.stopping = self.closed = False
+        # While stopping, the reaper drains results (a full result pipe
+        # blocks a worker's exit) through ``route``, else drops them.
+        self.route = None
+        self.workers = []
+        try:
+            for _ in range(num_workers):
+                worker = ctx.Process(
+                    target=_pull_tasks, args=(payload, *self.channels)
+                )
+                worker.start()
+                self.workers.append(worker)
+            self.reaper = threading.Thread(target=self._reap, daemon=False)
+            self.reaper.start()
+        except BaseException:
+            self.kill()
+            raise
 
-    def __init__(self, run_id: int, channels, pullers: List[_cf.Future]):
+    def kill(self) -> None:
+        self.lost.set()
+        for worker in self.workers:
+            worker.kill()
+
+    def release(self) -> None:
+        """Send each worker one sentinel, once: it finishes the tasks
+        queued ahead of it and exits."""
+        if not self.stopping:
+            self.stopping = True
+            for _ in self.workers:
+                self.channels[0].put(None)
+
+    def _reap(self) -> None:
+        from multiprocessing.connection import wait
+
+        pending = {worker.sentinel: worker for worker in self.workers}
+        main = threading.main_thread()
+        while pending:
+            if not main.is_alive():
+                self.release()
+            while self.stopping and self._drain_one():
+                pass
+            timeout = _POLL_SECONDS / 10 if self.stopping else _POLL_SECONDS
+            for sentinel in wait(list(pending), timeout):
+                worker = pending.pop(sentinel)
+                if not self.stopping:
+                    self.lost.set()
+                worker.join()
+                if self.lost.is_set() or worker.exitcode:
+                    self.kill()
+
+    def _drain_one(self) -> bool:
+        """Move one waiting result off the result queue; False if none."""
+        if self.route is not None:
+            return self.route(self.channels[1])
+        try:
+            self.channels[1].get_nowait()
+        except _queue.Empty:
+            return False
+        return True
+
+
+class _Run:
+    """One submitted task list: its id, its pool, and the results another
+    reader routed to its ``inbox``."""
+
+    __slots__ = ("id", "pool", "inbox")
+
+    def __init__(self, run_id: int, pool: _Pool):
         self.id = run_id
-        self.pullers = pullers
-        self.results = channels[1]
-        self.cancelled = channels[2]
+        self.pool = pool
         self.inbox: collections.deque = collections.deque()
 
 
 class PoolManager:
     """Owns one process pool and reuses its initialized workers.
 
-    The manager lazily builds a pool for the first worker payload it sees
+    The manager lazily starts a pool for the first worker payload it sees
     and keeps it warm: subsequent calls whose payload and geometry key
     equal (:meth:`_WorkerPayload.key`) submit straight to the live
     workers (``stats["reuses"]``) whatever circuits they carry, while a
     different key — new initial-state payload, changed simulator config
     or pool geometry — or a dead worker (even an idle one) shuts the old
-    pool down cleanly and builds a fresh one (``stats["key_changes"]`` +
+    pool down cleanly and starts a fresh one (``stats["key_changes"]`` +
     ``stats["inits"]``).
 
-    Lifecycle: use as a context manager for scoped pools, call
-    :meth:`shutdown` explicitly, or rely on the shared manager's
-    ``atexit`` hook.  ``shutdown`` joins every worker (no leaked
-    processes) and is idempotent; the manager is reusable afterwards (the
-    next call simply builds a new pool).  The executor shuts the pool
-    down on any task failure, so a poisoned pool is never reused.
+    Lifecycle: use as a context manager, call :meth:`shutdown` (joins
+    every worker; idempotent; the next call starts a new pool), or rely
+    on the shared manager's ``atexit`` hook.  A manager nobody shuts down
+    lets its workers go when it is collected or the main thread ends.
+    The executor shuts the pool down on any task failure, so a poisoned
+    pool is never reused.
     """
 
     def __init__(self):
-        self._pool: Optional[_cf.ProcessPoolExecutor] = None
+        self._pool: Optional[_Pool] = None
         self._key: Optional[Tuple] = None
         self._payload: Optional[_WorkerPayload] = None
-        self._channels: Optional[Tuple] = None
-        # Every not-yet-finished puller of the current pool.  A puller
-        # exits on whichever sentinel it takes, so one submitted for an
-        # abandoned run may go on to run a later run's tasks: a run's
-        # liveness signal is the whole list, not its own pullers (a dead
-        # worker fails every pending future of its pool).
-        self._pullers: List[_cf.Future] = []
         self._last_pids: List[int] = []
-        # Ensure + enqueue are atomic: without the lock, a second
-        # thread's key change could shut the pool down between another
-        # thread's _ensure and its enqueue.  Concurrent different-key
-        # callers therefore alternate pool rebuilds — give such threads
-        # their own managers.
+        # Ensure + enqueue are atomic, so another thread's key change
+        # cannot shut the pool down in between.  Concurrent different-key
+        # callers therefore alternate rebuilds: give them their own managers.
         self._lock = threading.RLock()
         # One reader of the shared result queue at a time; results of
         # other live runs are routed to their inboxes.
         self._recv_lock = threading.Lock()
         self._runs: Dict[int, _Run] = {}
         self._next_run = 0
-        # Shared-memory result planes currently in flight on this pool.
-        # The manager is the lifecycle backstop the executor's own
-        # try/finally cannot cover: a poisoned pool shuts down through
-        # here, and any plane not yet retired (viewed or released) is
-        # unlinked with it — no segment survives a pool reset.  WeakSet:
-        # retired planes just fall out.
+        # Shared-memory result planes in flight on this pool: a pool
+        # shutdown unlinks every one not yet retired (viewed or released),
+        # so no segment survives a pool reset.  Retired planes fall out.
         self._planes: "weakref.WeakSet" = weakref.WeakSet()
         self.stats = {"inits": 0, "reuses": 0, "key_changes": 0}
 
     # -- lifecycle ---------------------------------------------------------
     def worker_pids(self) -> List[int]:
         """PIDs of the current pool's workers (last pool's if shut down)."""
-        if self._pool is not None and getattr(self._pool, "_processes", None):
-            return sorted(self._pool._processes)
+        if self._pool is not None:
+            return sorted(worker.pid for worker in self._pool.workers)
         return list(self._last_pids)
 
     def shutdown(self) -> None:
         """Join all workers and drop the pool; idempotent, reusable after.
 
-        Workers finish every queued task of a live run (closed runs'
-        leftovers are skipped) while this thread keeps routing their
-        results — a full result pipe would otherwise block a worker's
-        exit.  Live runs keep those results in their inboxes.  Also the
-        segment backstop: any adopted, still-live shared-memory result
-        plane is released once the workers are gone (after the join, so
-        no in-flight task writes to an already-unlinked name).
+        Each worker gets a sentinel and first finishes every queued task
+        of a live run (closed runs' leftovers are skipped); the reaper
+        routes their results to the live runs' inboxes meanwhile.  A pool
+        that lost a worker was killed instead.  Also the segment backstop:
+        any adopted, still-live shared-memory result plane is released
+        once the workers are gone (no in-flight task writes to an
+        already-unlinked name).
         """
         with self._lock:
             pool, self._pool = self._pool, None
-            channels, self._channels = self._channels, None
             self._key = None
             self._payload = None
             if pool is not None:
-                if getattr(pool, "_processes", None):
-                    self._last_pids = sorted(pool._processes)
-                closer = threading.Thread(target=pool.shutdown)
-                closer.start()
-                while closer.is_alive():
-                    if not self._route(channels[1]):
-                        closer.join(_POLL_SECONDS / 10)
-            if channels is not None:
-                while self._route(channels[1]):
+                self._last_pids = sorted(worker.pid for worker in pool.workers)
+                self._release_on_gc.detach()
+                pool.route = self._route
+                pool.release()
+                pool.reaper.join()
+                while pool._drain_one():
                     pass
-                with self._recv_lock:
-                    for run in self._runs.values():
-                        if run.results is channels[1]:
-                            run.results = None
-                # cancel_join_thread so undelivered items (a closed run's
-                # leftovers) cannot block interpreter exit on the feeder.
-                for q in channels[:2]:
-                    q.close()
-                    q.cancel_join_thread()
+                with self._recv_lock:  # no receive() is reading them
+                    pool.closed = True
+                    for q in pool.channels[:2]:
+                        q.close()
             planes, self._planes = list(self._planes), weakref.WeakSet()
             for plane in planes:
                 plane.release()
@@ -539,22 +573,12 @@ class PoolManager:
     def terminate(self) -> None:
         """Kill the pool's workers, then clean up as :meth:`shutdown`.
 
-        The escalation path for a *wedged* pool: ``shutdown`` joins
-        workers, which blocks forever behind a hung task, so the
-        task-timeout path kills the worker processes first and then runs
-        the normal teardown (queue close, plane release) against the
-        already-dead pool.
+        The escalation path for a *wedged* pool, whose hung task would
+        block ``shutdown`` forever: the task-timeout path takes it.
         """
         with self._lock:
-            pool = self._pool
-            if pool is not None:
-                processes = dict(getattr(pool, "_processes", None) or {})
-                if processes:
-                    self._last_pids = sorted(processes)
-                for proc in processes.values():
-                    proc.kill()
-                for proc in processes.values():
-                    proc.join()
+            if self._pool is not None:
+                self._pool.kill()
             self.shutdown()
 
     def __enter__(self) -> "PoolManager":
@@ -575,61 +599,32 @@ class PoolManager:
         """Queue one task list on the (warm) pool; return its run handle.
 
         The pool is the warm one when ``payload``'s key and the geometry
-        match it, else a fresh pool whose workers are built from
-        ``payload``.
+        match it, else a fresh pool of ``num_workers`` workers built from
+        ``payload``.  Every ``(unit_ref, args)`` task becomes a ``(run_id,
+        task_id, unit_ref, args)`` item on the pool's shared task queue.
+        ``num_workers`` is the pool's size and part of its key, so a batch
+        with fewer tasks than workers reuses the warm pool.  The caller
+        drains ``len(tasks)`` results with :meth:`receive` and then passes
+        the run to :meth:`close` — also when it abandons the run early,
+        which makes workers skip its leftover items.
 
-        Every ``(unit_ref, args)`` task becomes a ``(run_id, task_id,
-        unit_ref, args)`` item on the pool's shared task queue, followed
-        by one ``None`` sentinel per puller, and ``min(num_workers,
-        len(tasks))`` workers are each handed one :func:`_pull_tasks`
-        loop.  ``num_workers`` is the pool's size and part of its key, so
-        a batch with fewer tasks than workers reuses the warm pool.  The
-        caller drains ``len(tasks)``
-        results with :meth:`receive` and then passes the run to
-        :meth:`close` — also when it abandons
-        the run early, which makes workers skip its leftover items.  A
-        submission failure shuts the pool down fail-safe.
-
-        ``planes`` are this run's shared-memory result planes: the
-        manager **adopts** them — becomes their lifecycle backstop — so
-        that if this pool is ever shut down (poisoned pool, key change,
-        explicit reset) before a plane is retired, :meth:`shutdown`
-        releases it and no segment outlives the pool filling it.
-        Adoption happens after :meth:`_ensure` (still under the lock):
-        a key change or a rebuild tears the *previous* pool and its
-        leftovers down without touching this call's fresh planes.
+        ``planes`` are this run's shared-memory result planes: the manager
+        **adopts** them, so a shutdown of this pool (poisoned pool, key
+        change, explicit reset) before a plane is retired releases it.
+        Adoption happens after :meth:`_ensure`, so a rebuild tears the
+        *previous* pool down without touching this call's fresh planes.
         """
         with self._lock:
             pool = self._ensure(payload, num_workers, start_method)
             self._planes.update(planes)
             self._next_run += 1
-            run = _Run(self._next_run, self._channels, self._pullers)
+            run = _Run(self._next_run, pool)
             # Registered before any item is queued: another reader must
             # route (not drop) this run's first results.
             with self._recv_lock:
                 self._runs[run.id] = run
-            try:
-                task_queue = self._channels[0]
-                for task_id, (unit_ref, args) in enumerate(tasks):
-                    task_queue.put((run.id, task_id, unit_ref, args))
-                pullers = min(num_workers, len(tasks))
-                for _ in range(pullers):
-                    task_queue.put(None)
-                # In place: live runs hold this list.  Failed pullers stay
-                # so that every run still waiting sees the failure.
-                self._pullers[:] = [
-                    p for p in self._pullers
-                    if not p.done() or p.exception() is not None
-                ]
-                self._pullers.extend(
-                    pool.submit(_pull_tasks) for _ in range(pullers)
-                )
-            except BaseException:
-                self.close(run)
-                self.shutdown()
-                raise
-            if getattr(pool, "_processes", None):
-                self._last_pids = sorted(pool._processes)
+            for task_id, (unit_ref, args) in enumerate(tasks):
+                pool.channels[0].put((run.id, task_id, unit_ref, args))
             return run
 
     def receive(self, run: _Run, timeout: float) -> Optional[Tuple]:
@@ -638,27 +633,29 @@ class PoolManager:
         Waits at most ``timeout`` seconds; returns None when nothing for
         this run arrived in that window (a result of another live run is
         routed to that run's inbox, one of a closed run is dropped).
-        Raises once the run can no longer complete: the pool's own error
-        (``BrokenProcessPool`` when a worker died, read off any of the
-        pool's pullers), or ``RuntimeError`` when the pool was shut down
-        under it.
+        Raises once the run can no longer complete: ``BrokenProcessPool``
+        when a worker of its pool died, or ``RuntimeError`` when the pool
+        was shut down under it.
         """
         with self._recv_lock:
             if run.inbox:
                 return run.inbox.popleft()
-            if run.results is not None:
+            if not run.pool.closed:
                 try:
-                    item = run.results.get(timeout=timeout)
+                    item = run.pool.channels[1].get(timeout=timeout)
                 except _queue.Empty:
                     item = None
                 if item is not None and item[0] == run.id:
                     return item[1:]
                 if item is not None:
                     self._deliver(item)
-            orphaned = run.results is None and not run.inbox
-        for puller in run.pullers:
-            if puller.done() and puller.exception():
-                puller.result()
+            orphaned = run.pool.closed and not run.inbox
+        if run.pool.lost.is_set():
+            from concurrent.futures.process import BrokenProcessPool
+
+            raise BrokenProcessPool(
+                "a worker process died; the pool is not usable anymore"
+            )
         if orphaned:
             raise RuntimeError(
                 "the worker pool was shut down while this run was in flight"
@@ -670,7 +667,7 @@ class PoolManager:
 
         Idempotent; called when a run completes, fails, or is abandoned.
         """
-        run.cancelled[run.id % _RUN_SLOTS] = run.id
+        run.pool.channels[2][run.id % _RUN_SLOTS] = run.id
         with self._recv_lock:
             self._runs.pop(run.id, None)
             run.inbox.clear()
@@ -690,37 +687,26 @@ class PoolManager:
         if owner is not None:
             owner.inbox.append(item[1:])
 
-    def _ensure(
-        self, payload, num_workers, start_method
-    ) -> _cf.ProcessPoolExecutor:
+    def _ensure(self, payload, num_workers, start_method) -> _Pool:
         full_key = (payload.key(), num_workers, start_method)
         if self._pool is not None:
-            # A worker that died between calls breaks the pool (the pool
-            # may not have noticed yet): rebuild, do not fail the run.
-            processes = list((self._pool._processes or {}).values())
-            broken = self._pool._broken or not all(
-                proc.is_alive() for proc in processes
+            # A worker that died between calls loses the pool (is_alive
+            # sees a death the reaper has not): rebuild, do not fail the run.
+            healthy = not self._pool.lost.is_set() and all(
+                worker.is_alive() for worker in self._pool.workers
             )
-            if full_key == self._key and not broken:
+            if full_key == self._key and healthy:
                 self.stats["reuses"] += 1
                 return self._pool
             self.stats["key_changes"] += int(full_key != self._key)
             self.shutdown()
-        ctx = _pool_context(start_method)
-        # The channels are born with the pool (same mp context, shipped
-        # through the initializer — the one channel they may travel).
-        self._channels = (ctx.Queue(), ctx.Queue(), ctx.RawArray("q", _RUN_SLOTS))
-        self._pool = _cf.ProcessPoolExecutor(
-            max_workers=num_workers,
-            mp_context=ctx,
-            initializer=_init_pool_worker,
-            initargs=(payload, self._channels),
-        )
+        self._pool = _Pool(_pool_context(start_method), payload, num_workers)
+        # A manager collected without a shutdown lets its workers go.
+        self._release_on_gc = weakref.finalize(self, self._pool.release)
         # The payload ref keeps an id()-keyed initial state alive while
         # the key is current, so its id cannot alias a recycled address.
         self._payload = payload
         self._key = full_key
-        self._pullers = []
         self.stats["inits"] += 1
         return self._pool
 

@@ -587,6 +587,14 @@ class StackedCliffordTableaus(StackedEngine, CliffordTableau):
 
     _SCALAR = CliffordTableau
 
+    def candidate_probabilities_many(self, bits_list, support) -> np.ndarray:
+        """Row ``b`` answered by trajectory ``b`` through :meth:`view`, as
+        on :class:`~repro.states.chform.StackedChForms`."""
+        return np.concatenate([
+            self.view(b).candidate_probabilities_many([bits], support)
+            for b, bits in enumerate(bits_list)
+        ])
+
 
 CliffordTableau._STACK = StackedCliffordTableaus
 

@@ -511,6 +511,22 @@ class TestExecutorSettings:
         executor = ProcessPoolExecutor(num_workers=2, task_timeout=task_timeout)
         assert executor.task_timeout == task_timeout
 
+    @pytest.mark.parametrize("start_method", ["forks", "threads", ""])
+    def test_pooled_executor_rejects_unavailable_start_method(self, start_method):
+        with pytest.raises(ValueError, match="not available"):
+            ProcessPoolExecutor(num_workers=2, start_method=start_method)
+
+    def test_service_rejects_unavailable_start_method(self):
+        """Raised by the constructor, not by the first multi-point job."""
+        with pytest.raises(ValueError, match="'forks' is not available"):
+            SamplingService(
+                StateVectorSimulationState(QUBITS),
+                bgls.act_on,
+                born.compute_probability_state_vector,
+                num_workers=2,
+                start_method="forks",
+            )
+
 
 class TestTenantQuotas:
     @pytest.mark.parametrize(

@@ -64,9 +64,16 @@ def available_start_methods():
     return [m for m in ("fork", "forkserver") if m in methods]
 
 
+def pool_start_method():
+    env = os.environ.get("BGLS_POOL_START_METHODS", "fork")
+    available = multiprocessing.get_all_start_methods()
+    methods = [m.strip() for m in env.split(",") if m.strip() in available]
+    return methods[0] if methods else available[0]
+
+
 def _sleepy_probability(state, bitstring):
-    """Worker-side hang injection for the task_timeout tests (fork-only:
-    module-level so the forked child resolves it without re-import)."""
+    """Worker-side hang injection for the task_timeout tests (module-level,
+    so forkserver and spawn workers resolve it by import)."""
     time.sleep(600)
     return 1.0  # pragma: no cover - the timeout always fires first
 
@@ -284,12 +291,8 @@ class TestPoolContext:
             "get_all_start_methods",
             lambda: ["spawn"],
         )
-        sim = make_sim(
-            seed=1,
-            executor=ProcessPoolExecutor(num_workers=2, start_method="forkserver"),
-        )
         with pytest.raises(ValueError, match="forkserver"):
-            sim.sample_bitstrings(noisy_bell_circuit(), repetitions=8)
+            ProcessPoolExecutor(num_workers=2, start_method="forkserver")
 
     def test_unimportable_main_falls_back_to_fork(self, monkeypatch):
         from repro.sampler import service
@@ -355,7 +358,7 @@ class TestTaskTimeout:
                 seed=43,
                 executor=ProcessPoolExecutor(
                     num_workers=2,
-                    start_method="fork",
+                    start_method=pool_start_method(),
                     pool_manager=manager,
                     scheduler=mode,
                     task_timeout=0.5,
@@ -380,7 +383,7 @@ class TestTaskTimeout:
                 seed=43,
                 executor=ProcessPoolExecutor(
                     num_workers=2,
-                    start_method="fork",
+                    start_method=pool_start_method(),
                     pool_manager=manager,
                     scheduler=mode,
                 ),

@@ -7,10 +7,12 @@ scheduling mode and both result transports:
 * **Abandonment** — closing a half-consumed stream only closes its run:
   workers skip the leftovers, the warm pool stays (no re-init), and the
   next run on it is bit-for-bit identical.
-* **Worker death** — a worker that exits mid-task surfaces as
+* **Worker death** — a worker that exits mid-task, or that the parent
+  SIGKILLs while it runs a stalled task, surfaces as
   ``BrokenProcessPool`` within a few liveness polls, not after a
-  timeout; no shared-memory segment survives, and the same manager then
-  serves a correct run.
+  timeout; the other workers are killed rather than waited for, no
+  shared-memory segment survives, and the same manager then serves a
+  correct run.
 * **Shared pools** — two threads sharing one manager and one execution
   key (different seeds) each get exactly their single-thread output:
   results are routed by run id, never crossed.
@@ -22,6 +24,7 @@ The pooled start method comes from ``BGLS_POOL_START_METHODS`` (default
 import math
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
@@ -56,8 +59,10 @@ THETA = cirq.Symbol("theta")
 MARKED_ANGLE = 0.4321
 #: Like MARKED_ANGLE, but the worker stalls 0.8 s before dying.
 LATE_MARKED_ANGLE = 0.5432
+#: A resolved Rz angle that hangs its worker far past any test bound.
+HUNG_ANGLE = 0.6543
 #: Resolved Rz angles whose application stalls the worker (seconds).
-STALLS = {0.2468: 0.6, 0.3579: 0.9, LATE_MARKED_ANGLE: 0.8}
+STALLS = {0.2468: 0.6, 0.3579: 0.9, LATE_MARKED_ANGLE: 0.8, HUNG_ANGLE: 60.0}
 
 SCHEDULERS = [
     pytest.param("fifo", id="fifo"),
@@ -210,6 +215,52 @@ class TestWorkerDeath:
                 circuits, params=healthy, repetitions=16
             )
         assert_results_equal(again, reference)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_sigkill_mid_task_raises_promptly_and_pool_recovers(
+        self, manager, transport
+    ):
+        """The parent SIGKILLs a worker while it runs a hung task (the
+        other worker hangs too): BrokenProcessPool within the same 2 s,
+        so the survivor is killed rather than joined; no leftover segment,
+        and the same manager then matches a fresh-manager run."""
+        circuit = rz_circuit()
+        healthy = [{"theta": 0.1 * k} for k in range(4)]
+
+        def make_sim(mgr):
+            return bgls.Simulator(
+                StateVectorSimulationState(QUBITS),
+                _exit_on_marked_gate,
+                born.compute_probability_state_vector,
+                seed=5,
+                executor=executor(mgr, "fifo", transport),
+            )
+
+        sim = make_sim(manager)
+        sim.run_batch([circuit] * 4, params=healthy, repetitions=16)
+        victim = manager.worker_pids()[0]
+        # Both workers have pulled a hung task by the time this fires.
+        killer = threading.Timer(0.5, os.kill, (victim, signal.SIGKILL))
+        start = time.monotonic()
+        killer.start()
+        try:
+            with pytest.raises(BrokenProcessPool):
+                sim.run_batch(
+                    [circuit] * 2,
+                    params=[{"theta": HUNG_ANGLE}] * 2,
+                    repetitions=16,
+                )
+        finally:
+            killer.cancel()
+        assert time.monotonic() - start < 2.0
+        assert live_segment_names() == []
+        again = sim.run_batch([circuit] * 4, params=healthy, repetitions=16)
+        with PoolManager() as fresh:
+            reference = make_sim(fresh).run_batch(
+                [circuit] * 4, params=healthy, repetitions=16
+            )
+        assert_results_equal(again, reference)
+        assert victim not in manager.worker_pids()
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_death_under_an_abandoned_runs_puller(self, manager, transport):

@@ -17,6 +17,12 @@ compiled units travel with the tasks.  Pinned here:
 * **Fewer tasks than workers** — a batch smaller than the pool reuses
   it, and the next full batch does too: the pool is keyed on its size,
   not on the task count.
+* **Shutdown frees the pool** — without a garbage-collection pass: no
+  named semaphore of the pool's queues is left in ``/dev/shm``.
+* **No shutdown, no leftovers** — a script with no ``__main__`` guard
+  that never shuts its manager down exits, and no worker outlives it
+  (forkserver workers re-run such a script and build pools of their
+  own).
 * **Light workers** — ``import repro``, which every worker runs, does
   not load ``scipy.stats`` (~45 MB per process).
 
@@ -24,6 +30,7 @@ Set ``BGLS_POOL_START_METHODS`` (comma-separated) to narrow the start
 methods; the default runs all three the platform offers.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -143,6 +150,36 @@ class TestIdleWorkerDeath:
         assert live_segment_names() == []
 
 
+class TestShutdownFreesThePool:
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_no_semaphore_outlives_shutdown_without_gc(self, start_method):
+        """Reference counting alone frees a shut-down pool, so its queues'
+        named semaphores (forkserver/spawn) are unlinked once the queues'
+        feeder threads have exited — no garbage-collection pass needed."""
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+
+        def semaphores():
+            return {name for name in os.listdir("/dev/shm") if name.startswith("sem.")}
+
+        before = semaphores()
+
+        def leftover():
+            return semaphores() - before
+
+        gc.disable()
+        try:
+            manager = PoolManager()
+            pooled_sim(manager, start_method).run_batch(ensemble(5), repetitions=8)
+            manager.shutdown()
+            deadline = time.monotonic() + 5
+            while leftover() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert leftover() == set()
+        finally:
+            gc.enable()
+
+
 class TestSharedPoolContract:
     def test_two_threads_run_different_batches(self, manager):
         """Two threads, different circuit batches, one manager and one
@@ -212,16 +249,84 @@ class TestSharedPoolContract:
         assert live_segment_names() == []
 
 
-def _loaded_after_import_repro(modules):
-    """Which of ``modules`` a fresh interpreter holds after ``import repro``."""
-    code = f"import sys, repro; print([m for m in {list(modules)!r} if m in sys.modules])"
+#: Formatted with a start method; prints the pids of each pool it builds.
+UNGUARDED_SCRIPT = """
+import repro as bgls
+from repro import born
+from repro import circuits as cirq
+from repro.sampler import PoolManager, ProcessPoolExecutor
+from repro.states import StateVectorSimulationState
+
+qubits = cirq.LineQubit.range(2)
+circuit = cirq.Circuit(
+    cirq.H(qubits[0]), cirq.CNOT(*qubits), cirq.measure(*qubits, key="m")
+)
+manager = PoolManager()
+executor = ProcessPoolExecutor(
+    num_workers=2, start_method={method!r}, pool_manager=manager
+)
+bgls.Simulator(
+    StateVectorSimulationState(qubits),
+    bgls.act_on,
+    born.compute_probability_state_vector,
+    seed=1,
+    executor=executor,
+).run_batch([circuit] * 3, repetitions=8)
+print("pids", *manager.worker_pids(), flush=True)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "start_method", [m for m in ("fork", "forkserver") if m in START_METHODS]
+)
+def test_unguarded_script_with_unshut_manager_leaves_no_worker(
+    start_method, tmp_path
+):
+    """The script exits, and no worker of any pool it built outlives it."""
+    if not os.path.isdir("/proc"):
+        pytest.skip("needs /proc")
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT.format(method=start_method))
+    out = _run_python(str(script))
+    assert out.returncode == 0, out.stderr
+    pids = [
+        int(pid)
+        for line in out.stdout.splitlines()
+        if line.startswith("pids")
+        for pid in line.split()[1:]
+    ]
+    assert len(pids) >= 2
+    deadline = time.monotonic() + 5
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert [pid for pid in pids if _running(pid)] == []
+
+
+def _run_python(*args):
+    """A fresh interpreter run on ``args``, this checkout's ``src`` first
+    on its path."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
         timeout=120,
     )
+
+
+def _loaded_after_import_repro(modules):
+    """Which of ``modules`` a fresh interpreter holds after ``import repro``."""
+    code = f"import sys, repro; print([m for m in {list(modules)!r} if m in sys.modules])"
+    out = _run_python("-c", code)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()
 

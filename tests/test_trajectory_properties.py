@@ -21,6 +21,7 @@ randomized coverage here:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -455,6 +456,49 @@ def _random_stabilizer_stack(engine_of, state_cls, n, rows, rng):
         if hasattr(stack, "store"):
             stack.store(b, view)
     return stack
+
+
+@pytest.mark.parametrize("engine", ["tableau", "ch_form"])
+def test_stack_candidate_oracle_answers_row_b_from_trajectory_b(engine):
+    """Both stabilizer stacks: row ``b`` of ``candidate_probabilities_many``
+    equals trajectory ``b``'s own answer through ``view(b)``."""
+    from repro.states import (
+        CliffordTableauSimulationState,
+        StabilizerChFormSimulationState,
+    )
+
+    state_cls = {
+        "tableau": CliffordTableauSimulationState,
+        "ch_form": StabilizerChFormSimulationState,
+    }[engine]
+    n, rows = 5, 4
+    rng = np.random.default_rng(27)
+    stack = _random_stabilizer_stack(
+        lambda state: getattr(state, engine), state_cls, n, rows, rng
+    )
+    # Trajectories 0 and 1 differ by one X, so answering every row from
+    # one trajectory cannot pass.
+    view = stack.view(1)
+    view.apply_x(0)
+    if hasattr(stack, "store"):
+        stack.store(1, view)
+    bits = rng.integers(0, 2, size=(rows, n)).astype(np.uint8)
+    bits[1] = bits[0]
+    differs = False
+    for support in ([], [2], [0, 3], [1, 2, 4], list(range(n))):
+        probs = stack.candidate_probabilities_many(bits, support)
+        assert probs.shape == (rows, 2 ** len(support))
+        for b in range(rows):
+            np.testing.assert_allclose(
+                probs[b],
+                stack.view(b).candidate_probabilities_many(
+                    bits[b : b + 1], support
+                )[0],
+                rtol=1e-12,
+                atol=1e-15,
+            )
+        differs |= not np.array_equal(probs[0], probs[1])
+    assert differs
 
 
 def _possible_outcomes(stack, owner, support, rng):
