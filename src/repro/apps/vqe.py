@@ -40,10 +40,10 @@ SamplerFn = Callable[[Circuit, int], np.ndarray]
 
 A :class:`repro.sampler.Simulator` is accepted anywhere a ``SamplerFn``
 is (drawn through its ``sample_bitstrings`` API).  A Simulator with a
-pooled executor keeps its worker pool warm across calls — the memoized
-``Program.specialize`` cache hands the pool the same compiled plan for
-repeated circuits, so the final sampled re-estimation in
-:func:`optimize_tfim` pays worker startup at most once per basis."""
+pooled executor keeps its worker pool warm across calls: the pool is
+keyed on the initial state and simulator config, never on the circuit,
+so the two bases of the final sampled re-estimation in
+:func:`optimize_tfim` share one pool."""
 
 
 @dataclass(frozen=True)

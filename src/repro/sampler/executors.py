@@ -1,40 +1,38 @@
-"""Pluggable execution strategies: serial, chunked, and process-pooled.
+"""Where a call's seeded task list runs: in-process or on a warm pool.
 
 The :class:`~repro.sampler.simulator.Simulator` owns the *algorithm*
 (parallel-front evolution or quantum trajectories over a compiled
-:class:`~repro.sampler.plan.ExecutionPlan`); an :class:`Executor` owns the
-*strategy* — where and in how many pieces that algorithm runs:
+:class:`~repro.sampler.plan.ExecutionPlan`); an :class:`Executor` owns
+only *placement*.  One task list, one in-process runner; the pool
+changes only placement:
 
-* :class:`SerialExecutor` — in-process.  With ``chunks > 1`` a ``run``
-  splits its repetitions into deterministic chunks whose RNGs derive
-  from ``SeedSequence([base_seed, chunk_index])``, which makes its output
-  bit-for-bit identical to a pooled ``run`` with the same chunk count —
-  the executor-parity contract the test suite pins.
-* :class:`ProcessPoolExecutor` — every call becomes one deterministic
-  task list drained through a :class:`~repro.sampler.service.PoolManager`:
-  a ``run`` is a one-point batch of seeded chunks, a sweep or batch is
-  whatever the configured scheduling mode
-  (:func:`repro.sampler.schedule.schedule`) made of its points.  A
-  packed initial state and the simulator config ship to each worker once,
-  when the worker starts; each task carries its compiled unit
-  (one plan, or one Program of a batch) pickled, plus ``(resolver, size,
-  seed, ctx)`` and an optional result-plane slot.  The pool is **warm**:
-  one pool per (initial state, simulator config, pool geometry) lives
-  across calls, whatever circuits they run.  A caller wanting a cold pool
-  passes its own :class:`~repro.sampler.service.PoolManager` and shuts it
-  down after the call.
+* Every call is one deterministic task list.  A ``run`` is
+  :func:`_chunk_tasks`: its repetitions in seeded chunks.  A sweep or
+  batch is :func:`_point_tasks`: one stream per point, or points split
+  into seeded repetition sub-chunks by the scheduling mode
+  (:func:`repro.sampler.schedule.schedule`).
+* :meth:`Executor._stream` runs the list in-process, in task order,
+  through :class:`_PointCollector`.  That loop is the reference every
+  pooled run equals bit for bit.
+* :class:`ProcessPoolExecutor` overrides only ``_stream``: it sends the
+  list to the warm pool of a
+  :class:`~repro.sampler.service.PoolManager`.  A packed initial state
+  and the simulator config ship to each worker once, when the worker
+  starts; each task carries its compiled unit (one plan, or one Program
+  of a batch) pickled, plus ``(resolver, size, seed, ctx)`` and an
+  optional result-plane slot.  One pool per (initial state, simulator
+  config, pool geometry) lives across calls, whatever circuits they run;
+  a caller wanting a cold pool passes its own manager and shuts it down
+  after the call.
+* :class:`SerialExecutor` keeps one extra contract: with ``chunks=1`` a
+  ``run`` is one stream off the simulator's own RNG, exactly like the
+  simulator's default.
 
-Every sweep and batch is built by one task builder, :func:`_point_tasks`.
-Under the default ``"fifo"`` mode each point is one stream seeded from
-``SeedSequence([seed, index])``; the base :meth:`Executor.execute_batch_iter`
-runs that task list in-process, so pooled, serial and executor-free
-sweeps are bit-for-bit identical.  The ``"adaptive"`` and ``"stealing"``
-modes reorder and split points into deterministic repetition sub-chunks.
-
-Chunk seeding is deterministic: with an integer simulator seed, chunk
-``i`` always receives ``SeedSequence([seed, i])`` regardless of pool
-geometry or scheduling, so identically seeded runs reproduce bit-for-bit
-(and repeated ``run`` calls on one simulator return identical samples).
+Seeding is deterministic: with an integer simulator seed, chunk ``i`` of
+a ``run`` receives ``SeedSequence([seed, i])`` and point ``p`` of a sweep
+``SeedSequence([seed, p])``, regardless of pool geometry or placement, so
+identically seeded runs reproduce bit-for-bit (and repeated ``run``
+calls on one simulator return identical samples).
 
 Pooled execution requires picklable components: a module-level
 ``apply_op`` and ``compute_probability`` (the shipped ``act_on`` and
@@ -45,11 +43,12 @@ tableau/CH backends ship raw ``uint64`` words this way).
 
 from __future__ import annotations
 
-import abc
 import multiprocessing
 import pickle
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .requests import (
     normalize_count,
@@ -73,7 +72,6 @@ from .service import (
     _base_seed,
     _chunk_seeds_from_base,
     _chunk_sizes,
-    _merge_parts,
     _pool_context,
     _run_task,
     _unit_ref,
@@ -109,12 +107,26 @@ class ResultTransportError(OSError):
 # the executor interface
 # ----------------------------------------------------------------------
 
-class Executor(abc.ABC):
-    """Strategy object deciding where a compiled plan's repetitions run."""
+class Executor:
+    """Where a call's task list runs; this base runs it in-process.
 
-    @abc.abstractmethod
+    :meth:`execute` (a ``run``) and :meth:`execute_batch_iter` (a sweep or
+    batch) build the seeded task list and hand it to :meth:`_stream`, the
+    one place that decides where it runs.  The list's geometry is fixed
+    at construction: a ``run`` splits into ``_workers`` seeded chunks, and
+    sweeps and batches are scheduled for ``_workers`` in ``_mode``.
+    """
+
+    _workers = 1
+    _mode = "fifo"
+
     def execute(self, simulator, plan, repetitions: int) -> RunParts:
-        """Produce ``(records, bits)`` for ``repetitions`` of ``plan``."""
+        """Produce ``(records, bits)`` for ``repetitions`` of ``plan``: a
+        one-point task list of seeded chunks (:func:`_chunk_tasks`)."""
+        normalize_repetitions(repetitions)
+        tasks, argses = _chunk_tasks(simulator, repetitions, self._workers)
+        (parts,) = self._stream(simulator, (plan,), tasks, argses, repetitions)
+        return parts
 
     def execute_batch_iter(
         self,
@@ -124,41 +136,51 @@ class Executor(abc.ABC):
         repetitions: int,
     ) -> Iterator[RunParts]:
         """Lazily yield one ``(records, bits)`` per (program, resolver)
-        point, in order — the one hook behind every sweep and batch.
+        point, in point order — the one hook behind every sweep and batch.
 
-        Default: the ``"fifo"`` task list of :func:`_point_tasks` runs
-        in-process, one stream per point seeded from ``SeedSequence([seed,
-        point])``, each point yielded before the next one starts.
-        Validation and seeding happen at call time.
+        The task list comes from :func:`_point_tasks`.  Validation and
+        scheduling happen eagerly, at call time; only the execution is
+        lazy.
         """
-        table, _, argses = _point_tasks(
-            simulator, programs, resolvers, repetitions, 1, "fifo"
+        table, tasks, argses = _point_tasks(
+            simulator, programs, resolvers, repetitions, self._workers, self._mode
         )
-        return (_run_task(simulator, table, *args) for args in argses)
+        return self._stream(simulator, table, tasks, argses, repetitions)
+
+    def _stream(self, simulator, units, tasks, argses, repetitions):
+        """Run ``tasks`` in-process, in task order, and yield each point
+        once its last chunk has run.
+
+        ``argses[j]`` is the :func:`~repro.sampler.service._run_task`
+        argument tuple of ``tasks[j]`` over the unit table ``units``.
+        Units are used as they are, never pickled, and a point's chunks
+        merge in chunk order.
+        """
+        collector = _PointCollector(tasks)
+        for task, args in zip(tasks, argses):
+            part = _run_task(simulator, units, *args)
+            yield from collector.feed(task, part, _merge_chunks)
 
 
 class SerialExecutor(Executor):
     """In-process execution, optionally in deterministic seeded chunks.
 
-    ``chunks=1`` (default) runs exactly like a bare simulator — one
-    stream off the simulator's own RNG.  ``chunks=k`` reproduces the
-    pooled executor's chunk geometry for a ``run`` in-process: the output
-    for a given (seed, chunk count) is bit-for-bit identical to
+    ``chunks=1`` (default) runs a ``run`` exactly like the simulator's
+    default — one stream off the simulator's own RNG.  ``chunks=k`` runs
+    the base task list of ``k`` seeded chunks in-process: the output for
+    a given (seed, chunk count) is bit-for-bit identical to
     :class:`ProcessPoolExecutor` with the same total chunk count.  Sweeps
-    and batches run one stream per point, like a bare simulator.
+    and batches run one stream per point.
     """
 
     def __init__(self, chunks: int = 1):
-        self.chunks = normalize_count("chunks", chunks)
+        self.chunks = self._workers = normalize_count("chunks", chunks)
 
     def execute(self, simulator, plan, repetitions):
+        if self.chunks > 1:
+            return super().execute(simulator, plan, repetitions)
         normalize_repetitions(repetitions)
-        if self.chunks == 1:
-            return simulator._run_plan(plan, repetitions, None)
-        _, argses = _chunk_tasks(simulator, repetitions, self.chunks)
-        return _merge_parts(
-            [_run_task(simulator, (plan,), *args) for args in argses]
-        )
+        return simulator._run_plan(plan, repetitions, None)
 
 
 # ----------------------------------------------------------------------
@@ -253,14 +275,14 @@ class ProcessPoolExecutor(Executor):
         result_transport: str = "auto",
         task_timeout: Optional[float] = None,
     ):
-        self.num_workers = normalize_num_workers(num_workers)
+        self.num_workers = self._workers = normalize_num_workers(num_workers)
         if start_method == "auto":
             available = multiprocessing.get_all_start_methods()
             start_method = "forkserver" if "forkserver" in available else None
         _pool_context(start_method)  # raises for an unavailable method
         self.start_method = start_method
         self._pool_manager = pool_manager
-        self.scheduler = check_mode(scheduler)
+        self.scheduler = self._mode = check_mode(scheduler)
         if result_transport not in ("auto", "shm", "pickle"):
             raise ValueError(
                 "result_transport must be 'auto', 'shm', or 'pickle', got "
@@ -294,55 +316,22 @@ class ProcessPoolExecutor(Executor):
                 pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             )
 
-    def execute(self, simulator, plan, repetitions):
-        """Run ``repetitions`` of ``plan`` as a one-point batch of
-        ``num_workers`` seeded chunks."""
-        normalize_repetitions(repetitions)
-        tasks, argses = _chunk_tasks(simulator, repetitions, self.num_workers)
-        (parts,) = self._stream(simulator, (plan,), tasks, argses, repetitions)
-        return parts
-
-    def execute_batch_iter(self, simulator, programs, resolvers, repetitions):
-        """Fan a (possibly heterogeneous) batch across the (warm) pool.
-
-        The batch's distinct compiled Programs form one **program
-        table**; each task carries its Program, so a fresh ensemble runs
-        on the warm workers.  Workers keep recent Programs unpickled and
-        specialize per point (memoized, so optimizer loops revisiting a
-        point skip the param-slot rebuild).  The
-        ``scheduler`` mode maps points to tasks (see :func:`_point_tasks`).
-
-        Collection is **completion-ordered** (chunks merge by chunk
-        index, never by arrival) and the yields are **point-ordered**:
-        each point's ``(records, bits)`` is released once its last chunk
-        lands and all earlier points are out.  Validation and scheduling
-        happen eagerly, at call time; only the execution is lazy.
-        """
-        table, tasks, argses = _point_tasks(
-            simulator,
-            programs,
-            resolvers,
-            repetitions,
-            self.num_workers,
-            self.scheduler,
-        )
-        return self._stream(simulator, table, tasks, argses, repetitions)
-
     def _stream(self, simulator, units, tasks, argses, repetitions):
-        """Run ``tasks`` and yield one ``(records, bits)`` per point.
+        """Send ``tasks`` to the warm pool as one run and yield one
+        ``(records, bits)`` per point, in point order.
 
-        ``argses[j]`` is the :func:`~repro.sampler.service._run_task`
-        argument tuple of ``tasks[j]`` over the unit table ``units``.
-        With one worker (or one task) the tasks run in-process, in order,
-        with direct arrays, never pickling a unit.  Otherwise they go to
-        the pool as one run: idle workers pull the next task from the
-        shared queue, and the
-        drain below collects results in completion order and releases
-        points in point order.  Shared-memory transport allocates one
+        With one worker (or one task) the list runs in the base's
+        in-process loop instead.  Otherwise idle workers pull the next
+        task from the pool's shared queue; the drain below collects
+        results in completion order, and :class:`_PointCollector`
+        releases points in point order (chunks merge by chunk index,
+        never by arrival).  Each task carries its unit, so a fresh
+        ensemble runs on the warm workers, which keep recent units
+        unpickled.  Shared-memory transport allocates one
         :class:`~repro.sampler.result_planes.PointPlanes` per point (row
         bands from the deterministic chunk geometry) and turns each
         finished point into zero-copy views; pickle transport merges the
-        returned chunk tuples in chunk order.
+        returned chunk tuples.
 
         Error paths: an abandoned iterator (``close()``) closes its run —
         workers skip the leftovers, the warm pool stays — and releases
@@ -352,12 +341,10 @@ class ProcessPoolExecutor(Executor):
         before anything is submitted; failing that raises
         :class:`ResultTransportError` with the pool untouched.
         """
-        collector = _PointCollector(tasks)
         if self.num_workers == 1 or len(tasks) <= 1:
-            for task, args in zip(tasks, argses):
-                part = _run_task(simulator, units, *args)
-                yield from collector.feed(task, part, _merge_chunks)
+            yield from super()._stream(simulator, units, tasks, argses, repetitions)
             return
+        collector = _PointCollector(tasks)
         # Each distinct unit is pickled once; every task carries it.
         refs = [_unit_ref(unit) for unit in units]
         shm = self.result_transport == "shm"
@@ -452,8 +439,16 @@ def _allocate_planes(units, tasks, repetitions) -> Dict[int, PointPlanes]:
 
 
 def _merge_chunks(point, chunks) -> RunParts:
-    """Merge one point's ``(chunk_index, (records, bits))`` pairs."""
-    return _merge_parts([part for _, part in sorted(chunks, key=lambda c: c[0])])
+    """Concatenate one point's ``(chunk_index, (records, bits))`` pairs in
+    chunk order."""
+    parts = [part for _, part in sorted(chunks, key=lambda c: c[0])]
+    if len(parts) == 1:
+        return parts[0]
+    records = {
+        key: np.concatenate([rec[key] for rec, _ in parts], axis=0)
+        for key in parts[0][0]
+    }
+    return records, np.concatenate([bits for _, bits in parts], axis=0)
 
 
 def _chunk_tasks(simulator, repetitions, num_chunks):

@@ -124,9 +124,7 @@ class Program:
     Specializations are memoized per resolved parameter tuple in a
     bounded LRU (``_SPECIALIZE_CACHE_MAX`` entries): an optimizer loop or
     grid refinement revisiting a point gets the *same* plan object back
-    without touching the param slots — which also makes that plan a
-    stable identity key for the warm process pool
-    (:mod:`repro.sampler.service`).  Resolvers whose assignments cannot
+    without touching the param slots.  Resolvers whose assignments cannot
     be keyed (custom resolver objects, array-valued assignments) fall
     back to an uncached rebuild — always correct, never cached.
 

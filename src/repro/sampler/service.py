@@ -129,19 +129,6 @@ def _base_seed(seed: Union[int, np.random.Generator, None]) -> int:
     return base
 
 
-def _merge_parts(parts: List[RunParts]) -> RunParts:
-    """Concatenate per-chunk (records, bits) outputs in chunk order."""
-    if len(parts) == 1:
-        return parts[0]
-    all_bits = np.concatenate([bits for _, bits in parts], axis=0)
-    keys = parts[0][0].keys()
-    records = {
-        key: np.concatenate([rec[key] for rec, _ in parts], axis=0)
-        for key in keys
-    }
-    return records, all_bits
-
-
 def _main_is_importable() -> bool:
     """Whether ``__main__`` can be re-imported by a forkserver/spawn child.
 

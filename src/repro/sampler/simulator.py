@@ -36,13 +36,13 @@ Execution is layered:
   compiled once; per-resolver :meth:`~repro.sampler.program.Program.specialize`
   rebuilds only resolver-dependent records, which is what makes
   :meth:`run_sweep` and :meth:`run_batch` cheap parameter-scan APIs;
-* an optional **executor** (:mod:`repro.sampler.executors`) decides where
-  the specialized plan's repetitions run — in-process (default), in
-  deterministic seeded chunks, or across a **warm** process pool
-  (:mod:`repro.sampler.service`) whose workers receive the compiled
-  plan/Program and a packed initial-state snapshot once and stay alive
-  across calls; sweeps and batches fan whole points across those
-  workers, bit-for-bit identical to the executor-free sweep.
+* an **executor** (:mod:`repro.sampler.executors`) decides where the
+  call's seeded task list runs — in-process (the default
+  :class:`~repro.sampler.executors.SerialExecutor`), or across a
+  **warm** process pool (:mod:`repro.sampler.service`) whose workers
+  receive a packed initial-state snapshot once and stay alive across
+  calls.  One task list, one in-process runner; the pool changes only
+  placement, so pooled output equals the in-process output bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from ..born import many_candidate_function_for
 from ..circuits.circuit import Circuit
 from ..circuits.parameters import ParamResolver
 from ..states.registry import capabilities_for
+from .executors import SerialExecutor
 from .plan import ExecutionPlan, OpRecord
 from .program import Program, compiled_program
 from .requests import (
@@ -91,9 +92,12 @@ class Simulator:
         skip_diagonal_updates: When True, candidate resampling is skipped
             for gates whose unitary is diagonal (their conditional output
             distribution is unchanged); an optimization ablation.
-        executor: Optional :class:`~repro.sampler.executors.Executor`
-            deciding where repetitions run (serial chunks, process pool).
-            None (default) runs in-process off this simulator's RNG.
+        executor: The :class:`~repro.sampler.executors.Executor`
+            deciding where a call's seeded task list runs (in-process
+            chunks, process pool).  One task list, one in-process runner;
+            the pool changes only placement.  None (default) is a
+            :class:`~repro.sampler.executors.SerialExecutor`: a ``run``
+            is one stream off this simulator's RNG.
         trajectory_mode: How trajectory-mode plans (channels, mid-circuit
             measurement) execute their repetitions.  ``"serial"`` (the
             default) walks the plan once per repetition — the historical
@@ -143,7 +147,7 @@ class Simulator:
             else np.random.default_rng(seed)
         )
         self.skip_diagonal_updates = skip_diagonal_updates
-        self.executor = executor
+        self.executor = executor if executor is not None else SerialExecutor()
         self.trajectory_mode = normalize_trajectory_mode(trajectory_mode)
 
     # ------------------------------------------------------------------
@@ -207,7 +211,7 @@ class Simulator:
         precede it, and repeated ``run_sweep`` calls on one
         integer-seeded simulator return identical results.  With the
         default ``"fifo"`` pool scheduling the output equals the
-        executor-free sweep bit-for-bit.
+        in-process sweep bit-for-bit.
         """
         return list(self.run_sweep_iter(circuit, params, repetitions))
 
@@ -290,7 +294,7 @@ class Simulator:
         or split points
         (:func:`repro.sampler.schedule.schedule`).  With the default
         ``"fifo"`` mode the output is bit-for-bit identical to the
-        executor-free ``run_batch``; ``"adaptive"`` or ``"stealing"``
+        in-process ``run_batch``; ``"adaptive"`` or ``"stealing"``
         changes only *where* (and for split points, in how many
         deterministic chunks) each entry runs — the output stays a pure
         function of (batch, seed, mode), never of placement or timing.
@@ -313,12 +317,13 @@ class Simulator:
         streaming and cleanup contract).  Validation and compilation
         are eager; execution is lazy.
         """
-        if params is not None and len(params) != len(circuits):
+        circuits = list(circuits)
+        resolvers = [None] * len(circuits) if params is None else list(params)
+        if len(resolvers) != len(circuits):
             raise ValueError(
-                f"Got {len(circuits)} circuits but {len(params)} resolvers"
+                f"Got {len(circuits)} circuits but {len(resolvers)} resolvers"
             )
         normalize_repetitions(repetitions)
-        resolvers = list(params) if params is not None else [None] * len(circuits)
         programs = [self.compile(circuit) for circuit in circuits]
         parts = self._points(programs, resolvers, repetitions)
         return (self._result(records, "run_batch") for records, _ in parts)
@@ -328,14 +333,10 @@ class Simulator:
         point: the one multi-point path behind every sweep and batch.
 
         The executor's :meth:`~repro.sampler.executors.Executor.execute_batch_iter`
-        runs the points; without one they run as under a
-        :class:`~repro.sampler.executors.SerialExecutor`: in-process, one
-        seeded stream per point.
+        builds the seeded task list and runs it.  One task list, one
+        in-process runner; the pool changes only placement.
         """
-        from .executors import SerialExecutor
-
-        executor = self.executor if self.executor is not None else SerialExecutor()
-        return executor.execute_batch_iter(self, programs, resolvers, repetitions)
+        return self.executor.execute_batch_iter(self, programs, resolvers, repetitions)
 
     @staticmethod
     def _result(records: Dict[str, np.ndarray], api: str) -> "Result":
@@ -371,9 +372,7 @@ class Simulator:
     ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
         normalize_repetitions(repetitions)
         plan = self.compile(circuit).specialize(param_resolver)
-        if self.executor is not None:
-            return self.executor.execute(self, plan, repetitions)
-        return self._run_plan(plan, repetitions, None)
+        return self.executor.execute(self, plan, repetitions)
 
     def _run_plan(
         self,

@@ -89,18 +89,18 @@ def categorical_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     dust and normalized; a vanished row raises like
     :meth:`Simulator._normalize_prob_rows`.
     """
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    totals = probs.sum(axis=1)
-    if not np.all(np.isfinite(totals)) or np.any(totals <= 0):
+    cum = np.cumsum(np.clip(np.asarray(probs, dtype=float), 0.0, None), axis=1)
+    totals = cum[:, -1:]
+    # False for a zero, infinite or NaN total (NaN fails every test).
+    if not ((totals > 0) & (totals < np.inf)).all():
         raise ValueError(
             "All candidate probabilities vanished; state and bitstring "
             "are inconsistent (is compute_probability correct?)"
         )
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
+    cum /= totals
     u = np.asarray(u, dtype=float)
     choice = (u[:, None] > cum).sum(axis=1)
-    return np.minimum(choice, probs.shape[1] - 1)
+    return np.minimum(choice, cum.shape[1] - 1)
 
 
 def _assign_support_rows(

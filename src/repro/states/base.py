@@ -242,6 +242,12 @@ class StackedEngine(StabilizerEngine):
             values.append(row if isinstance(row, np.ndarray) else row.item())
         return self._with_fields(self._SCALAR, values)
 
+    def probability_of(self, bits: Sequence[int]) -> np.ndarray:
+        """The Born probability of ``bits`` under each trajectory: a
+        ``(B,)`` vector, the ``k = 0`` column of the stack's
+        ``candidate_probabilities_many``."""
+        return self.candidate_probabilities_many([bits] * self.batch, [])[:, 0]
+
 
 #: A settable alias of :attr:`StabilizerSimulationState.engine` under a
 #: backend's own name (``ch_form``, ``tableau``).

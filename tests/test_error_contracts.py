@@ -614,3 +614,17 @@ class TestRequestNormalizer:
         sim = self._sim()
         with pytest.raises(ValueError, match="resolvers"):
             sim.run_batch([clifford_circuit()], params=[None, None])
+
+    def test_batch_accepts_any_iterable(self):
+        # Like run_sweep's resolvers, a batch's circuits and params may be
+        # generators: both are listed before the length check.
+        sim = self._sim()
+        circuits = [clifford_circuit(), clifford_circuit()]
+        expected = sim.run_batch(circuits, repetitions=4)
+        for params in (None, (p for p in [None, None])):
+            got = sim.run_batch((c for c in circuits), params, repetitions=4)
+            assert got == expected
+        got = list(sim.run_batch_iter(circuits, (p for p in [None, None]), repetitions=4))
+        assert got == expected
+        with pytest.raises(ValueError, match="1 circuits but 2 resolvers"):
+            sim.run_batch((c for c in circuits[:1]), (p for p in [None, None]))

@@ -264,10 +264,10 @@ class TestWorkerDeath:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_death_under_an_abandoned_runs_puller(self, manager, transport):
-        """A worker dies running a task of a run whose own pullers have
-        all exited — its task was pulled by a puller left over from an
-        abandoned run.  The drain still raises BrokenProcessPool when the
-        worker dies, not only at the task_timeout."""
+        """A worker finishes a task left over from an abandoned run, then
+        dies running a task of the next run.  The drain still raises
+        BrokenProcessPool when the worker dies, not only at the
+        task_timeout."""
         circuits = [rz_circuit()] * 2
         sim = bgls.Simulator(
             StateVectorSimulationState(QUBITS),
@@ -285,17 +285,16 @@ class TestWorkerDeath:
         sim.run_batch(
             circuits, params=[{"theta": 0.1}, {"theta": 0.2}], repetitions=16
         )
-        # Abandoned after point 0: one puller has exited, the other is
-        # still 0.6 s into point 1 and will go on pulling.
+        # Abandoned after point 0: one worker is idle, the other is still
+        # 0.6 s into point 1, whose result the closed run drops.
         stream = sim.run_batch_iter(
             circuits, params=[{"theta": 0.1}, {"theta": 0.2468}], repetitions=16
         )
         next(stream)
         stream.close()
-        # The next run's first puller takes the abandoned run's last
-        # sentinel; its second stalls 0.9 s on point 0 and then exits on
-        # a sentinel, while the leftover puller runs point 1, which dies
-        # after 0.8 s — no puller of this run is pending by then.
+        # The idle worker takes the next run's point 0 (a 0.9 s stall);
+        # the other finishes the abandoned point first and then takes
+        # point 1, which dies after 0.8 s.
         start = time.monotonic()
         with pytest.raises(BrokenProcessPool):
             sim.run_batch(

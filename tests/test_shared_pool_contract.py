@@ -12,8 +12,9 @@ compiled units travel with the tasks.  Pinned here:
   threads on one manager: each equals its serial run, one init, no
   leftover shared-memory segment.
 * **Abandoned run, then a different batch** — a stream closed after its
-  first point leaves pullers behind; the next, different batch still
-  comes out exact, because every task names its own unit.
+  first point leaves workers busy with its leftover tasks; the next,
+  different batch still comes out exact, because every task names its
+  own unit.
 * **Fewer tasks than workers** — a batch smaller than the pool reuses
   it, and the next full batch does too: the pool is keyed on its size,
   not on the task count.
@@ -217,8 +218,8 @@ class TestSharedPoolContract:
 
     def test_abandoned_run_then_a_different_batch(self, manager):
         """Close a stream after its first point, then run a different
-        batch: the abandoned run's leftover pullers run the new batch's
-        tasks with the new batch's units."""
+        batch: the workers that ran the abandoned run's tasks run the new
+        batch's tasks with the new batch's units."""
         sim = pooled_sim(manager, START_METHODS[0])
         stream = sim.run_batch_iter(ensemble(30, count=8), repetitions=64)
         next(stream)

@@ -72,13 +72,15 @@ def test_categorical_rows_matches_scalar_searchsorted(case):
 
 
 def test_categorical_rows_raises_on_vanished_row():
-    probs = np.array([[0.5, 0.5], [0.0, 0.0]])
-    try:
-        categorical_rows(probs, np.array([0.3, 0.7]))
-    except ValueError as exc:
-        assert "vanished" in str(exc)
-    else:  # pragma: no cover - the assert above must fire
-        raise AssertionError("vanished row did not raise")
+    # A zero, NaN or infinite row total: each row vanished.
+    for vanished in ([0.0, 0.0], [np.nan, 0.5], [np.inf, 0.5]):
+        probs = np.array([[0.5, 0.5], vanished])
+        try:
+            categorical_rows(probs, np.array([0.3, 0.7]))
+        except ValueError as exc:
+            assert "vanished" in str(exc)
+        else:  # pragma: no cover - the assert above must fire
+            raise AssertionError("vanished row did not raise")
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +501,15 @@ def test_stack_candidate_oracle_answers_row_b_from_trajectory_b(engine):
             )
         differs |= not np.array_equal(probs[0], probs[1])
     assert differs
+    # probability_of answers every trajectory: one value per row.
+    for b in range(rows):
+        probs = stack.probability_of(bits[b])
+        assert probs.shape == (rows,)
+        for c in range(rows):
+            np.testing.assert_allclose(
+                probs[c], stack.view(c).probability_of(bits[b]),
+                rtol=1e-12, atol=1e-15,
+            )
 
 
 def _possible_outcomes(stack, owner, support, rng):
